@@ -481,6 +481,8 @@ _SUITE_FN = {
 
 def run_campaign(config: CampaignConfig) -> Report:
     """Run the configured suites; deterministic for a fixed seed and config."""
+    if config.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {config.samples}")
     names = []
     for s in config.suites:
         if s not in SUITES:

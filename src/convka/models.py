@@ -169,6 +169,7 @@ class ShuffleCatoid(FreeMonoid):
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)
         self.name = f"shuffle({''.join(self.alphabet)},{max_len})"
+        self._d2_memo = {}
 
     def compose(self, y, z):
         if len(y) + len(z) > self.max_len:
@@ -176,6 +177,11 @@ class ShuffleCatoid(FreeMonoid):
         return frozenset(_interleavings(y, z))
 
     def decompose2(self, x):
+        if x not in self._d2_memo:
+            self._d2_memo[x] = self._subword_splits(x)
+        return self._d2_memo[x]
+
+    def _subword_splits(self, x):
         pairs = set()
         for r in range(len(x) + 1):
             for places in itertools.combinations(range(len(x)), r):

@@ -1,13 +1,18 @@
+import itertools
+
 import pytest
 
 from convka import models
+from convka.catoid import TableCatoid
 from convka.convolution import functions_equal, indicator, powerset_star
 from convka.higher import (
     NCatoid,
+    TwoCatoid,
     build_interchange_convolution,
     build_n_convolution,
     check_interchange,
     check_n_axioms,
+    check_n_catoid,
 )
 from convka.values import CapabilityError, DimOps, NValueAlgebra, make_boolean, \
     make_boolean_nd
@@ -127,3 +132,83 @@ def test_star_domain_laws_on_square(square, bool2, rng):
     assert rep.law("nconv.dom-idem-leq[0<1]").status == "pass"
     assert rep.law("nconv.dom-product[0]").status == "pass"
     assert rep.law("nconv.dom-product[1]").status == "pass"
+
+
+# -- differential check of the law checkers against full-product references
+
+
+def _reference_assoc(C, U):
+    """Associativity over all of U^3, composing every triple."""
+    bad = []
+    for x, y, z in itertools.product(U, repeat=3):
+        left = set()
+        for v in C.compose(y, z):
+            left |= C.compose(x, v)
+        right = set()
+        for u in C.compose(x, y):
+            right |= C.compose(u, z)
+        if left != right:
+            bad.append((x, y, z, frozenset(left), frozenset(right)))
+    return ("fail" if bad else "pass"), bad, len(U) ** 3
+
+
+def _reference_interchange(nc, i, j, U):
+    """(w .j x) .i (y .j z) <= (w .i y) .j (x .i z) over all of U^4."""
+    ci, cj = nc.dim(i).compose, nc.dim(j).compose
+    bad = []
+    for w, x, y, z in itertools.product(U, repeat=4):
+        lhs = set()
+        for a in cj(w, x):
+            for b in cj(y, z):
+                lhs |= ci(a, b)
+        rhs = set()
+        for a in ci(w, y):
+            for b in ci(x, z):
+                rhs |= cj(a, b)
+        if not lhs <= rhs:
+            bad.append((w, x, y, z))
+    return ("fail" if bad else "pass"), bad, len(U) ** 4
+
+
+def _broken_square():
+    """The pasting square with one vertical composite landing on the wrong cell."""
+    sq = models.pasting_square_2category()
+    d1 = sq.dim(1)
+    table = dict(d1._table)
+    table[("al*p2", "q1*be")] = frozenset(["al*q2"])
+    broken1 = TableCatoid("square.v-broken", sq.elements(), table,
+                          d1._src, d1._tgt, add_units=False)
+    return TwoCatoid("broken-square", sq.dim(0), broken1)
+
+
+DIFFERENTIAL_CASES = {
+    "shuffle-concat": lambda: models.shuffle_concat_2catoid("ab", 3),
+    "swap": lambda: NCatoid("swap", (models.shuffle_catoid("ab", 3),
+                                     models.free_monoid("ab", 3))),
+    "pasting-square": models.pasting_square_2category,
+    "broken-square": _broken_square,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_checkers_match_full_product_references(case):
+    nc = DIFFERENTIAL_CASES[case]()
+    U = nc.elements()
+    rep = check_n_catoid(nc)
+
+    def entry(law):
+        e = rep.law(law)
+        return law, e.status, e.witnesses, e.checked
+
+    for k in range(nc.n):
+        law = f"dim{k}.catoid.assoc"
+        assert entry(law) == (law, *_reference_assoc(nc.dim(k), U))
+    for i, j in itertools.combinations(range(nc.n), 2):
+        law = f"ncat.interchange[{i}<{j}]"
+        assert entry(law) == (law, *_reference_interchange(nc, i, j, U))
+
+
+def test_swapped_interchange_fails_with_known_witnesses():
+    nc = DIFFERENTIAL_CASES["swap"]()
+    law = check_n_catoid(nc).law("ncat.interchange[0<1]")
+    assert (law.status, len(law.witnesses), law.checked) == ("fail", 44, 50625)

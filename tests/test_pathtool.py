@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +276,19 @@ def test_cli_check_determinism(capsys):
     first = capsys.readouterr().out
     main(["check", "--suite", "kleene", "--seed", "5", "--samples", "3"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("suite,samples", [("modal", "0"), ("all", "-3")])
+def test_cli_check_rejects_nonpositive_samples(suite, samples, capsys):
+    code = main(["check", "--suite", suite, "--samples", samples])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pathtool: samples must be at least 1")
+
+
+def test_cli_check_all_stdout_is_byte_stable(capsys):
+    # reference stdout of `pathtool check --suite all --seed 7 --samples 25`
+    expected = (Path(__file__).parent / "data" / "check_all_seed7.txt").read_text()
+    assert main(["check", "--suite", "all", "--seed", "7", "--samples", "25"]) == 0
+    assert capsys.readouterr().out == expected
