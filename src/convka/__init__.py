@@ -23,7 +23,6 @@ from .convolution import (
     convolve,
     delta,
     from_pairs,
-    from_rule,
     functions_equal,
     id0,
     indicator,
@@ -56,7 +55,7 @@ from .values import (
 __all__ = [
     "Catoid", "MoebiusViolation", "TableCatoid", "check_catoid_axioms",
     "check_moebius", "check_saturated_chain", "is_functional", "is_local",
-    "WeightFunction", "conv_add", "convolve", "delta", "from_pairs", "from_rule",
+    "WeightFunction", "conv_add", "convolve", "delta", "from_pairs",
     "functions_equal", "id0", "indicator", "is_in_bracket", "star_dual",
     "star_path", "star_recursive", "star_unfolded", "test_complement",
     "zero_function", "Report", "INF", "NEG_INF", "CapabilityError", "DimOps",

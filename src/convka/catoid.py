@@ -79,9 +79,6 @@ class Catoid:
     def identities(self) -> list:
         return [e for e in self.elements() if self.is_identity(e)]
 
-    def nonidentities(self) -> list:
-        return [e for e in self.elements() if not self.is_identity(e)]
-
     def decompose2(self, x) -> list:
         """All ordered pairs (y, z) with x in y . z, in deterministic order."""
         if self._d2_cache is None:
@@ -117,35 +114,42 @@ class Catoid:
     def length(self, x) -> int:
         """Maximal degree of decomposition into non-identity factors.
 
-        Dynamic programming over decompose2 with cycle detection: revisiting
-        an element mid-computation means some element decomposes through
-        itself, which is impossible in a Moebius catoid.
+        Iterative depth-first dynamic programming over decompose2; a frame is
+        [element, resume index, best so far].  Reaching an element that is
+        still open means it decomposes through itself, impossible if Moebius.
         """
-        return self._length(x, set())
-
-    def _length(self, x, in_progress) -> int:
-        if x in self._len_cache:
-            return self._len_cache[x]
-        if x in in_progress:
-            raise MoebiusViolation(
-                f"{self.name}: cyclic decomposition at {self.format_element(x)}"
-            )
-        if len(in_progress) > len(self.elements()):
-            raise MoebiusViolation(f"{self.name}: decomposition depth exceeds universe size")
-        if self.is_identity(x):
-            self._len_cache[x] = 0
-            return 0
-        in_progress.add(x)
-        try:
-            best = 1
-            for y, z in self.decompose2(x):
-                if self.is_identity(y) or self.is_identity(z):
-                    continue
-                best = max(best, self._length(y, in_progress) + self._length(z, in_progress))
-        finally:
-            in_progress.discard(x)
-        self._len_cache[x] = best
-        return best
+        cache, limit, stack, open_, need = self._len_cache, len(self.elements()), [], set(), x
+        while True:
+            if need not in cache:
+                if need in open_:
+                    raise MoebiusViolation(
+                        f"{self.name}: cyclic decomposition at {self.format_element(need)}")
+                if len(open_) > limit:
+                    raise MoebiusViolation(f"{self.name}: decomposition depth exceeds universe size")
+                if self.is_identity(need):
+                    cache[need] = 0
+                else:
+                    stack.append([need, 0, 1])
+                    open_.add(need)
+            if not stack:
+                return cache[x]
+            frame = stack[-1]
+            y, i, best = frame
+            pairs = self.decompose2(y)
+            for i in range(i, len(pairs)):
+                u, v = pairs[i]
+                lu, lv = cache.get(u), cache.get(v)  # a cached 0 marks an identity
+                if lu and lv:
+                    best = max(best, lu + lv)
+                elif not (lu == 0 or lv == 0 or lu is None and self.is_identity(u)
+                          or lv is None and self.is_identity(v)):
+                    need = u if lu is None else v
+                    frame[1:] = i, best
+                    break
+            else:
+                stack.pop()
+                open_.discard(y)
+                cache[y] = best  # need is y or a factor finished before y: cached
 
     def max_length(self) -> int:
         return max((self.length(x) for x in self.elements()), default=0)

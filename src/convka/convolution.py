@@ -1,18 +1,18 @@
 """Convolution algebras on weight functions C -> K.
 
-The star comes in four equivalent computations:
+One engine computes the recursive star in three forms:
 
   star_recursive   f*(e) = f(e)*;  f*(x) = f(s(x))* . sum f(y).f*(z)
                    over the 2-decompositions of x with y != s(x)
-  star_dual        the mirrored recursion ending in f(t(x))*
-  star_unfolded    the direct sum over all n-fold non-identity decompositions,
-                   interleaving stars of the boundary identities (this is the
-                   trusted oracle: exponential, no recursion on the result)
-  star_path        the specialisation to functions mapping identities to 1
+  star_dual        the mirrored sum of f*(y).f(z), z != t(x), ending in f(t(x))*
+  star_path        the specialisation to K[C] (identities mapped to 1)
 
-Recursions terminate because the summed-over factors are strictly shorter;
-a cycle in the decomposition structure (non-Moebius model) raises
-MoebiusViolation instead of looping.
+It evaluates on demand from an explicit stack, so element length is not bounded
+by Python's recursion limit.  Terms with f-factor 0 are skipped only when the
+algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a).  A cycle in the
+decomposition structure (non-Moebius model) raises MoebiusViolation.
+star_unfolded, the direct sum over all n-fold non-identity decompositions,
+stays separate as the trusted oracle.
 
 Weight functions memoise their values; the caches are idempotent tables for
 pure rules, safe to share between readers.
@@ -47,9 +47,6 @@ class WeightFunction:
         memo[x] = v
         return v
 
-    def table(self) -> dict:
-        return {x: self(x) for x in self.catoid.elements()}
-
     def support(self) -> list:
         return [x for x in self.catoid.elements() if self(x) != self.algebra.zero]
 
@@ -80,10 +77,6 @@ def from_pairs(C, K, pairs, default=None, name="f") -> WeightFunction:
     table = dict(pairs)
     dflt = K.zero if default is None else default
     return WeightFunction(C, K, lambda x: table.get(x, dflt), name=name)
-
-
-def from_rule(C, K, fn, name="f") -> WeightFunction:
-    return WeightFunction(C, K, fn, name=name)
 
 
 def _check_same(f, g):
@@ -119,56 +112,83 @@ def convolve(f, g, catoid=None, algebra=None) -> WeightFunction:
     return WeightFunction(C, K, rule, name=f"({f.name}*{g.name})")
 
 
-def _star_rule(C, K, f, dual: bool):
-    if not K.has_star:
+def _star_engine(f, side: str) -> WeightFunction:
+    """f* by the left ("left"), dual ("right") or K[C] ("path") recursion.
+
+    Demand-driven and iterative: a stack holds a frame per element reached
+    without a value, with the nonzero terms of one decompose2 scan as (star
+    element needed, f-factor) pairs in order, a resume index and the sum.
+    """
+    C, K = f.catoid, f.algebra
+    if side == "path":
+        if not is_in_bracket(f):
+            raise CapabilityError("star_path needs a weight function in K[C]")
+    elif not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    star_wf = [None]  # set after construction, for memoised recursion
-    in_progress = set()
+    add, mul, zero, is_identity = K.add, K.mul, K.zero, C.is_identity
+    left, skip_zero, f_memo = side != "right", K.zero_absorbs, f._memo
+
+    at_identity = (lambda e: K.one) if side == "path" else (lambda e: K.star(f(e)))
+
+    def open_frame(x):
+        boundary, terms = C.source(x) if left else C.target(x), []
+        for pair in C.decompose2(x):
+            factor, need = pair if left else pair[::-1]
+            if factor != boundary:
+                w = f_memo[factor] if factor in f_memo else f(factor)
+                if not (skip_zero and w == zero):  # a skipped term would add 0
+                    terms.append((need, w))
+        return [x, terms, 0, zero]
 
     def rule(x):
-        me = star_wf[0]
-        s = C.source(x)
-        if x == s:
-            return K.star(f(x))
-        if x in in_progress:
-            raise MoebiusViolation(
-                f"{C.name}: star recursion cycles at {C.format_element(x)}")
-        in_progress.add(x)
-        try:
-            acc = K.zero
-            if not dual:
-                for y, z in C.decompose2(x):
-                    if y == s:
-                        continue
-                    acc = K.add(acc, K.mul(f(y), me(z)))
-                return K.mul(K.star(f(s)), acc)
-            t = C.target(x)
-            for y, z in C.decompose2(x):
-                if z == t:
-                    continue
-                acc = K.add(acc, K.mul(me(y), f(z)))
-            return K.mul(acc, K.star(f(t)))
-        finally:
-            in_progress.discard(x)
+        if is_identity(x):
+            return at_identity(x)
+        stack, on_stack = [open_frame(x)], {x}
+        while True:
+            frame = stack[-1]
+            x, terms, i, acc = frame
+            while i < len(terms):
+                need, w = terms[i]
+                if need in memo:
+                    v = memo[need]
+                elif is_identity(need):
+                    v = memo[need] = at_identity(need)
+                else:
+                    break
+                acc = add(acc, mul(w, v) if left else mul(v, w))
+                i += 1
+            else:
+                stack.pop()
+                on_stack.discard(x)
+                if side != "path":
+                    e = K.star(f(C.source(x) if left else C.target(x)))
+                    acc = mul(e, acc) if left else mul(acc, e)
+                if not stack:
+                    return acc
+                memo[x] = acc
+                continue
+            if need in on_stack:
+                raise MoebiusViolation(
+                    f"{C.name}: star recursion cycles at {C.format_element(need)}")
+            frame[2:] = i, acc
+            stack.append(open_frame(need))
+            on_stack.add(need)
 
-    return rule, star_wf
+    prefix = {"left": "star", "right": "star'", "path": "star#"}[side]
+    wf = WeightFunction(C, K, rule, name=f"{prefix}({f.name})")
+    memo = wf._memo
+    return wf
 
 
 def star_recursive(f) -> WeightFunction:
-    """The recursive star (left form)."""
-    rule, hole = _star_rule(f.catoid, f.algebra, f, dual=False)
-    wf = WeightFunction(f.catoid, f.algebra, rule, name=f"star({f.name})")
-    hole[0] = wf
-    return wf
+    """The recursive star (left form): f*(x) = f(s(x))* . sum f(y).f*(z), y != s(x)."""
+    return _star_engine(f, "left")
 
 
 def star_dual(f) -> WeightFunction:
     """The recursive star written with the dual (right-ending) sum."""
-    rule, hole = _star_rule(f.catoid, f.algebra, f, dual=True)
-    wf = WeightFunction(f.catoid, f.algebra, rule, name=f"star'({f.name})")
-    hole[0] = wf
-    return wf
+    return _star_engine(f, "right")
 
 
 def star_unfolded(f) -> WeightFunction:
@@ -209,32 +229,7 @@ def is_in_bracket(f) -> bool:
 
 def star_path(f) -> WeightFunction:
     """Star specialised to K[C]: identities go to 1, no boundary star factors."""
-    C, K = f.catoid, f.algebra
-    if not is_in_bracket(f):
-        raise CapabilityError("star_path needs a weight function in K[C]")
-    C.require_moebius()
-    in_progress = set()
-
-    def rule(x):
-        if C.is_identity(x):
-            return K.one
-        if x in in_progress:
-            raise MoebiusViolation(
-                f"{C.name}: star recursion cycles at {C.format_element(x)}")
-        in_progress.add(x)
-        try:
-            s = C.source(x)
-            acc = K.zero
-            for y, z in C.decompose2(x):
-                if y == s:
-                    continue
-                acc = K.add(acc, K.mul(f(y), wf(z)))
-            return acc
-        finally:
-            in_progress.discard(x)
-
-    wf = WeightFunction(C, K, rule, name=f"star#({f.name})")
-    return wf
+    return _star_engine(f, "path")
 
 
 def functions_equal(f, g, universe=None) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .report import FAIL, PASS, Report
@@ -69,6 +70,17 @@ class ValueAlgebra:
     def is_finite(self) -> bool:
         return self.carrier is not None
 
+    @cached_property
+    def zero_absorbs(self) -> bool:
+        """0.a = a.0 = 0 and 0 + a = a + 0 = a for every weight a in ``pool()``
+        (the carrier, else the sample pool), decided once per algebra; False
+        when the algebra has neither."""
+        if self.carrier is None and self.sample_pool is None:
+            return False
+        z, add, mul = self.zero, self.add, self.mul
+        return all(mul(z, a) == z == mul(a, z) and add(z, a) == a == add(a, z)
+                   for a in self.pool())
+
     @property
     def has_star(self) -> bool:
         return self.star is not None
@@ -81,18 +93,6 @@ class ValueAlgebra:
         if not self.idempotent_add:
             raise CapabilityError(f"{self.name}: no order, addition is not idempotent")
         return self.add(a, b) == b
-
-    def sum(self, items):
-        acc = self.zero
-        for x in items:
-            acc = self.add(acc, x)
-        return acc
-
-    def prod(self, items):
-        acc = self.one
-        for x in items:
-            acc = self.mul(acc, x)
-        return acc
 
     def pool(self) -> tuple:
         if self.carrier is not None:

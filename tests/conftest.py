@@ -26,6 +26,13 @@ def natinf():
     return make_nat_inf_conway()
 
 
+@pytest.fixture(scope="session")
+def unary1200():
+    """Words over one letter up to length 1200, shared by the long-element tests
+    because its Moebius check alone takes about a second."""
+    return models.free_monoid("a", 1200)
+
+
 @pytest.fixture
 def words3():
     return models.free_monoid("ab", 3)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from convka import models
 from convka.catoid import (
+    Catoid,
     MoebiusViolation,
     TableCatoid,
     check_catoid_axioms,
@@ -84,9 +85,41 @@ def test_length_subadditive(words4, example_intervals):
 
 def test_length_cycle_raises():
     pg = models.pair_groupoid(["a", "b", "c"])
-    with pytest.raises(MoebiusViolation):
+    with pytest.raises(MoebiusViolation, match="cyclic decomposition at"):
         for x in pg.elements():
             pg.length(x)
+
+
+class Descending(Catoid):
+    """Each n > 0 decomposes only as (n+1).(n+1), so factor chains never end
+    and leave the three-element universe."""
+
+    name = "descending"
+
+    def source(self, x):
+        return 0
+
+    target = source
+
+    def _build_elements(self):
+        return [0, 1, 2]
+
+    def sort_key(self, x):
+        return x
+
+    def decompose2(self, x):
+        return [(x + 1, x + 1)] if x else [(0, 0)]
+
+
+def test_length_depth_exceeding_universe_raises():
+    with pytest.raises(MoebiusViolation,
+                       match="descending: decomposition depth exceeds universe size"):
+        Descending().length(1)
+
+
+def test_length_of_long_word_needs_no_recursion(unary1200):
+    assert unary1200.length("a" * 1200) == 1200
+    assert unary1200.length("a" * 700) == 700
 
 
 def test_catoid_axioms_clean(words3, example_intervals, diamond_paths):

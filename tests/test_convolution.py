@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convka import models
 from convka.catoid import MoebiusViolation
+from convka.cli import main
 from convka.convolution import (
     check_conway,
     check_kat,
@@ -27,7 +29,14 @@ from convka.convolution import (
     zero_function,
 )
 from convka.convolution import test_complement as complement_of
-from convka.values import CapabilityError, make_boolean, make_min_plus
+from convka.values import (
+    CapabilityError,
+    ValueAlgebra,
+    make_boolean,
+    make_max_plus,
+    make_min_plus,
+    make_nat_inf_conway,
+)
 
 
 def brute_convolution(C, K, f, g, x):
@@ -192,6 +201,118 @@ def test_powerset_isomorphism(words3, boolean, rng):
         assert set(star_recursive(fa).support()) == set(powerset_star(words3, A))
     assert set(id0(words3, boolean).support()) == set(words3.identities())
     assert zero_function(words3, boolean).support() == []
+
+
+# Small catalogue models for the differential tests; star_unfolded is
+# exponential in element length, so the universes stay small.
+SMALL_MODELS = (
+    models.free_monoid("ab", 3),
+    models.guarded_string_catoid(["t0", "t1"], ["p"], 2),
+    models.path_catoid(models.diamond_dag(), 4),
+    models.interval_catoid(models.example_poset()),
+)
+STOCK_ALGEBRAS = (make_boolean(), make_min_plus(), make_max_plus(), make_nat_inf_conway())
+
+
+def drawn_function(data, C, K, bracket=False):
+    """A weight table drawn by hypothesis, zero-heavy so the skipped terms matter."""
+    weight = st.one_of(st.just(K.zero), st.sampled_from(K.pool()))
+    table = {x: K.one if bracket and C.is_identity(x) else data.draw(weight)
+             for x in C.elements()}
+    return from_pairs(C, K, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_MODELS), st.sampled_from(STOCK_ALGEBRAS), st.data())
+def test_star_sides_agree_with_oracle(C, K, data):
+    assert K.zero_absorbs
+    f = drawn_function(data, C, K)
+    left, right, oracle = star_recursive(f), star_dual(f), star_unfolded(f)
+    for x in C.elements():
+        assert left(x) == right(x) == oracle(x), C.format_element(x)
+    g = drawn_function(data, C, K, bracket=True)
+    path, plain = star_path(g), unskipped_star(g, "path")
+    # K[C] drops the boundary stars, which are 1* = 1 except in natinf (1* = inf)
+    oracle = star_unfolded(g) if K.star(K.one) == K.one else plain
+    for x in C.elements():
+        assert path(x) == plain(x) == oracle(x), C.format_element(x)
+
+
+def skewed_algebra():
+    """Three weights under max whose zero is not absorbing (0.1 = 1) and whose
+    product does not commute (0.1 = 1, 1.0 = 2)."""
+    return ValueAlgebra(name="skew3", add=max, mul=lambda a, b: (2 * a + b) % 3,
+                        zero=0, one=1, star={0: 1, 1: 2, 2: 2}.__getitem__,
+                        carrier=(0, 1, 2))
+
+
+def unskipped_star(f, side):
+    """The star recursion summing every 2-decomposition, zero factors included,
+    as the recursive star did before zero terms were skipped."""
+    C, K = f.catoid, f.algebra
+    memo = {}
+
+    def star(x):
+        if x in memo:
+            return memo[x]
+        if C.is_identity(x):
+            memo[x] = K.one if side == "path" else K.star(f(x))
+            return memo[x]
+        acc = K.zero
+        for y, z in C.decompose2(x):
+            if side != "right" and y != C.source(x):
+                acc = K.add(acc, K.mul(f(y), star(z)))
+            elif side == "right" and z != C.target(x):
+                acc = K.add(acc, K.mul(star(y), f(z)))
+        if side == "left":
+            acc = K.mul(K.star(f(C.source(x))), acc)
+        elif side == "right":
+            acc = K.mul(acc, K.star(f(C.target(x))))
+        memo[x] = acc
+        return acc
+
+    return star
+
+
+def test_star_keeps_zero_terms_without_absorbing_zero(rng):
+    K = skewed_algebra()
+    assert not K.zero_absorbs
+    assert make_boolean().zero_absorbs
+    assert not ValueAlgebra(name="bare", add=max, mul=max, zero=0, one=1).zero_absorbs
+    for C in SMALL_MODELS[:2]:
+        for _ in range(10):
+            f = random_function(C, K, rng)
+            g = random_function(C, K, rng, bracket=True)
+            for side, star, h in (("left", star_recursive, f), ("right", star_dual, f),
+                                  ("path", star_path, g)):
+                old, new = unskipped_star(h, side), star(h)
+                for x in C.elements():
+                    assert new(x) == old(x), (C.name, side, C.format_element(x))
+
+
+def test_star_on_long_unary_word(unary1200):
+    K = make_min_plus()
+    f = from_pairs(unary1200, K, {"a": 2, "aaa": 5, "a" * 5: 11})
+    left, right = star_recursive(f), star_dual(f)
+    assert left("a" * 1200) == right("a" * 1200) == 2000
+    # the cheapest cut of a^n uses as many aaa (5) as fit, then a's (2);
+    # a^5 (11) never beats aaa.a.a (9)
+    for n in range(1201):
+        assert left("a" * n) == right("a" * n) == 2 * n - n // 3
+
+
+def test_cli_star_on_long_unary_word(tmp_path, capsys):
+    # the CLI evaluates rows shortest first, so every step is shallow; this pins
+    # the end-to-end path, and the long-element case is the library test above
+    p = tmp_path / "unary.txt"
+    p.write_text("a 2\naaa 5\n")
+    out = {}
+    for form in ("recursive", "dual"):
+        assert main(["star", "--model", "words", "--algebra", "minplus",
+                     "--max-length", "500", "--star", form, "--weights", str(p)]) == 0
+        out[form] = capsys.readouterr().out
+    assert out["recursive"] == out["dual"]
+    assert out["recursive"].splitlines()[-1] == "a" * 500 + "\t834"
 
 
 def test_star_requires_moebius(boolean, rng):
