@@ -92,7 +92,13 @@ class Catoid:
         return self._d2_cache[x]
 
     def decompose_n(self, x, n: int) -> list:
-        """All n-tuples of non-identity elements composing to x."""
+        """The n-fold non-identity decompositions of x, one entry per chain.
+
+        A tuple appears once for each chain of intermediate products that
+        composes it to x, so a multi-valued catoid can list it more than once;
+        convolution powers count one term per chain.  For functional catoids
+        every tuple appears once.  Sorted stably by the factors' sort keys.
+        """
         key = (x, n)
         if key in self._dn_cache:
             return self._dn_cache[key]
@@ -101,12 +107,12 @@ class Catoid:
         elif n == 1:
             out = [] if self.is_identity(x) else [(x,)]
         else:
-            found = set()
+            found = []
             for y, z in self.decompose2(x):
                 if self.is_identity(y):
                     continue
                 for rest in self.decompose_n(z, n - 1):
-                    found.add((y,) + rest)
+                    found.append((y,) + rest)
             out = sorted(found, key=lambda t: tuple(self.sort_key(p) for p in t))
         self._dn_cache[key] = out
         return out

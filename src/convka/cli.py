@@ -1,12 +1,14 @@
 """pathtool: weighted path problems and batch axiom checks.
 
 Exit codes: 0 success / clean report, 1 oracle disagreement, 2 parse or
-usage error, 3 capability or Moebius-condition error.
+usage error, 3 capability or Moebius-condition error.  A reader that closes
+stdout early (``pathtool star ... | head``) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import lab, models
@@ -266,7 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed by its reader; point it at devnull so the
+        # interpreter's final flush of the buffered rest cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ face maps, lax functoriality inclusions, interchange, absorption of lower
 faces by higher ones, and the two closure equations on higher faces of
 lower products.
 
-The valency-based operators D-_i / D+_i per dimension require complete
-models, as in ``modal``.
+The valency-based operators D-_i / D+_i are ``modal``'s hat lifting applied
+per dimension; they need local, complete models.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from .convolution import (
     WeightFunction,
     conv_add,
     convolve,
-    from_pairs,
     function_leq,
     functions_equal,
+    id0,
     random_function,
     star_recursive,
     zero_function,
 )
-from .modal import valency_certificate
+from .modal import cod_hat, dom_hat, valency_certificate
 from .report import FAIL, INFO, PASS, Report
 from .values import CapabilityError, NValueAlgebra
 
@@ -58,11 +58,6 @@ class NCatoid:
 
     def __repr__(self):
         return f"<NCatoid {self.name}: n={self.n}, {len(self.elements())} elements>"
-
-
-class TwoCatoid(NCatoid):
-    def __init__(self, name, dim0, dim1):
-        super().__init__(name, (dim0, dim1))
 
 
 def _set_map(fn, xs) -> frozenset:
@@ -166,102 +161,52 @@ def check_n_catoid(nc: NCatoid, universe=None) -> Report:
     return rep
 
 
-check_2catoid = check_n_catoid
-
-
 # ---------------------------------------------------------------------------
-# interchange convolution
-
-
-class InterchangeConvolution:
-    """Two convolution structures over one function space, one per dimension."""
-
-    def __init__(self, tc: NCatoid, alg: NValueAlgebra):
-        if tc.n != 2 or alg.n != 2:
-            raise CapabilityError("interchange structures are two-dimensional")
-        if not alg.leq(alg.dims[0].one, alg.dims[1].one):
-            raise CapabilityError("value algebra violates one0 <= one1")
-        for i in range(2):
-            tc.dim(i).require_moebius()
-        self.tc = tc
-        self.alg = alg
-        self.views = (alg.view(0), alg.view(1))
-
-    def id_(self, i: int) -> WeightFunction:
-        C, v = self.tc.dim(i), self.views[i]
-        return WeightFunction(C, v,
-                              lambda x: v.one if C.is_identity(x) else v.zero,
-                              name=f"id{i}")
-
-    def add(self, f, g):
-        return conv_add(f, g, catoid=self.tc.dim(0), algebra=self.views[0])
-
-    def mul(self, i, f, g):
-        return convolve(f, g, catoid=self.tc.dim(i), algebra=self.views[i])
-
-    def star(self, i, f):
-        rebound = WeightFunction(self.tc.dim(i), self.views[i], f, name=f.name)
-        return star_recursive(rebound)
-
-    def random_function(self, rng):
-        return random_function(self.tc.dim(0), self.views[0], rng)
-
-
-def check_interchange(ic: InterchangeConvolution, rng, samples=100) -> Report:
-    """Interchange inequality on function quadruples, plus id0 <= id1."""
-    tc, alg = ic.tc, ic.alg
-    rep = Report(model=tc.name, algebra=alg.name)
-    U = tc.elements()
-
-    ok = function_leq(ic.id_(0), ic.id_(1), U)
-    rep.add("ic.unit-leq", PASS if ok else FAIL, [] if ok else [("id0 !<= id1",)],
-            checked=len(U))
-
-    bad = []
-    for k in range(samples):
-        f, g, h, kk = (ic.random_function(rng) for _ in range(4))
-        lhs = ic.mul(0, ic.mul(1, f, g), ic.mul(1, h, kk))
-        rhs = ic.mul(1, ic.mul(0, f, h), ic.mul(0, g, kk))
-        if not function_leq(lhs, rhs, U):
-            for x in U:
-                if not alg.leq(lhs(x), rhs(x)):
-                    bad.append((k, tc.dim(0).format_element(x), lhs(x), rhs(x)))
-                    break
-    rep.add("ic.interchange", FAIL if bad else PASS, bad, checked=samples * len(U))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# n-fold convolution with per-dimension modal structure
+# n-fold convolution: interchange (n = 2) and per-dimension modal structure
 
 
 class NConvolution:
-    """Per-dimension convolution, units, valency-based modal operators and stars."""
+    """Per-dimension convolution, units, stars and valency-based modal operators.
+
+    One bundle serves interchange (n = 2) and higher convolution algebras.
+    A dimension's modal prerequisites (locality, certified finite valency,
+    modal value maps) are checked on its first ``dom_``/``cod_`` call, so a
+    truncated model still gets convolution, units and stars.
+    """
 
     def __init__(self, nc: NCatoid, alg: NValueAlgebra):
         if nc.n != alg.n:
             raise CapabilityError(f"dimension mismatch: catoid n={nc.n}, algebra n={alg.n}")
+        for i, j in itertools.combinations(range(alg.n), 2):
+            if not alg.leq(alg.dims[i].one, alg.dims[j].one):
+                raise CapabilityError(f"value algebra violates one{i} <= one{j}")
+        for d in nc.dims:
+            d.require_moebius()
         self.nc = nc
         self.alg = alg
         self.views = tuple(alg.view(i) for i in range(alg.n))
-        self.certificates = []
-        for i in range(nc.n):
-            d = nc.dim(i)
+        self._certificates = {}
+
+    def _certificate(self, i):
+        """Dimension i's valency certificate, checked once and cached."""
+        if i not in self._certificates:
+            d = self.nc.dim(i)
             if not is_local(d).clean:
                 raise CapabilityError(f"dimension {i}: model is not local")
-            d.require_moebius()
             try:
-                self.certificates.append(valency_certificate(d))
+                cert = valency_certificate(d)
             except CapabilityError as exc:
                 raise CapabilityError(f"dimension {i}: {exc}") from exc
-            if self.views[i].dom is None or self.views[i].cod is None:
+            if not self.views[i].has_modal:
                 raise CapabilityError(f"dimension {i}: value algebra lacks modal maps")
+            self._certificates[i] = cert
+        return self._certificates[i]
+
+    def _rebind(self, i, f):
+        return WeightFunction(self.nc.dim(i), self.views[i], f, name=f.name)
 
     def id_(self, i):
-        C, v = self.nc.dim(i), self.views[i]
-        return WeightFunction(C, v,
-                              lambda x: v.one if C.is_identity(x) else v.zero,
-                              name=f"id{i}")
+        return id0(self.nc.dim(i), self.views[i])
 
     def add(self, f, g):
         return conv_add(f, g, catoid=self.nc.dim(0), algebra=self.views[0])
@@ -270,30 +215,13 @@ class NConvolution:
         return convolve(f, g, catoid=self.nc.dim(i), algebra=self.views[i])
 
     def star(self, i, f):
-        rebound = WeightFunction(self.nc.dim(i), self.views[i], f, name=f.name)
-        return star_recursive(rebound)
+        return star_recursive(self._rebind(i, f))
 
     def dom_(self, i, f):
-        C, v = self.nc.dim(i), self.views[i]
-        table = {}
-        for e in C.identities():
-            acc = v.zero
-            for y in C.elements():
-                if C.source(y) == e:
-                    acc = v.add(acc, v.dom(f(y)))
-            table[e] = acc
-        return from_pairs(C, v, table, name=f"D-{i}({f.name})")
+        return dom_hat(self._rebind(i, f), self._certificate(i))
 
     def cod_(self, i, f):
-        C, v = self.nc.dim(i), self.views[i]
-        table = {}
-        for e in C.identities():
-            acc = v.zero
-            for y in C.elements():
-                if C.target(y) == e:
-                    acc = v.add(acc, v.cod(f(y)))
-            table[e] = acc
-        return from_pairs(C, v, table, name=f"D+{i}({f.name})")
+        return cod_hat(self._rebind(i, f), self._certificate(i))
 
     def zero(self):
         return zero_function(self.nc.dim(0), self.views[0])
@@ -302,12 +230,28 @@ class NConvolution:
         return random_function(self.nc.dim(0), self.views[0], rng)
 
 
-def build_interchange_convolution(tc, alg) -> InterchangeConvolution:
-    return InterchangeConvolution(tc, alg)
+def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
+    """Interchange inequality of dimensions 0 and 1 on function quadruples, plus id0 <= id1."""
+    nc, alg = bundle.nc, bundle.alg
+    rep = Report(model=nc.name, algebra=alg.name)
+    U = nc.elements()
 
+    ok = function_leq(bundle.id_(0), bundle.id_(1), U)
+    rep.add("ic.unit-leq", PASS if ok else FAIL, [] if ok else [("id0 !<= id1",)],
+            checked=len(U))
 
-def build_n_convolution(nc, alg) -> NConvolution:
-    return NConvolution(nc, alg)
+    bad = []
+    for k in range(samples):
+        f, g, h, kk = (bundle.random_function(rng) for _ in range(4))
+        lhs = bundle.mul(0, bundle.mul(1, f, g), bundle.mul(1, h, kk))
+        rhs = bundle.mul(1, bundle.mul(0, f, h), bundle.mul(0, g, kk))
+        if not function_leq(lhs, rhs, U):
+            for x in U:
+                if not alg.leq(lhs(x), rhs(x)):
+                    bad.append((k, nc.dim(0).format_element(x), lhs(x), rhs(x)))
+                    break
+    rep.add("ic.interchange", FAIL if bad else PASS, bad, checked=samples * len(U))
+    return rep
 
 
 def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:

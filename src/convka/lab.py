@@ -37,8 +37,7 @@ from .convolution import (
     star_unfolded,
 )
 from .higher import (
-    build_interchange_convolution,
-    build_n_convolution,
+    NConvolution,
     check_interchange,
     check_n_axioms,
     check_n_catoid,
@@ -435,15 +434,15 @@ def _suite_modal(config) -> Report:
 def _suite_interchange(config) -> Report:
     tc = models.shuffle_concat_2catoid("ab", 4)
     rep = check_n_catoid(tc)
-    ic = build_interchange_convolution(tc, make_boolean_nd(2))
-    rep.merge(check_interchange(ic, _rng(config, "interchange"), samples=config.samples))
+    bundle = NConvolution(tc, make_boolean_nd(2))
+    rep.merge(check_interchange(bundle, _rng(config, "interchange"), samples=config.samples))
     return rep
 
 
 def _suite_nka(config) -> Report:
     sq = models.pasting_square_2category()
     rep = check_n_catoid(sq)
-    bundle = build_n_convolution(sq, make_boolean_nd(2))
+    bundle = NConvolution(sq, make_boolean_nd(2))
     rep.merge(check_n_axioms(bundle, _rng(config, "nka"), samples=config.samples))
     return rep
 

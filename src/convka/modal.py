@@ -63,14 +63,11 @@ def _hat(f, take_source: bool, certificate):
         raise CapabilityError(f"{K.name}: no modal structure")
     if certificate is None:
         valency_certificate(C)  # raises when uncertifiable
-    table = {}
-    for e in C.identities():
-        acc = K.zero
-        for y in C.elements():
-            anchor = C.source(y) if take_source else C.target(y)
-            if anchor == e:
-                acc = K.add(acc, (K.dom if take_source else K.cod)(f(y)))
-        table[e] = acc
+    anchor, lift = (C.source, K.dom) if take_source else (C.target, K.cod)
+    table = {e: K.zero for e in C.identities()}
+    for y in C.elements():
+        e = anchor(y)
+        table[e] = K.add(table[e], lift(f(y)))
     return from_pairs(C, K, table, name=("D-" if take_source else "D+") + f"({f.name})")
 
 

@@ -475,11 +475,11 @@ def random_dag(n=8, density=0.35, seed=11, weight_range=(1, 9)) -> GraphSpec:
 
 def shuffle_concat_2catoid(alphabet, max_len):
     """Words with concatenation as dimension 0 and shuffle as dimension 1."""
-    from .higher import TwoCatoid
+    from .higher import NCatoid
 
     dim0 = FreeMonoid(alphabet, max_len)
     dim1 = ShuffleCatoid(alphabet, max_len)
-    return TwoCatoid(f"shuffle-concat({''.join(dim0.alphabet)},{max_len})", dim0, dim1)
+    return NCatoid(f"shuffle-concat({''.join(dim0.alphabet)},{max_len})", (dim0, dim1))
 
 
 def pasting_square_2category():
@@ -493,7 +493,7 @@ def pasting_square_2category():
     functional and Moebius in both dimensions.
     """
     from .catoid import TableCatoid
-    from .higher import TwoCatoid
+    from .higher import NCatoid
 
     cells0 = ["u", "v", "w"]
     cells1 = ["p1", "q1", "p2", "q2", "p1p2", "p1q2", "q1p2", "q1q2"]
@@ -533,4 +533,4 @@ def pasting_square_2category():
 
     dim0 = TableCatoid("square.h", elements, compose0, s0, t0)
     dim1 = TableCatoid("square.v", elements, compose1, s1, t1)
-    return TwoCatoid("pasting-square", dim0, dim1)
+    return NCatoid("pasting-square", (dim0, dim1))

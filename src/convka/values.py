@@ -763,25 +763,6 @@ def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
     return rep
 
 
-def modal_fixpoints(A: ValueAlgebra) -> tuple:
-    """Fixpoints of dom over a finite carrier (equal to those of cod when modal laws hold)."""
-    if not A.is_finite or not A.has_modal:
-        raise CapabilityError(f"{A.name}: need a finite modal algebra")
-    return tuple(a for a in A.carrier if A.dom(a) == a)
-
-
-def n_filtration(A: NValueAlgebra) -> tuple:
-    """Per-dimension dom-fixpoint sets; a valid n-algebra has S_0 <= S_1 <= ..."""
-    if not A.is_finite:
-        raise CapabilityError(f"{A.name}: filtration needs a finite carrier")
-    out = []
-    for i, d in enumerate(A.dims):
-        if d.dom is None:
-            raise CapabilityError(f"{A.name}: dimension {i} lacks a dom map")
-        out.append(frozenset(a for a in A.carrier if d.dom(a) == a))
-    return tuple(out)
-
-
 def make_boolean_nd(n: int = 2) -> NValueAlgebra:
     """Boolean n-dimensional Kleene algebra: every dimension is the boolean KA."""
     dim = DimOps(mul=min, one=1, dom=lambda a: a, cod=lambda a: a, star=lambda a: 1)

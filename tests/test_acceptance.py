@@ -20,8 +20,7 @@ from convka.convolution import (
     star_unfolded,
 )
 from convka.higher import (
-    build_interchange_convolution,
-    build_n_convolution,
+    NConvolution,
     check_interchange,
     check_n_axioms,
 )
@@ -164,8 +163,8 @@ def test_c05_modal_suite():
 
 def test_c06_interchange():
     tc = models.shuffle_concat_2catoid("ab", 4)
-    ic = build_interchange_convolution(tc, make_boolean_nd(2))
-    rep = check_interchange(ic, random.Random("c6"), samples=100)
+    bundle = NConvolution(tc, make_boolean_nd(2))
+    rep = check_interchange(bundle, random.Random("c6"), samples=100)
     ok = rep.clean and rep.law("ic.interchange").checked >= 100 * len(tc.elements())
     _report(6, "interchange inequality + id0 <= id1 on shuffle/concat words <= 4, "
                "100 random quadruples", ok, str(rep.failed_laws()))
@@ -173,7 +172,7 @@ def test_c06_interchange():
 
 def test_c07_n_dimensional():
     sq = models.pasting_square_2category()
-    bundle = build_n_convolution(sq, make_boolean_nd(2))
+    bundle = NConvolution(sq, make_boolean_nd(2))
     rep = check_n_axioms(bundle, random.Random("c7"), samples=24)
     needed = ["nconv.closure[0<1]", "nconv.dom-idem-leq[0<1]",
               "nconv.dom-product[0]", "nconv.dom-product[1]",

@@ -160,6 +160,18 @@ def test_triple_star_agreement(rng):
             assert functions_equal(a, star_unfolded(f)), C.name
 
 
+def test_unfolded_star_counts_every_chain_on_shuffle(natinf, rng):
+    # shuffle is multi-valued, so an n-fold decomposition can arise through
+    # several intermediate products; natinf counts each one
+    C = models.shuffle_catoid("ab", 3)
+    for _ in range(10):
+        f = from_pairs(C, natinf, {x: rng.randrange(4) for x in C.elements()
+                                   if not C.is_identity(x)})
+        oracle = star_unfolded(f)
+        assert functions_equal(star_recursive(f), oracle)
+        assert functions_equal(star_dual(f), oracle)
+
+
 def test_star_unfold_law(words4, minplus, rng):
     unit = id0(words4, minplus)
     for _ in range(10):

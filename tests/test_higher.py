@@ -7,9 +7,7 @@ from convka.catoid import TableCatoid
 from convka.convolution import functions_equal, indicator, powerset_star
 from convka.higher import (
     NCatoid,
-    TwoCatoid,
-    build_interchange_convolution,
-    build_n_convolution,
+    NConvolution,
     check_interchange,
     check_n_axioms,
     check_n_catoid,
@@ -35,17 +33,17 @@ def test_ncatoid_requires_shared_universe():
 
 def test_interchange_convolution_boolean(bool2, rng):
     tc = models.shuffle_concat_2catoid("ab", 4)
-    ic = build_interchange_convolution(tc, bool2)
-    rep = check_interchange(ic, rng, samples=25)
+    bundle = NConvolution(tc, bool2)
+    rep = check_interchange(bundle, rng, samples=25)
     assert rep.clean, rep.failed_laws()
 
 
 def test_interchange_units_coincide(bool2):
     tc = models.shuffle_concat_2catoid("ab", 3)
-    ic = build_interchange_convolution(tc, bool2)
+    bundle = NConvolution(tc, bool2)
     # single shared identity: id0 = id1, so id0 <= id1 trivially
-    assert functions_equal(ic.id_(0), ic.id_(1), tc.elements())
-    assert ic.id_(0)("") == 1
+    assert functions_equal(bundle.id_(0), bundle.id_(1), tc.elements())
+    assert bundle.id_(0)("") == 1
 
 
 def test_unit_inequality_enforced(rng):
@@ -55,42 +53,52 @@ def test_unit_inequality_enforced(rng):
     bad = NValueAlgebra("bad2d", add=max, zero=0, dims=dims, carrier=(0, 1))
     tc = models.shuffle_concat_2catoid("ab", 3)
     with pytest.raises(CapabilityError, match="one0 <= one1"):
-        build_interchange_convolution(tc, bad)
+        NConvolution(tc, bad)
+
+
+def test_unit_order_checked_for_every_dimension_pair():
+    # one0 <= one1 and one0 <= one2 hold, one1 <= one2 does not
+    dims = tuple(DimOps(mul=min, one=one, star=lambda a: 1) for one in (0, 1, 0))
+    bad = NValueAlgebra("bad3d", add=max, zero=0, dims=dims, carrier=(0, 1))
+    words = models.shuffle_concat_2catoid("ab", 3)
+    nc = NCatoid("concat-shuffle-concat", (*words.dims, words.dim(0)))
+    with pytest.raises(CapabilityError, match="one1 <= one2"):
+        NConvolution(nc, bad)
 
 
 def test_commutative_dimension_gives_commutative_convolution(bool2, rng):
     # shuffle is commutative and the boolean algebra is commutative, so the
     # dimension-1 convolution is commutative pointwise
     tc = models.shuffle_concat_2catoid("ab", 4)
-    ic = build_interchange_convolution(tc, bool2)
+    bundle = NConvolution(tc, bool2)
     for _ in range(10):
-        f = ic.random_function(rng)
-        g = ic.random_function(rng)
-        assert functions_equal(ic.mul(1, f, g), ic.mul(1, g, f), tc.elements())
+        f = bundle.random_function(rng)
+        g = bundle.random_function(rng)
+        assert functions_equal(bundle.mul(1, f, g), bundle.mul(1, g, f), tc.elements())
 
 
 def test_concat_star_is_language_star(bool2, rng):
     # dimension 0 of the interchange structure is plain language star
     tc = models.shuffle_concat_2catoid("ab", 4)
-    ic = build_interchange_convolution(tc, bool2)
+    bundle = NConvolution(tc, bool2)
     conc = tc.dim(0)
     B = make_boolean()
     for _ in range(5):
         A = frozenset(x for x in conc.elements() if rng.random() < 0.3)
         f = indicator(conc, B, A)
-        st = ic.star(0, f)
+        st = bundle.star(0, f)
         assert set(x for x in conc.elements() if st(x) == 1) == \
             set(powerset_star(conc, A))
 
 
 def test_n_bundle_construction_and_axioms(square, bool2, rng):
-    bundle = build_n_convolution(square, bool2)
+    bundle = NConvolution(square, bool2)
     rep = check_n_axioms(bundle, rng, samples=12)
     assert rep.clean, rep.failed_laws()
 
 
 def test_n_bundle_dom_of_zero(square, bool2):
-    bundle = build_n_convolution(square, bool2)
+    bundle = NConvolution(square, bool2)
     z = bundle.zero()
     for i in range(2):
         assert functions_equal(bundle.dom_(i, z), z, square.elements())
@@ -99,7 +107,7 @@ def test_n_bundle_dom_of_zero(square, bool2):
 
 def test_n_bundle_dom_product_identity(square, bool2, rng):
     # (D-(f) * g)(x) = D-(f)(s(x)) . g(x), per dimension
-    bundle = build_n_convolution(square, bool2)
+    bundle = NConvolution(square, bool2)
     for i in range(2):
         C = square.dim(i)
         v = bundle.views[i]
@@ -112,19 +120,23 @@ def test_n_bundle_dom_product_identity(square, bool2, rng):
                 assert lhs(x) == v.mul(df(C.source(x)), g(x))
 
 
-def test_n_bundle_rejects_truncated_models(bool2):
+def test_n_bundle_rejects_truncated_models(bool2, rng):
+    # convolution works on the truncated model; only the modal operators need
+    # a certified valency
     tc = models.shuffle_concat_2catoid("ab", 3)
+    bundle = NConvolution(tc, bool2)
+    f = bundle.random_function(rng)
     with pytest.raises(CapabilityError, match="dimension 0"):
-        build_n_convolution(tc, bool2)
+        bundle.dom_(0, f)
 
 
 def test_n_bundle_dimension_mismatch(square):
     with pytest.raises(CapabilityError, match="mismatch"):
-        build_n_convolution(square, make_boolean_nd(3))
+        NConvolution(square, make_boolean_nd(3))
 
 
 def test_star_domain_laws_on_square(square, bool2, rng):
-    bundle = build_n_convolution(square, bool2)
+    bundle = NConvolution(square, bool2)
     rep = check_n_axioms(bundle, rng, samples=10)
     law = rep.law("nconv.star-domain[0<1]")
     assert law.status == "pass" and law.checked > 0
@@ -178,7 +190,7 @@ def _broken_square():
     table[("al*p2", "q1*be")] = frozenset(["al*q2"])
     broken1 = TableCatoid("square.v-broken", sq.elements(), table,
                           d1._src, d1._tgt, add_units=False)
-    return TwoCatoid("broken-square", sq.dim(0), broken1)
+    return NCatoid("broken-square", (sq.dim(0), broken1))
 
 
 DIFFERENTIAL_CASES = {

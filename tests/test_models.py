@@ -166,11 +166,11 @@ def test_corrupted_interchange_detected():
     # break one vertical composite: al*p2 ; q1*be now lands on the wrong cell
     table[("al*p2", "q1*be")] = frozenset(["al*q2"])
     from convka.catoid import TableCatoid
-    from convka.higher import TwoCatoid
+    from convka.higher import NCatoid
 
     broken1 = TableCatoid("square.v-broken", sq.elements(), table,
                           d1._src, d1._tgt, add_units=False)
-    broken = TwoCatoid("broken-square", sq.dim(0), broken1)
+    broken = NCatoid("broken-square", (sq.dim(0), broken1))
     rep = check_n_catoid(broken)
     assert not rep.clean
     assert any("interchange" in law or "catoid" in law for law in rep.failed_laws())

