@@ -36,6 +36,7 @@ class Catoid:
     def __init__(self):
         self._elements = None
         self._element_set = None
+        self._identities = None
         self._d2_cache = None
         self._dn_cache = {}
         self._len_cache = {}
@@ -77,10 +78,25 @@ class Catoid:
         return self.source(x) == x
 
     def identities(self) -> list:
-        return [e for e in self.elements() if self.is_identity(e)]
+        """The identities in element order, computed once; callers must not
+        mutate the returned list."""
+        if self._identities is None:
+            self._identities = [e for e in self.elements() if self.is_identity(e)]
+        return self._identities
 
     def decompose2(self, x) -> list:
-        """All ordered pairs (y, z) with x in y . z, in deterministic order."""
+        """All ordered pairs (y, z) with x in y . z, sorted by the factors' sort keys.
+
+        The generic form inverts ``compose`` over the whole universe once and
+        keeps the table.  A closed form in a subclass must list the same pairs
+        in the same order, which ``check_decompose2_consistency`` guards;
+        where its pairs are built with strictly growing left factors it can
+        return them without sorting.  Of the closed forms, shuffle and guarded
+        strings memoise their splits per instance, since the law checkers
+        decompose the same elements again and again.  Words, paths, pairs and
+        intervals do not: their split costs one pass, and a memo over a long
+        word or a dense graph would keep hundreds of thousands of slices alive.
+        """
         if self._d2_cache is None:
             table = {e: [] for e in self.elements()}
             for y, z in itertools.product(self.elements(), repeat=2):

@@ -9,13 +9,15 @@ One engine computes the recursive star in three forms:
 
 It evaluates on demand from an explicit stack, so element length is not bounded
 by Python's recursion limit.  Terms with f-factor 0 are skipped only when the
-algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a).  A cycle in the
-decomposition structure (non-Moebius model) raises MoebiusViolation.
+algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve skips them
+under the same condition.  A cycle in the decomposition structure
+(non-Moebius model) raises MoebiusViolation.
 star_unfolded, the direct sum over all n-fold non-identity decompositions,
 stays separate as the trusted oracle.
 
 Weight functions memoise their values; the caches are idempotent tables for
-pure rules, safe to share between readers.
+pure rules, safe to share between readers.  The engine and convolve read a
+factor's ``_memo`` directly on a hit and call the function only on a miss.
 """
 
 from __future__ import annotations
@@ -93,20 +95,34 @@ def conv_add(f, g, catoid=None, algebra=None) -> WeightFunction:
         _check_same(f, g)
     C = catoid or f.catoid
     K = algebra or f.algebra
-    return WeightFunction(C, K, lambda x: K.add(f(x), g(x)), name=f"({f.name}+{g.name})")
+    add, f_memo, g_memo = K.add, f._memo, g._memo
+
+    def rule(x):
+        return add(f_memo[x] if x in f_memo else f(x), g_memo[x] if x in g_memo else g(x))
+
+    return WeightFunction(C, K, rule, name=f"({f.name}+{g.name})")
 
 
 def convolve(f, g, catoid=None, algebra=None) -> WeightFunction:
-    """(f*g)(x) = sum of f(y).g(z) over the 2-decompositions of x."""
+    """(f*g)(x) = sum of f(y).g(z) over the 2-decompositions of x.
+
+    When the algebra's zero is absorbing, a term with f(y) = 0 is skipped
+    without evaluating g(z).
+    """
     if catoid is None:
         _check_same(f, g)
     C = catoid or f.catoid
     K = algebra or f.algebra
+    add, mul, zero, decompose2 = K.add, K.mul, K.zero, C.decompose2
+    skip_zero, f_memo, g_memo = K.zero_absorbs, f._memo, g._memo
 
     def rule(x):
-        acc = K.zero
-        for y, z in C.decompose2(x):
-            acc = K.add(acc, K.mul(f(y), g(z)))
+        acc = zero
+        for y, z in decompose2(x):
+            u = f_memo[y] if y in f_memo else f(y)
+            if skip_zero and u == zero:  # a skipped term would add 0
+                continue
+            acc = add(acc, mul(u, g_memo[z] if z in g_memo else g(z)))
         return acc
 
     return WeightFunction(C, K, rule, name=f"({f.name}*{g.name})")

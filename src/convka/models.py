@@ -266,7 +266,7 @@ class PairGroupoid(Catoid):
 
     def decompose2(self, x):
         a, b = x
-        return sorted(((a, m), (m, b)) for m in self.points)
+        return [((a, m), (m, b)) for m in self.points]  # points are sorted
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +333,14 @@ class PathCatoid(Catoid):
         return "[" + ",".join(x[1]) + "]"
 
     def decompose2(self, x):
+        """Split points in order; the left factors grow, so the list is sorted."""
         v, edges = x
         pairs = []
         for i in range(len(edges) + 1):
             left = (v, edges[:i])
             right = (self._endpoint(left), edges[i:])
             pairs.append((left, right))
-        return sorted(pairs, key=lambda p: (self.sort_key(p[0]), self.sort_key(p[1])))
+        return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +362,7 @@ class GuardedStringCatoid(Catoid):
             raise ValueError("need nonempty test and action sets")
         self.max_len = max_len
         self.name = f"guarded({len(self.tests)}t,{len(self.actions)}a,{max_len})"
+        self._d2_memo = {}
 
     def compose(self, y, z):
         if y[-1] != z[0]:
@@ -396,10 +398,10 @@ class GuardedStringCatoid(Catoid):
         return ".".join(x)
 
     def decompose2(self, x):
-        pairs = []
-        for i in range(0, len(x), 2):
-            pairs.append((x[: i + 1], x[i:]))
-        return sorted(pairs, key=lambda p: (self.sort_key(p[0]), self.sort_key(p[1])))
+        """Splits at each test, memoised; the left factors grow, so the list is sorted."""
+        if x not in self._d2_memo:
+            self._d2_memo[x] = [(x[: i + 1], x[i:]) for i in range(0, len(x), 2)]
+        return self._d2_memo[x]
 
 
 # ---------------------------------------------------------------------------

@@ -182,10 +182,20 @@ def test_saturated_chain(words4, example_intervals):
 
 
 def test_closed_form_decompositions_match_generic():
+    # the closed forms skip sorting, so also feed them models declared out of
+    # sort order: unsorted points, reversed vertices with parallel edges, and
+    # unsorted tests and actions
+    reversed_graph = models.GraphSpec(
+        vertices=("d", "c", "b", "a"),
+        edges=(("y", "b", "d", 3), ("x2", "a", "b", 5), ("x", "a", "b", 2),
+               ("w", "c", "d", 7), ("z", "a", "c", 1), ("u", "b", "c", 4)))
     for C in (models.free_monoid("ab", 3), models.shuffle_catoid("ab", 3),
               models.interval_catoid(models.example_poset()),
               models.pair_groupoid(["a", "b"]),
+              models.pair_groupoid(["c", "a", "b"]),
               models.path_catoid(models.diamond_dag(), 4),
-              models.guarded_string_catoid(["t0", "t1"], ["p"], 2)):
+              models.path_catoid(reversed_graph, 3),
+              models.guarded_string_catoid(["t0", "t1"], ["p"], 2),
+              models.guarded_string_catoid(["t1", "t0", "s"], ["q", "p"], 2)):
         rep = check_decompose2_consistency(C)
         assert rep.clean, C.name

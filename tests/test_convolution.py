@@ -302,6 +302,32 @@ def test_star_keeps_zero_terms_without_absorbing_zero(rng):
                     assert new(x) == old(x), (C.name, side, C.format_element(x))
 
 
+CONVOLUTION_MODELS = (
+    models.free_monoid("ab", 3),
+    models.shuffle_catoid("ab", 3),
+    models.guarded_string_catoid(["t0", "t1"], ["p"], 2),
+    models.path_catoid(models.diamond_dag(), 4),
+    models.interval_catoid(models.example_poset()),
+    models.pair_groupoid(["a", "b", "c"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONVOLUTION_MODELS),
+       st.sampled_from(STOCK_ALGEBRAS + (skewed_algebra(),)), st.data())
+def test_convolution_matches_unskipped_sum(C, K, data):
+    f, g = drawn_function(data, C, K), drawn_function(data, C, K)
+    for x in data.draw(st.lists(st.sampled_from(C.elements()), max_size=6)):
+        f(x), g(x)  # some factors are memo hits, the rest are computed on demand
+    prod, total = convolve(f, g), conv_add(f, g)
+    for x in C.elements():
+        expected = K.zero
+        for y, z in C.decompose2(x):
+            expected = K.add(expected, K.mul(f(y), g(z)))
+        assert prod(x) == expected, (C.name, K.name, C.format_element(x))
+        assert total(x) == K.add(f(x), g(x))
+
+
 def test_star_on_long_unary_word(unary1200):
     K = make_min_plus()
     f = from_pairs(unary1200, K, {"a": 2, "aaa": 5, "a" * 5: 11})

@@ -258,6 +258,55 @@ def test_cli_star_modes_agree(graph_file, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("star", ["recursive", "matrix"])
+def test_cli_check_oracles_graph_natinf(graph_file, star, capsys):
+    # the recursive star of graph weights (identities weigh 1) multiplies in
+    # boundary stars 1* = inf under natinf, so it is inf everywhere while the
+    # printed matrix star is not; the homset oracle compares it with the
+    # matrix star of the weights' own aggregation
+    assert main(["star", "--model", "graph", "--algebra", "natinf", "--star", star,
+                 "--weights", graph_file, "--check-oracles"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+EDGE_WEIGHTS = {"boolean": ("0", "1"), "minplus": ("0", "1", "2", "5", "inf"),
+                "maxplus": ("0", "-1", "-3", "-inf"), "natinf": ("0", "1", "2", "3", "inf")}
+
+
+@pytest.mark.parametrize("algebra", sorted(EDGE_WEIGHTS))
+def test_cli_check_oracles_on_random_acyclic_graphs(algebra, tmp_path, capsys):
+    rng = random.Random(f"acyclic-{algebra}")
+    p = tmp_path / "dag.txt"
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        lines = [f"vertex v{i}" for i in range(n)]
+        for e in range(rng.randint(1, 2 * n)):  # pairs may repeat: parallel edges
+            i, j = sorted(rng.sample(range(n), 2))
+            lines.append(f"v{i} v{j} e{e} {rng.choice(EDGE_WEIGHTS[algebra])}")
+        p.write_text("\n".join(lines) + "\n")
+        for star in ("recursive", "matrix"):
+            code = main(["star", "--model", "graph", "--algebra", algebra, "--star", star,
+                         "--weights", str(p), "--check-oracles"])
+            assert code == 0, (star, lines, capsys.readouterr().err)
+        capsys.readouterr()
+
+
+def test_cli_matrix_star_builds_no_path_catoid(graph_file, monkeypatch, capsys):
+    args = ["star", "--model", "graph", "--algebra", "minplus", "--star", "matrix",
+            "--max-length", "7", "--weights", graph_file]
+    assert main(args) == 0
+    rows = capsys.readouterr().out
+
+    def refuse(*_):
+        raise AssertionError("the plain matrix star needs no path catoid")
+
+    monkeypatch.setattr(models, "path_catoid", refuse)
+    assert main(args) == 0
+    assert capsys.readouterr().out == rows
+    with pytest.raises(AssertionError, match="no path catoid"):
+        main(args + ["--check-oracles"])
+
+
 def test_cli_poset_star(tmp_path, capsys):
     p = tmp_path / "poset.txt"
     p.write_text("a < b\nb < c\na b 2\nb c 3\na c 9\n")
