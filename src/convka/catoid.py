@@ -256,7 +256,7 @@ def memo_compose(C: Catoid):
     return composed
 
 
-def check_catoid_axioms(C: Catoid, universe=None) -> Report:
+def check_catoid_axioms(C: Catoid) -> Report:
     """Associativity, composability, unit laws and the basic source/target facts.
 
     Products go through one ``memo_compose`` for the whole call.
@@ -264,7 +264,7 @@ def check_catoid_axioms(C: Catoid, universe=None) -> Report:
     without composing, since both sides are then empty; ``checked=`` still
     counts all |U|^3 triples.
     """
-    U = list(universe) if universe is not None else C.elements()
+    U = C.elements()
     rep = Report(model=C.name)
     compose = memo_compose(C)
 
@@ -357,7 +357,11 @@ def check_catoid_axioms(C: Catoid, universe=None) -> Report:
 
 def check_moebius(C: Catoid, universe=None) -> Report:
     """The three Moebius conditions: finite 2-decomposability, indecomposable
-    identities, and x in x.y forcing y = t(x)."""
+    identities, and x in x.y forcing y = t(x).
+
+    ``universe`` stays, though nothing in the package sets it:
+    ``bench/tracing.py`` wraps this function and calls ``fn(C, universe)``
+    positionally."""
     U = list(universe) if universe is not None else C.elements()
     rep = Report(model=C.name)
 
@@ -382,8 +386,8 @@ def check_moebius(C: Catoid, universe=None) -> Report:
     return rep
 
 
-def is_local(C: Catoid, universe=None) -> Report:
-    U = list(universe) if universe is not None else C.elements()
+def is_local(C: Catoid) -> Report:
+    U = C.elements()
     rep = Report(model=C.name)
     bad = [(x, y) for x, y in itertools.product(U, repeat=2)
            if C.target(x) == C.source(y) and not C.compose(x, y)]
@@ -391,8 +395,8 @@ def is_local(C: Catoid, universe=None) -> Report:
     return rep
 
 
-def is_functional(C: Catoid, universe=None) -> Report:
-    U = list(universe) if universe is not None else C.elements()
+def is_functional(C: Catoid) -> Report:
+    U = C.elements()
     rep = Report(model=C.name)
     bad = [(y, z, frozenset(C.compose(y, z)))
            for y, z in itertools.product(U, repeat=2) if len(C.compose(y, z)) > 1]
@@ -400,9 +404,9 @@ def is_functional(C: Catoid, universe=None) -> Report:
     return rep
 
 
-def check_saturated_chain(C: Catoid, universe=None) -> Report:
+def check_saturated_chain(C: Catoid) -> Report:
     """l(z) = l(x) + l(y) for every z in x . y over the universe."""
-    U = list(universe) if universe is not None else C.elements()
+    U = C.elements()
     rep = Report(model=C.name)
     bad = []
     count = 0

@@ -36,8 +36,6 @@ from .pathtool import (
 from .report import XFAIL
 from .values import (
     CapabilityError,
-    INF,
-    NEG_INF,
     make_boolean,
     make_max_plus,
     make_min_plus,
@@ -52,14 +50,6 @@ ALGEBRAS = {
     "natinf": make_nat_inf_conway,
 }
 STAR_MODES = ("recursive", "dual", "unfolded", "matrix")
-
-
-def fmt_weight(w) -> str:
-    if w is INF:
-        return "inf"
-    if w is NEG_INF:
-        return "-inf"
-    return str(w)
 
 
 def _err(msg: str) -> None:
@@ -191,7 +181,7 @@ def cmd_star(args) -> int:
         return 3
 
     for label, w in rows:
-        print(f"{label}\t{fmt_weight(w)}")
+        print(f"{label}\t{w}")
     return 0
 
 

@@ -25,7 +25,7 @@ from .convolution import (
     star_recursive,
     zero_function,
 )
-from .modal import cod_hat, dom_hat, valency_certificate
+from .modal import cod_hat, dom_hat
 from .report import FAIL, INFO, PASS, Report
 from .values import CapabilityError, NValueAlgebra
 
@@ -64,7 +64,7 @@ def _set_map(fn, xs) -> frozenset:
     return frozenset(fn(x) for x in xs)
 
 
-def check_n_catoid(nc: NCatoid, universe=None) -> Report:
+def check_n_catoid(nc: NCatoid) -> Report:
     """Full n-catoid axiom list with witnesses, plus strictness classification.
 
     Locality/functionality per dimension are reported as info lines: they
@@ -76,12 +76,12 @@ def check_n_catoid(nc: NCatoid, universe=None) -> Report:
     associativity does the same for triples with both inner products empty.
     ``checked=`` still counts all |U|^4 (and |U|^3) instances.
     """
-    U = list(universe) if universe is not None else nc.elements()
+    U = nc.elements()
     rep = Report(model=nc.name)
     composes = [memo_compose(d) for d in nc.dims]
 
     for i, d in enumerate(nc.dims):
-        sub = check_catoid_axioms(d, U)
+        sub = check_catoid_axioms(d)
         for e in sub.entries:
             rep.add(f"dim{i}.{e.law}", e.status, e.witnesses, e.checked, note=e.note)
 
@@ -154,8 +154,8 @@ def check_n_catoid(nc: NCatoid, universe=None) -> Report:
     rep.add("ncat.identity-filtration", PASS if filt_ok else FAIL, checked=nc.n - 1)
 
     for i, d in enumerate(nc.dims):
-        loc = is_local(d, U).clean
-        fun = is_functional(d, U).clean
+        loc = is_local(d).clean
+        fun = is_functional(d).clean
         rep.add(f"classify.dim{i}", INFO, checked=len(U) ** 2,
                 note=f"local={loc} functional={fun}")
     return rep
@@ -169,8 +169,8 @@ class NConvolution:
     """Per-dimension convolution, units, stars and valency-based modal operators.
 
     One bundle serves interchange (n = 2) and higher convolution algebras.
-    A dimension's modal prerequisites (locality, certified finite valency,
-    modal value maps) are checked on its first ``dom_``/``cod_`` call, so a
+    A dimension's modal prerequisites (locality, a complete universe, modal
+    value maps) are checked on its first ``dom_``/``cod_`` call, so a
     truncated model still gets convolution, units and stars.
     """
 
@@ -185,22 +185,22 @@ class NConvolution:
         self.nc = nc
         self.alg = alg
         self.views = tuple(alg.view(i) for i in range(alg.n))
-        self._certificates = {}
+        self._modal_dims = set()
 
-    def _certificate(self, i):
-        """Dimension i's valency certificate, checked once and cached."""
-        if i not in self._certificates:
+    def _lift(self, hat, i, f):
+        """hat of f rebound to dimension i, whose prerequisites are checked
+        on its first lift."""
+        if i not in self._modal_dims:
             d = self.nc.dim(i)
             if not is_local(d).clean:
                 raise CapabilityError(f"dimension {i}: model is not local")
-            try:
-                cert = valency_certificate(d)
-            except CapabilityError as exc:
-                raise CapabilityError(f"dimension {i}: {exc}") from exc
+            if not d.is_complete:
+                raise CapabilityError(f"dimension {i}: {d.name}: cannot certify "
+                                      "finite valency, universe is truncated")
             if not self.views[i].has_modal:
                 raise CapabilityError(f"dimension {i}: value algebra lacks modal maps")
-            self._certificates[i] = cert
-        return self._certificates[i]
+            self._modal_dims.add(i)
+        return hat(self._rebind(i, f))
 
     def _rebind(self, i, f):
         return WeightFunction(self.nc.dim(i), self.views[i], f, name=f.name)
@@ -218,10 +218,10 @@ class NConvolution:
         return star_recursive(self._rebind(i, f))
 
     def dom_(self, i, f):
-        return dom_hat(self._rebind(i, f), self._certificate(i))
+        return self._lift(dom_hat, i, f)
 
     def cod_(self, i, f):
-        return cod_hat(self._rebind(i, f), self._certificate(i))
+        return self._lift(cod_hat, i, f)
 
     def zero(self):
         return zero_function(self.nc.dim(0), self.views[0])
@@ -260,6 +260,8 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
     Covers lax functoriality of D-/D+, interchange, face absorption, the two
     closure laws, the product-with-domain identity, the idempotence
     inequality, and (when every dimension has a star) the star-domain laws.
+    Each sample's D-_i and D+_i are lifted once per dimension; the laws read
+    them by sample index, and ``pairs`` holds pairs of indices.
     """
     nc, alg = bundle.nc, bundle.alg
     rep = Report(model=nc.name, algebra=alg.name)
@@ -267,39 +269,39 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
     leq = alg.leq
 
     fs = [bundle.zero()] + [bundle.random_function(rng) for _ in range(samples)]
-    pairs = [(f, g) for f in fs[: max(2, samples // 3)] for g in fs[: max(2, samples // 3)]]
+    pairs = list(itertools.product(range(min(len(fs), max(2, samples // 3))), repeat=2))
+    dom = [[bundle.dom_(i, f) for f in fs] for i in range(nc.n)]
+    cod = [[bundle.cod_(i, f) for f in fs] for i in range(nc.n)]
 
     for i in range(nc.n):
         unit = bundle.id_(i)
+        di, ci = dom[i], cod[i]
         bad = {k: [] for k in ("expand", "local", "subid", "strict", "additive",
                                "compat")}
         for k, f in enumerate(fs):
-            df, cf = bundle.dom_(i, f), bundle.cod_(i, f)
-            if not function_leq(f, bundle.mul(i, df, f), U):
+            if not function_leq(f, bundle.mul(i, di[k], f), U):
                 bad["expand"].append((k, "dom"))
-            if not function_leq(f, bundle.mul(i, f, cf), U):
+            if not function_leq(f, bundle.mul(i, f, ci[k]), U):
                 bad["expand"].append((k, "cod"))
-            if not function_leq(df, unit, U) or not function_leq(cf, unit, U):
+            if not function_leq(di[k], unit, U) or not function_leq(ci[k], unit, U):
                 bad["subid"].append((k,))
-            if not functions_equal(bundle.cod_(i, df), df, U) or \
-               not functions_equal(bundle.dom_(i, cf), cf, U):
+            if not functions_equal(bundle.cod_(i, di[k]), di[k], U) or \
+               not functions_equal(bundle.dom_(i, ci[k]), ci[k], U):
                 bad["compat"].append((k,))
-        for k, (f, g) in enumerate(pairs):
-            if not functions_equal(bundle.dom_(i, bundle.mul(i, f, bundle.dom_(i, g))),
-                                   bundle.dom_(i, bundle.mul(i, f, g)), U):
+        for k, (a, b) in enumerate(pairs):
+            f, g = fs[a], fs[b]
+            fg, f_plus_g = bundle.mul(i, f, g), bundle.add(f, g)
+            if not functions_equal(bundle.dom_(i, bundle.mul(i, f, di[b])),
+                                   bundle.dom_(i, fg), U):
                 bad["local"].append((k, "dom"))
-            if not functions_equal(bundle.cod_(i, bundle.mul(i, bundle.cod_(i, f), g)),
-                                   bundle.cod_(i, bundle.mul(i, f, g)), U):
+            if not functions_equal(bundle.cod_(i, bundle.mul(i, ci[a], g)),
+                                   bundle.cod_(i, fg), U):
                 bad["local"].append((k, "cod"))
-            if not functions_equal(bundle.dom_(i, bundle.add(f, g)),
-                                   bundle.add(bundle.dom_(i, f), bundle.dom_(i, g)), U):
+            if not functions_equal(bundle.dom_(i, f_plus_g), bundle.add(di[a], di[b]), U):
                 bad["additive"].append((k, "dom"))
-            if not functions_equal(bundle.cod_(i, bundle.add(f, g)),
-                                   bundle.add(bundle.cod_(i, f), bundle.cod_(i, g)), U):
+            if not functions_equal(bundle.cod_(i, f_plus_g), bundle.add(ci[a], ci[b]), U):
                 bad["additive"].append((k, "cod"))
-        z = bundle.zero()
-        if not functions_equal(bundle.dom_(i, z), z, U) or \
-           not functions_equal(bundle.cod_(i, z), z, U):
+        if not functions_equal(di[0], fs[0], U) or not functions_equal(ci[0], fs[0], U):
             bad["strict"].append(("D(0) != 0",))
         for key, witnesses in sorted(bad.items()):
             rep.add(f"nconv.modal-{key}[{i}]", FAIL if witnesses else PASS, witnesses,
@@ -307,14 +309,11 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
 
     for i, j in itertools.permutations(range(nc.n), 2):
         bad = []
-        for k, (f, g) in enumerate(pairs):
-            lhs = bundle.dom_(i, bundle.mul(j, f, g))
-            rhs = bundle.mul(j, bundle.dom_(i, f), bundle.dom_(i, g))
-            if not function_leq(lhs, rhs, U):
+        for k, (a, b) in enumerate(pairs):
+            fg = bundle.mul(j, fs[a], fs[b])
+            if not function_leq(bundle.dom_(i, fg), bundle.mul(j, dom[i][a], dom[i][b]), U):
                 bad.append((k, "dom"))
-            lhs = bundle.cod_(i, bundle.mul(j, f, g))
-            rhs = bundle.mul(j, bundle.cod_(i, f), bundle.cod_(i, g))
-            if not function_leq(lhs, rhs, U):
+            if not function_leq(bundle.cod_(i, fg), bundle.mul(j, cod[i][a], cod[i][b]), U):
                 bad.append((k, "cod"))
         rep.add(f"nconv.d-lax[{i},{j}]", FAIL if bad else PASS, bad, checked=len(pairs))
 
@@ -329,28 +328,23 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
         rep.add(f"nconv.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
                 checked=max(4, samples // 2))
 
-        bad = []
-        for k, f in enumerate(fs):
-            if not functions_equal(bundle.dom_(j, bundle.dom_(i, f)), bundle.dom_(i, f), U):
-                bad.append((k,))
+        bad = [(k,) for k, df in enumerate(dom[i])
+               if not functions_equal(bundle.dom_(j, df), df, U)]
         rep.add(f"nconv.dom-absorb[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(fs))
 
         bad = []
-        for k, (f, g) in enumerate(pairs):
-            dj_f, dj_g = bundle.dom_(j, f), bundle.dom_(j, g)
-            prod = bundle.mul(i, dj_f, dj_g)
+        for k, (a, b) in enumerate(pairs):
+            prod = bundle.mul(i, dom[j][a], dom[j][b])
             if not functions_equal(bundle.dom_(j, prod), prod, U):
                 bad.append((k, "dom"))
-            cj_f, cj_g = bundle.cod_(j, f), bundle.cod_(j, g)
-            prod = bundle.mul(i, cj_f, cj_g)
+            prod = bundle.mul(i, cod[j][a], cod[j][b])
             if not functions_equal(bundle.cod_(j, prod), prod, U):
                 bad.append((k, "cod"))
         rep.add(f"nconv.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(pairs))
 
         bad = []
         vj = bundle.views[j]
-        for k, f in enumerate(fs):
-            df = bundle.dom_(i, f)
+        for k, df in enumerate(dom[i]):
             for x in U:
                 if not leq(df(x), vj.mul(df(x), df(x))):
                     bad.append((k, nc.dim(0).format_element(x)))
@@ -362,8 +356,8 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
         bad = []
         Ci = nc.dim(i)
         vi = bundle.views[i]
-        for k, (f, g) in enumerate(pairs):
-            df = bundle.dom_(i, f)
+        for k, (a, b) in enumerate(pairs):
+            df, g = dom[i][a], fs[b]
             lhs = bundle.mul(i, df, g)
             for x in U:
                 if lhs(x) != vi.mul(df(Ci.source(x)), g(x)):
@@ -375,13 +369,12 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
     if all(v.has_star for v in bundle.views):
         for i, j in itertools.combinations(range(nc.n), 2):
             bad = []
-            for k, (f, g) in enumerate(pairs):
-                df = bundle.dom_(i, f)
+            for k, (a, b) in enumerate(pairs):
+                df, cf, g = dom[i][a], cod[i][a], fs[b]
                 lhs = bundle.mul(i, df, bundle.star(j, g))
                 rhs = bundle.star(j, bundle.mul(i, df, g))
                 if not function_leq(lhs, rhs, U):
                     bad.append((k, "dom"))
-                cf = bundle.cod_(i, f)
                 lhs = bundle.mul(i, bundle.star(j, g), cf)
                 rhs = bundle.star(j, bundle.mul(i, g, cf))
                 if not function_leq(lhs, rhs, U):

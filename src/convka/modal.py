@@ -3,16 +3,16 @@
 Two liftings of a modal value algebra to weight functions:
 
   hat      D-(f)(e) = sum of dom(f(y)) over all y with s(y) = e, zero off the
-           identities.  Sound only when the model's valency is certified
-           finite, i.e. the enumerated universe is the whole catoid; bounded
-           (truncated) models are rejected rather than silently summed, since
-           a truncated sum would change the operator's value.
+           identities.  Sound only on finite-valency models, i.e. when the
+           enumerated universe is the whole catoid; bounded (truncated)
+           models are rejected rather than silently summed, since a
+           truncated sum would change the operator's value.
   bracket  the closed form on K[C]: id0 for f != 0, zero for f = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 
 from .catoid import Catoid, is_local
 from .convolution import (
@@ -32,37 +32,13 @@ from .report import FAIL, PASS, Report
 from .values import CapabilityError, ValueAlgebra
 
 
-@dataclass(frozen=True)
-class ValencyCertificate:
-    """Per-identity counts of outgoing/incoming elements over the whole catoid."""
-
-    source_counts: dict
-    target_counts: dict
-
-    @property
-    def max_valency(self) -> int:
-        counts = list(self.source_counts.values()) + list(self.target_counts.values())
-        return max(counts, default=0)
-
-
-def valency_certificate(C: Catoid) -> ValencyCertificate:
-    if not C.is_complete:
-        raise CapabilityError(
-            f"{C.name}: cannot certify finite valency, universe is truncated")
-    src = {e: 0 for e in C.identities()}
-    tgt = {e: 0 for e in C.identities()}
-    for x in C.elements():
-        src[C.source(x)] += 1
-        tgt[C.target(x)] += 1
-    return ValencyCertificate(src, tgt)
-
-
-def _hat(f, take_source: bool, certificate):
+def _hat(f, take_source: bool) -> WeightFunction:
     C, K = f.catoid, f.algebra
     if not K.has_modal:
         raise CapabilityError(f"{K.name}: no modal structure")
-    if certificate is None:
-        valency_certificate(C)  # raises when uncertifiable
+    if not C.is_complete:
+        raise CapabilityError(
+            f"{C.name}: cannot certify finite valency, universe is truncated")
     anchor, lift = (C.source, K.dom) if take_source else (C.target, K.cod)
     table = {e: K.zero for e in C.identities()}
     for y in C.elements():
@@ -71,32 +47,32 @@ def _hat(f, take_source: bool, certificate):
     return from_pairs(C, K, table, name=("D-" if take_source else "D+") + f"({f.name})")
 
 
-def dom_hat(f, certificate=None) -> WeightFunction:
+def dom_hat(f) -> WeightFunction:
     """Finite-valency domain operator: source-anchored sums of dom values."""
-    return _hat(f, True, certificate)
+    return _hat(f, True)
 
 
-def cod_hat(f, certificate=None) -> WeightFunction:
-    return _hat(f, False, certificate)
+def cod_hat(f) -> WeightFunction:
+    return _hat(f, False)
 
 
-def _is_zero(f) -> bool:
-    return all(f(x) == f.algebra.zero for x in f.catoid.elements())
+def _bracket(f, op: str) -> WeightFunction:
+    if not is_in_bracket(f):
+        raise CapabilityError(f"{op} needs a weight function in K[C]")
+    C, K = f.catoid, f.algebra
+    # stops at the first nonzero value, where f.support() would evaluate all
+    nonzero = any(f(x) != K.zero for x in C.elements())
+    return id0(C, K) if nonzero else zero_function(C, K)
 
 
 def dom_bracket(f) -> WeightFunction:
     """Closed-form domain on K[C]: id0 unless f is the zero map."""
-    if not is_in_bracket(f):
-        raise CapabilityError("dom_bracket needs a weight function in K[C]")
-    C, K = f.catoid, f.algebra
-    return zero_function(C, K) if _is_zero(f) else id0(C, K)
+    return _bracket(f, "dom_bracket")
 
 
 def cod_bracket(f) -> WeightFunction:
-    if not is_in_bracket(f):
-        raise CapabilityError("cod_bracket needs a weight function in K[C]")
-    C, K = f.catoid, f.algebra
-    return zero_function(C, K) if _is_zero(f) else id0(C, K)
+    """Closed-form codomain on K[C]: the same closed form as the domain."""
+    return _bracket(f, "cod_bracket")
 
 
 def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Report:
@@ -111,14 +87,18 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
     rep = Report(model=C.name, algebra=K.name)
 
     if variant == "hat":
-        cert = valency_certificate(C)
-        local = is_local(C)
-        if not local.clean:
+        if not C.is_complete:
+            raise CapabilityError(
+                f"{C.name}: cannot certify finite valency, universe is truncated")
+        if not is_local(C).clean:
             raise CapabilityError(f"{C.name}: hat variant needs a local catoid")
-        rep.add("modal.finite-valency", PASS, checked=len(C.elements()),
-                note=f"max-valency={cert.max_valency}")
-        D_minus = lambda f: dom_hat(f, cert)
-        D_plus = lambda f: cod_hat(f, cert)
+        # valency: the most elements sharing one source, or one target
+        U = C.elements()
+        valency = max((Counter(map(C.source, U)) | Counter(map(C.target, U))).values(),
+                      default=0)
+        rep.add("modal.finite-valency", PASS, checked=len(U), note=f"max-valency={valency}")
+        D_minus = dom_hat
+        D_plus = cod_hat
         sample = lambda: random_function(C, K, rng)
     else:
         D_minus = dom_bracket
@@ -130,6 +110,9 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
     fs = [zero] + [sample() for _ in range(samples)]
     if variant == "bracket":
         fs.append(id0(C, K))
+    # each sample's D-/D+ is lifted once; the laws below reuse them by index
+    dm = [D_minus(f) for f in fs]
+    dp = [D_plus(f) for f in fs]
 
     laws = {
         "modal.dom-expand": [], "modal.dom-local": [], "modal.dom-subid": [],
@@ -139,7 +122,7 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
     }
     pairs = 0
     for i, f in enumerate(fs):
-        df, cf = D_minus(f), D_plus(f)
+        df, cf = dm[i], dp[i]
         if not function_leq(f, convolve(df, f)):
             laws["modal.dom-expand"].append((i,))
         if not function_leq(df, unit):
@@ -154,18 +137,19 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
             laws["modal.compat-cod"].append((i,))
         for j, g in enumerate(fs):
             pairs += 1
-            d = first_difference(D_minus(convolve(f, D_minus(g))), D_minus(convolve(f, g)))
+            fg, f_plus_g = convolve(f, g), conv_add(f, g)
+            d = first_difference(D_minus(convolve(f, dm[j])), D_minus(fg))
             if d:
                 laws["modal.dom-local"].append((i, j, C.format_element(d[0]), d[1], d[2]))
-            d = first_difference(D_plus(convolve(D_plus(f), g)), D_plus(convolve(f, g)))
+            d = first_difference(D_plus(convolve(cf, g)), D_plus(fg))
             if d:
                 laws["modal.cod-local"].append((i, j, C.format_element(d[0]), d[1], d[2]))
-            if not functions_equal(D_minus(conv_add(f, g)), conv_add(D_minus(f), D_minus(g))):
+            if not functions_equal(D_minus(f_plus_g), conv_add(df, dm[j])):
                 laws["modal.dom-additive"].append((i, j))
-            if not functions_equal(D_plus(conv_add(f, g)), conv_add(D_plus(f), D_plus(g))):
+            if not functions_equal(D_plus(f_plus_g), conv_add(cf, dp[j])):
                 laws["modal.cod-additive"].append((i, j))
 
-    ok = functions_equal(D_minus(zero), zero) and functions_equal(D_plus(zero), zero)
+    ok = functions_equal(dm[0], zero) and functions_equal(dp[0], zero)
     rep.add("modal.strictness", PASS if ok else FAIL,
             [] if ok else [("D(0) != 0",)], checked=2)
     for law, bad in sorted(laws.items()):
@@ -175,8 +159,9 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
     if variant == "bracket":
         fixed = []
         for i, f in enumerate(fs):
-            if functions_equal(D_minus(f), f):
-                fixed.append("0" if _is_zero(f) else ("id0" if functions_equal(f, unit) else f"f{i}"))
+            if functions_equal(dm[i], f):
+                fixed.append("0" if not f.support() else
+                             ("id0" if functions_equal(f, unit) else f"f{i}"))
         names = sorted(set(fixed))
         rep.add("modal.bracket-fixpoints", PASS if names == ["0", "id0"] else FAIL,
                 [] if names == ["0", "id0"] else [tuple(names)],

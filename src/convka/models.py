@@ -26,11 +26,13 @@ class PosetSpec:
         for a, b in self.covers:
             if a not in names or b not in names:
                 raise ValueError(f"cover ({a},{b}) uses undeclared vertex")
+            if a == b:
+                raise ValueError(f"self-cover {a} < {b}: a cover needs two distinct vertices")
         if len(set(self.covers)) != len(self.covers):
             raise ValueError("duplicate cover pair")
         order = self.leq_table()
         for a, b in self.covers:
-            if a != b and order.get((b, a)):
+            if order.get((b, a)):
                 raise ValueError(f"cover relation cyclic at {a} < {b}")
 
     def leq_table(self) -> dict:
@@ -65,42 +67,35 @@ class GraphSpec:
                 raise ValueError(f"duplicate edge name {name}")
             seen.add(name)
 
-    def is_acyclic(self) -> bool:
-        adj = {v: [] for v in self.vertices}
-        for _, src, dst, _ in self.edges:
-            adj[src].append(dst)
-        state = {v: 0 for v in self.vertices}  # 0 new, 1 open, 2 done
-
-        def visit(v):
-            state[v] = 1
-            for w in adj[v]:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0 and not visit(w):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(state[v] or visit(v) for v in self.vertices)
-
-    def longest_path_len(self) -> int:
-        """Edge count of the longest path; only meaningful on acyclic graphs."""
-        if not self.is_acyclic():
-            raise ValueError("longest path undefined on a cyclic graph")
+    def _depths(self):
+        """Edge count of the longest path ending at each vertex, by one Kahn
+        pass (no recursion, so long chains are fine); None on a cyclic graph."""
         out = {v: [] for v in self.vertices}
         indeg = {v: 0 for v in self.vertices}
         for _, src, dst, _ in self.edges:
             out[src].append(dst)
             indeg[dst] += 1
-        todo = [v for v in self.vertices if indeg[v] == 0]
-        depth = {v: 0 for v in self.vertices}
+        todo = [v for v in indeg if indeg[v] == 0]
+        depth = dict.fromkeys(indeg, 0)
+        done = 0
         while todo:
             v = todo.pop()
+            done += 1
             for w in out[v]:
                 depth[w] = max(depth[w], depth[v] + 1)
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     todo.append(w)
+        return depth if done == len(depth) else None
+
+    def is_acyclic(self) -> bool:
+        return self._depths() is not None
+
+    def longest_path_len(self) -> int:
+        """Edge count of the longest path; only meaningful on acyclic graphs."""
+        depth = self._depths()
+        if depth is None:
+            raise ValueError("longest path undefined on a cyclic graph")
         return max(depth.values(), default=0)
 
 

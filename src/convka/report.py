@@ -71,9 +71,6 @@ class Report:
                 return e
         raise KeyError(name)
 
-    def has_law(self, name: str) -> bool:
-        return any(e.law == name for e in self.entries)
-
     @property
     def failures(self) -> list[LawResult]:
         return [e for e in self.entries if e.status == FAIL]

@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from convka import models
+from convka import modal, models
 from convka.catoid import TableCatoid
 from convka.convolution import functions_equal, indicator, powerset_star
 from convka.higher import (
@@ -128,6 +129,30 @@ def test_n_bundle_rejects_truncated_models(bool2, rng):
     f = bundle.random_function(rng)
     with pytest.raises(CapabilityError, match="dimension 0"):
         bundle.dom_(0, f)
+
+
+def test_checkers_lift_each_function_once(monkeypatch, square, bool2, diamond_paths, rng):
+    # (dimension, side, function): dimension None for check_modal's one-sorted
+    # hats; holding each function keeps its id from being reused
+    lifted = []
+
+    def spy(owner, attr, side):
+        real = getattr(owner, attr)
+        if owner is NConvolution:
+            wrapper = lambda self, i, f: lifted.append((i, side, f)) or real(self, i, f)
+        else:
+            wrapper = lambda f, *rest: lifted.append((None, side, f)) or real(f, *rest)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    spy(modal, "dom_hat", "dom")
+    spy(modal, "cod_hat", "cod")
+    spy(NConvolution, "dom_", "dom")
+    spy(NConvolution, "cod_", "cod")
+    assert modal.check_modal(diamond_paths, make_boolean(), "hat", rng, samples=4).clean
+    assert check_n_axioms(NConvolution(square, bool2), rng, samples=6).clean
+    counts = Counter((i, side, id(f)) for i, side, f in lifted)
+    assert {i for i, _, _ in counts} == {None, 0, 1}
+    assert [key for key, n in counts.items() if n > 1] == []
 
 
 def test_n_bundle_dimension_mismatch(square):

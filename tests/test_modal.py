@@ -15,7 +15,6 @@ from convka.modal import (
     cod_hat,
     dom_bracket,
     dom_hat,
-    valency_certificate,
 )
 from convka.lab import negative_control_dioid
 from convka.values import CapabilityError, make_min_plus
@@ -27,18 +26,24 @@ def one_edge_paths():
     return models.path_catoid(g, 2)
 
 
-def test_valency_certificate(diamond_paths):
-    cert = valency_certificate(diamond_paths)
-    # oracle: count elements by source directly
-    for e in diamond_paths.identities():
-        assert cert.source_counts[e] == sum(
-            1 for x in diamond_paths.elements() if diamond_paths.source(x) == e)
-    assert cert.max_valency >= 1
+def test_finite_valency_note_counts_elements_per_identity(diamond_paths, boolean, rng):
+    # oracle: for each identity, count the elements with that source and
+    # with that target directly
+    C = diamond_paths
+    counts = [sum(1 for x in C.elements() if anchor(x) == e)
+              for e in C.identities() for anchor in (C.source, C.target)]
+    law = check_modal(C, boolean, "hat", rng, samples=1).law("modal.finite-valency")
+    assert law.status == "pass" and law.checked == len(C.elements())
+    assert law.note == f"max-valency={max(counts)}"
+    assert max(counts) >= 2
 
 
-def test_valency_rejected_on_truncated_models(words3):
+def test_valency_rejected_on_truncated_models(words3, boolean):
+    f = delta(words3, boolean, "a")
     with pytest.raises(CapabilityError, match="truncated"):
-        valency_certificate(words3)
+        dom_hat(f)
+    with pytest.raises(CapabilityError, match="truncated"):
+        cod_hat(f)
 
 
 def test_dom_hat_is_source_image(one_edge_paths, boolean):
@@ -84,11 +89,10 @@ def test_dom_bracket_closed_form(words3, minplus):
 
 
 def test_bracket_agrees_with_hat_on_complete_models(diamond_paths, boolean, rng):
-    cert = valency_certificate(diamond_paths)
     for _ in range(10):
         f = random_function(diamond_paths, boolean, rng, bracket=True)
-        assert functions_equal(dom_bracket(f), dom_hat(f, cert))
-        assert functions_equal(cod_bracket(f), cod_hat(f, cert))
+        assert functions_equal(dom_bracket(f), dom_hat(f))
+        assert functions_equal(cod_bracket(f), cod_hat(f))
 
 
 def test_check_modal_hat_clean(diamond_paths, boolean, rng):

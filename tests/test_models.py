@@ -67,6 +67,24 @@ def test_path_catoid_cycle_not_complete():
     assert not g.is_acyclic()
 
 
+def test_long_chain_acyclicity_is_iterative():
+    # a recursive depth-first search overflows the stack near 1,000 vertices
+    n = 3000
+    vs = tuple(f"v{i}" for i in range(n))
+    chain = tuple((f"e{i}", vs[i], vs[i + 1], 1) for i in range(n - 1))
+    g = models.GraphSpec(vs, chain)
+    assert g.is_acyclic()
+    assert g.longest_path_len() == n - 1
+    C = models.path_catoid(g, 2)
+    assert not C.is_complete
+
+    cycle = models.GraphSpec(vs, chain + (("back", vs[-1], vs[0], 1),))
+    assert not cycle.is_acyclic()
+    with pytest.raises(ValueError, match="cyclic"):
+        cycle.longest_path_len()
+    assert not models.path_catoid(cycle, 2).is_complete
+
+
 def test_guarded_strings():
     C = models.guarded_string_catoid(["t0", "t1", "t2"], ["p", "q"], 3)
     x = ("t0", "p", "t1")

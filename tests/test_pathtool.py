@@ -317,6 +317,16 @@ def test_cli_poset_star(tmp_path, capsys):
     assert out["[a,c]"] == "5"
 
 
+def test_cli_poset_rejects_self_cover(tmp_path, capsys):
+    p = tmp_path / "poset.txt"
+    p.write_text("a < a\na < b\na b 3\n")
+    assert main(["star", "--model", "poset", "--algebra", "minplus",
+                 "--weights", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "self-cover a < a" in captured.err
+
+
 def test_cli_matrix_requires_graph(tmp_path, capsys):
     p = tmp_path / "w.txt"
     p.write_text("a 1\n")
