@@ -56,7 +56,7 @@ def _err(msg: str) -> None:
     print(f"pathtool: {msg}", file=sys.stderr)
 
 
-def _decode_element(model: str, C, tok: str):
+def _decode_element(model: str, tok: str):
     """Weight-file element tokens, per model encoding."""
     if model in ("words", "shuffle"):
         return "" if tok == "eps" else tok
@@ -78,7 +78,7 @@ def _build_model_and_weights(args, K):
     max_len = args.max_length
 
     if args.model == "graph":
-        graph = parse_graph(text, K)
+        graph = parse_graph(text)
         for name, _, _, w in graph.edges:
             validate_weight(K, w)
         if args.star == "matrix" and not args.check_oracles:
@@ -102,7 +102,7 @@ def _build_model_and_weights(args, K):
         for (a, b), tok in weight_toks.items():
             if (a, b) not in C:
                 raise ParseError(f"interval {a},{b} not in the interval set")
-            table[(a, b)] = validate_weight(K, parse_weight_token(K, tok))
+            table[(a, b)] = validate_weight(K, parse_weight_token(tok))
         f = from_pairs(C, K, table, name="w")
         return C, f, None
 
@@ -134,10 +134,10 @@ def _build_model_and_weights(args, K):
 
     table = {}
     for tok, wtok in weight_toks.items():
-        x = _decode_element(args.model, C, tok)
+        x = _decode_element(args.model, tok)
         if x not in C:
             raise ParseError(f"element {tok!r} is outside the model universe")
-        table[x] = validate_weight(K, parse_weight_token(K, wtok))
+        table[x] = validate_weight(K, parse_weight_token(wtok))
     return C, from_pairs(C, K, table, name="w"), None
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from .catoid import Catoid, check_catoid_axioms, is_functional, is_local, memo_compose
+from .catoid import check_catoid_axioms, is_functional, is_local, memo_compose
 from .convolution import (
-    WeightFunction,
     conv_add,
     convolve,
     function_leq,
@@ -47,14 +46,8 @@ class NCatoid:
     def n(self) -> int:
         return len(self.dims)
 
-    def dim(self, i: int) -> Catoid:
-        return self.dims[i]
-
     def elements(self) -> list:
         return self.dims[0].elements()
-
-    def identities(self, i: int) -> list:
-        return self.dims[i].identities()
 
     def __repr__(self):
         return f"<NCatoid {self.name}: n={self.n}, {len(self.elements())} elements>"
@@ -147,8 +140,8 @@ def check_n_catoid(nc: NCatoid) -> Report:
 
     filt_ok = True
     for i in range(nc.n - 1):
-        lower = set(nc.identities(i))
-        upper = set(nc.identities(i + 1))
+        lower = set(nc.dims[i].identities())
+        upper = set(nc.dims[i + 1].identities())
         if not lower <= upper:
             filt_ok = False
     rep.add("ncat.identity-filtration", PASS if filt_ok else FAIL, checked=nc.n - 1)
@@ -169,9 +162,10 @@ class NConvolution:
     """Per-dimension convolution, units, stars and valency-based modal operators.
 
     One bundle serves interchange (n = 2) and higher convolution algebras.
-    A dimension's modal prerequisites (locality, a complete universe, modal
-    value maps) are checked on its first ``dom_``/``cod_`` call, so a
-    truncated model still gets convolution, units and stars.
+    Each operation reads its arguments over its dimension through
+    ``WeightFunction.over``.  A dimension's locality is checked on its first
+    ``dom_``/``cod_`` call and the hat checks completeness and modal maps, so
+    a truncated model still gets convolution, units and stars.
     """
 
     def __init__(self, nc: NCatoid, alg: NValueAlgebra):
@@ -185,37 +179,34 @@ class NConvolution:
         self.nc = nc
         self.alg = alg
         self.views = tuple(alg.view(i) for i in range(alg.n))
-        self._modal_dims = set()
+        self._local_dims = set()
+
+    def _over(self, i, f):
+        return f.over(self.nc.dims[i], self.views[i])
 
     def _lift(self, hat, i, f):
-        """hat of f rebound to dimension i, whose prerequisites are checked
-        on its first lift."""
-        if i not in self._modal_dims:
-            d = self.nc.dim(i)
-            if not is_local(d).clean:
+        """hat of f over dimension i; the dimension's locality is checked on
+        its first lift, and the hat checks completeness and modal maps."""
+        if i not in self._local_dims:
+            if not is_local(self.nc.dims[i]).clean:
                 raise CapabilityError(f"dimension {i}: model is not local")
-            if not d.is_complete:
-                raise CapabilityError(f"dimension {i}: {d.name}: cannot certify "
-                                      "finite valency, universe is truncated")
-            if not self.views[i].has_modal:
-                raise CapabilityError(f"dimension {i}: value algebra lacks modal maps")
-            self._modal_dims.add(i)
-        return hat(self._rebind(i, f))
-
-    def _rebind(self, i, f):
-        return WeightFunction(self.nc.dim(i), self.views[i], f, name=f.name)
+            self._local_dims.add(i)
+        try:
+            return hat(self._over(i, f))
+        except CapabilityError as exc:
+            raise CapabilityError(f"dimension {i}: {exc}") from None
 
     def id_(self, i):
-        return id0(self.nc.dim(i), self.views[i])
+        return id0(self.nc.dims[i], self.views[i])
 
     def add(self, f, g):
-        return conv_add(f, g, catoid=self.nc.dim(0), algebra=self.views[0])
+        return conv_add(self._over(0, f), self._over(0, g))
 
     def mul(self, i, f, g):
-        return convolve(f, g, catoid=self.nc.dim(i), algebra=self.views[i])
+        return convolve(self._over(i, f), self._over(i, g))
 
     def star(self, i, f):
-        return star_recursive(self._rebind(i, f))
+        return star_recursive(self._over(i, f))
 
     def dom_(self, i, f):
         return self._lift(dom_hat, i, f)
@@ -224,10 +215,10 @@ class NConvolution:
         return self._lift(cod_hat, i, f)
 
     def zero(self):
-        return zero_function(self.nc.dim(0), self.views[0])
+        return zero_function(self.nc.dims[0], self.views[0])
 
     def random_function(self, rng):
-        return random_function(self.nc.dim(0), self.views[0], rng)
+        return random_function(self.nc.dims[0], self.views[0], rng)
 
 
 def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
@@ -248,7 +239,7 @@ def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
         if not function_leq(lhs, rhs, U):
             for x in U:
                 if not alg.leq(lhs(x), rhs(x)):
-                    bad.append((k, nc.dim(0).format_element(x), lhs(x), rhs(x)))
+                    bad.append((k, nc.dims[0].format_element(x), lhs(x), rhs(x)))
                     break
     rep.add("ic.interchange", FAIL if bad else PASS, bad, checked=samples * len(U))
     return rep
@@ -347,14 +338,14 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
         for k, df in enumerate(dom[i]):
             for x in U:
                 if not leq(df(x), vj.mul(df(x), df(x))):
-                    bad.append((k, nc.dim(0).format_element(x)))
+                    bad.append((k, nc.dims[0].format_element(x)))
                     break
         rep.add(f"nconv.dom-idem-leq[{i}<{j}]", FAIL if bad else PASS, bad,
                 checked=len(fs) * len(U), note="D-_i(f)(x) <= D-_i(f)(x) .j D-_i(f)(x)")
 
     for i in range(nc.n):
         bad = []
-        Ci = nc.dim(i)
+        Ci = nc.dims[i]
         vi = bundle.views[i]
         for k, (a, b) in enumerate(pairs):
             df, g = dom[i][a], fs[b]

@@ -217,7 +217,7 @@ def verify_independence() -> Report:
 # quantale star oracle
 
 
-def conv_powers_sum(f, cap=None):
+def conv_powers_sum(f):
     """Partial sums of convolution powers until pointwise stabilisation.
 
     sum(i<=n) f^i is monotone; once one step adds nothing the limit is
@@ -227,10 +227,9 @@ def conv_powers_sum(f, cap=None):
     if not K.is_finite or not K.idempotent_add:
         raise CapabilityError(f"{K.name}: power-join star needs a finite quantale")
     U = C.elements()
-    limit = cap if cap is not None else len(K.carrier) * len(U) + 1
     acc = id0(C, K)
     power = id0(C, K)
-    for _ in range(limit):
+    for _ in range(len(K.carrier) * len(U) + 1):
         power = convolve(f, power)
         nxt = conv_add(acc, power)
         if functions_equal(nxt, acc, U):
@@ -422,9 +421,11 @@ def _suite_modal(config) -> Report:
     words = models.free_monoid("ab", 3)
     rep.merge(check_modal(words, make_boolean(), "bracket", _rng(config, "modal:bracket"),
                           samples=min(12, config.samples)))
+    # the control tests a value table, not the sample budget: 12 samples
+    # raise both local failures on each of seeds 1-300, fewer can miss them
     control = check_modal(models.path_catoid(models.two_edge_path_graph(), 4),
                           negative_control_dioid(), "hat",
-                          _rng(config, "modal:control"), samples=min(12, config.samples))
+                          _rng(config, "modal:control"), samples=12)
     _expect_failures(control, {"modal.dom-local", "modal.cod-local"},
                      "value table cannot extend to a modal semiring")
     rep.merge(control)

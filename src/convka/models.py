@@ -400,7 +400,8 @@ class GuardedStringCatoid(Catoid):
 
 
 # ---------------------------------------------------------------------------
-# constructors mirroring the library catalogue
+# constructors mirroring the library catalogue; bench/tracing.py looks them up
+# by name (MODEL_CONSTRUCTORS) to time model builds, so keep the names
 
 
 def free_monoid(alphabet, max_len) -> FreeMonoid:
@@ -451,8 +452,9 @@ def two_edge_path_graph() -> GraphSpec:
     )
 
 
-def random_dag(n=8, density=0.35, seed=11, weight_range=(1, 9)) -> GraphSpec:
-    """Seeded random DAG on n vertices; edges only go forward, so acyclic."""
+def random_dag(n=8, density=0.35, seed=11) -> GraphSpec:
+    """Seeded random DAG on n vertices with weights 1..9; edges only go
+    forward, so acyclic."""
     import random
 
     rng = random.Random(seed)
@@ -461,7 +463,7 @@ def random_dag(n=8, density=0.35, seed=11, weight_range=(1, 9)) -> GraphSpec:
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                w = rng.randint(*weight_range)
+                w = rng.randint(1, 9)
                 edges.append((f"e{i}_{j}", vertices[i], vertices[j], w))
     return GraphSpec(vertices=vertices, edges=tuple(edges))
 

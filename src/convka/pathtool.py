@@ -155,14 +155,13 @@ def floyd_warshall(M: Matrix) -> Matrix:
     return _mat(M.algebra, M.labels, dist)
 
 
-def mat_power_star(M: Matrix, cap=None) -> Matrix:
+def mat_power_star(M: Matrix) -> Matrix:
     """Sum of matrix powers to a fixed point; oracle for idempotent algebras."""
     if not M.algebra.idempotent_add:
         raise CapabilityError("power-sum star needs an idempotent algebra")
     acc = mat_identity(M.algebra, M.labels)
     power = mat_identity(M.algebra, M.labels)
-    limit = cap if cap is not None else M.n * M.n + 2
-    for _ in range(limit):
+    for _ in range(M.n * M.n + 2):
         power = mat_mul(power, M)
         nxt = mat_add(acc, power)
         if nxt == acc:
@@ -224,7 +223,8 @@ def _lines(text):
             yield lineno, line
 
 
-def parse_weight_token(K: ValueAlgebra, tok: str):
+def parse_weight_token(tok: str):
+    """An integer, ``inf`` or ``-inf``; ``validate_weight`` checks the carrier."""
     if tok == "inf":
         return INF
     if tok == "-inf":
@@ -248,7 +248,7 @@ def validate_weight(K: ValueAlgebra, w):
     return w
 
 
-def parse_graph(text: str, K: ValueAlgebra = None):
+def parse_graph(text: str):
     """Graph file: optional ``vertex v`` lines; edges ``src dst name weight``."""
     from .models import GraphSpec
 
@@ -270,7 +270,7 @@ def parse_graph(text: str, K: ValueAlgebra = None):
             raise ParseError(f"line {lineno}: duplicate edge {name}")
         names.add(name)
         try:
-            w = parse_weight_token(K, wtok) if K is not None else int(wtok)
+            w = parse_weight_token(wtok)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}")
         for v in (src, dst):

@@ -5,7 +5,6 @@ A report is a flat list of law results.  Statuses:
   pass   law held on every instance checked
   fail   at least one witness violates the law
   xfail  the law failed and the failure was expected (negative control)
-  skip   law not applicable (missing capability); never counts as failure
   info   informational line (classification, pattern diff); never a failure
 """
 
@@ -16,7 +15,6 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 XFAIL = "xfail"
-SKIP = "skip"
 INFO = "info"
 
 

@@ -43,8 +43,29 @@ INF = _Inf()
 NEG_INF = _NegInf()
 
 
+class _SharedAddition:
+    """Finiteness, the order and the sampling pool, which one- and
+    n-dimensional algebras derive alike from their shared addition."""
+
+    @property
+    def is_finite(self) -> bool:
+        return self.carrier is not None
+
+    def leq(self, a, b) -> bool:
+        if not self.idempotent_add:
+            raise CapabilityError(f"{self.name}: no order, addition is not idempotent")
+        return self.add(a, b) == b
+
+    def pool(self) -> tuple:
+        if self.carrier is not None:
+            return self.carrier
+        if self.sample_pool is not None:
+            return self.sample_pool
+        raise CapabilityError(f"{self.name}: no carrier and no sample pool")
+
+
 @dataclass(frozen=True)
-class ValueAlgebra:
+class ValueAlgebra(_SharedAddition):
     """An operation bundle (add, mul, 0, 1) with optional star/modal structure.
 
     ``leq`` is only defined when addition is idempotent, via a <= b iff a+b == b.
@@ -59,16 +80,11 @@ class ValueAlgebra:
     zero: Any
     one: Any
     idempotent_add: bool = False
-    commutative_mul: bool = False
     star: Optional[Callable[[Any], Any]] = None
     dom: Optional[Callable[[Any], Any]] = None
     cod: Optional[Callable[[Any], Any]] = None
     carrier: Optional[tuple] = None
     sample_pool: Optional[tuple] = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.carrier is not None
 
     @cached_property
     def zero_absorbs(self) -> bool:
@@ -88,18 +104,6 @@ class ValueAlgebra:
     @property
     def has_modal(self) -> bool:
         return self.dom is not None and self.cod is not None
-
-    def leq(self, a, b) -> bool:
-        if not self.idempotent_add:
-            raise CapabilityError(f"{self.name}: no order, addition is not idempotent")
-        return self.add(a, b) == b
-
-    def pool(self) -> tuple:
-        if self.carrier is not None:
-            return self.carrier
-        if self.sample_pool is not None:
-            return self.sample_pool
-        raise CapabilityError(f"{self.name}: no carrier and no sample pool")
 
     def with_quantale_star(self) -> "ValueAlgebra":
         """Attach the power-join star (finite idempotent algebras only)."""
@@ -121,7 +125,7 @@ class DimOps:
 
 
 @dataclass(frozen=True)
-class NValueAlgebra:
+class NValueAlgebra(_SharedAddition):
     """Shared additive structure plus one multiplicative/modal bundle per dimension."""
 
     name: str
@@ -135,22 +139,6 @@ class NValueAlgebra:
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.carrier is not None
-
-    def leq(self, a, b) -> bool:
-        if not self.idempotent_add:
-            raise CapabilityError(f"{self.name}: no order, addition is not idempotent")
-        return self.add(a, b) == b
-
-    def pool(self) -> tuple:
-        if self.carrier is not None:
-            return self.carrier
-        if self.sample_pool is not None:
-            return self.sample_pool
-        raise CapabilityError(f"{self.name}: no carrier and no sample pool")
 
     def view(self, i: int) -> ValueAlgebra:
         """Dimension i as an ordinary value algebra over the shared addition."""
@@ -183,7 +171,6 @@ def make_boolean() -> ValueAlgebra:
         zero=0,
         one=1,
         idempotent_add=True,
-        commutative_mul=True,
         star=lambda a: 1,
         dom=lambda a: a,
         cod=lambda a: a,
@@ -216,7 +203,6 @@ def make_min_plus() -> ValueAlgebra:
         zero=INF,
         one=0,
         idempotent_add=True,
-        commutative_mul=True,
         star=lambda a: 0,
         dom=dom,
         cod=dom,
@@ -246,7 +232,6 @@ def make_max_plus() -> ValueAlgebra:
         zero=NEG_INF,
         one=0,
         idempotent_add=True,
-        commutative_mul=True,
         star=lambda a: 0,
         sample_pool=tuple(range(-9, 1)) + (NEG_INF,),
     )
@@ -280,7 +265,6 @@ def make_nat_inf_conway() -> ValueAlgebra:
         zero=0,
         one=1,
         idempotent_add=False,
-        commutative_mul=True,
         star=star,
         sample_pool=tuple(range(6)) + (INF,),
     )
@@ -445,9 +429,6 @@ def load_finite_algebra(text: str):
             zero=zero,
             one=d.one,
             idempotent_add=idem,
-            commutative_mul=all(
-                d.mul(a, b) == d.mul(b, a) for a in carrier for b in carrier
-            ),
             star=d.star,
             dom=d.dom,
             cod=d.cod,

@@ -62,7 +62,7 @@ def test_unit_order_checked_for_every_dimension_pair():
     dims = tuple(DimOps(mul=min, one=one, star=lambda a: 1) for one in (0, 1, 0))
     bad = NValueAlgebra("bad3d", add=max, zero=0, dims=dims, carrier=(0, 1))
     words = models.shuffle_concat_2catoid("ab", 3)
-    nc = NCatoid("concat-shuffle-concat", (*words.dims, words.dim(0)))
+    nc = NCatoid("concat-shuffle-concat", (*words.dims, words.dims[0]))
     with pytest.raises(CapabilityError, match="one1 <= one2"):
         NConvolution(nc, bad)
 
@@ -82,7 +82,7 @@ def test_concat_star_is_language_star(bool2, rng):
     # dimension 0 of the interchange structure is plain language star
     tc = models.shuffle_concat_2catoid("ab", 4)
     bundle = NConvolution(tc, bool2)
-    conc = tc.dim(0)
+    conc = tc.dims[0]
     B = make_boolean()
     for _ in range(5):
         A = frozenset(x for x in conc.elements() if rng.random() < 0.3)
@@ -110,7 +110,7 @@ def test_n_bundle_dom_product_identity(square, bool2, rng):
     # (D-(f) * g)(x) = D-(f)(s(x)) . g(x), per dimension
     bundle = NConvolution(square, bool2)
     for i in range(2):
-        C = square.dim(i)
+        C = square.dims[i]
         v = bundle.views[i]
         for _ in range(5):
             f = bundle.random_function(rng)
@@ -129,6 +129,18 @@ def test_n_bundle_rejects_truncated_models(bool2, rng):
     f = bundle.random_function(rng)
     with pytest.raises(CapabilityError, match="dimension 0"):
         bundle.dom_(0, f)
+
+
+def test_n_bundle_prefixes_hat_errors_with_the_dimension(square, rng):
+    # the square is local in both dimensions, so the hat's own check fails
+    dims = tuple(DimOps(mul=min, one=1, star=lambda a: 1) for _ in range(2))
+    plain = NValueAlgebra("plain2d", add=max, zero=0, dims=dims, carrier=(0, 1))
+    bundle = NConvolution(square, plain)
+    f = bundle.random_function(rng)
+    # convolution needs no modal maps
+    assert functions_equal(bundle.mul(1, bundle.id_(1), f), f, square.elements())
+    with pytest.raises(CapabilityError, match=r"^dimension 1: plain2d\[1\]: no modal structure$"):
+        bundle.cod_(1, f)
 
 
 def test_checkers_lift_each_function_once(monkeypatch, square, bool2, diamond_paths, rng):
@@ -191,7 +203,7 @@ def _reference_assoc(C, U):
 
 def _reference_interchange(nc, i, j, U):
     """(w .j x) .i (y .j z) <= (w .i y) .j (x .i z) over all of U^4."""
-    ci, cj = nc.dim(i).compose, nc.dim(j).compose
+    ci, cj = nc.dims[i].compose, nc.dims[j].compose
     bad = []
     for w, x, y, z in itertools.product(U, repeat=4):
         lhs = set()
@@ -210,12 +222,12 @@ def _reference_interchange(nc, i, j, U):
 def _broken_square():
     """The pasting square with one vertical composite landing on the wrong cell."""
     sq = models.pasting_square_2category()
-    d1 = sq.dim(1)
+    d1 = sq.dims[1]
     table = dict(d1._table)
     table[("al*p2", "q1*be")] = frozenset(["al*q2"])
     broken1 = TableCatoid("square.v-broken", sq.elements(), table,
                           d1._src, d1._tgt, add_units=False)
-    return NCatoid("broken-square", (sq.dim(0), broken1))
+    return NCatoid("broken-square", (sq.dims[0], broken1))
 
 
 DIFFERENTIAL_CASES = {
@@ -239,7 +251,7 @@ def test_checkers_match_full_product_references(case):
 
     for k in range(nc.n):
         law = f"dim{k}.catoid.assoc"
-        assert entry(law) == (law, *_reference_assoc(nc.dim(k), U))
+        assert entry(law) == (law, *_reference_assoc(nc.dims[k], U))
     for i, j in itertools.combinations(range(nc.n), 2):
         law = f"ncat.interchange[{i}<{j}]"
         assert entry(law) == (law, *_reference_interchange(nc, i, j, U))

@@ -118,6 +118,17 @@ def test_campaign_negative_controls_are_xfail():
     assert any(law == "modal.dom-local" for law, _ in xfails)
 
 
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_modal_negative_control_fails_whatever_the_sample_budget(samples):
+    # the control checks a value table, so a small --samples must not let
+    # its expected local failures slip through
+    for seed in range(1, 9):
+        rep = run_campaign(CampaignConfig(suites=("modal",), seed=seed, samples=samples))
+        assert rep.clean, (seed, rep.failed_laws())
+        xfails = {e.law for e in rep.entries if e.status == XFAIL}
+        assert {"modal.dom-local", "modal.cod-local"} <= xfails, seed
+
+
 def test_campaign_all_is_clean():
     rep = run_campaign(CampaignConfig(suites=("all",), seed=11, samples=5))
     assert rep.clean, rep.failed_laws()

@@ -140,14 +140,14 @@ def test_shuffle_concat_2catoid():
     rep = check_n_catoid(tc)
     assert rep.clean, rep.failed_laws()
     # single shared identity in both dimensions
-    assert tc.identities(0) == [""] and tc.identities(1) == [""]
+    assert tc.dims[0].identities() == [""] and tc.dims[1].identities() == [""]
     for i in range(2):
-        assert check_moebius(tc.dim(i)).clean
+        assert check_moebius(tc.dims[i]).clean
 
 
 def test_shuffle_concat_interchange_containment():
     tc = models.shuffle_concat_2catoid("abcd", 4)
-    conc, shuf = tc.dim(0), tc.dim(1)
+    conc, shuf = tc.dims[0], tc.dims[1]
     quads = [("a", "b", "c", "d"), ("a", "b", "cd", ""), ("ab", "c", "d", "")]
     for w, x, y, z in quads:
         lhs = set()
@@ -170,16 +170,16 @@ def test_pasting_square_is_strict_2category():
     assert infos["classify.dim0"] == "local=True functional=True"
     assert infos["classify.dim1"] == "local=True functional=True"
     # identity filtration: 0-identities within 1-identities
-    assert set(sq.identities(0)) < set(sq.identities(1))
+    assert set(sq.dims[0].identities()) < set(sq.dims[1].identities())
     # the horizontal composite decomposes both ways (interchange is exercised)
-    v = sq.dim(1)
+    v = sq.dims[1]
     assert ("al*p2", "q1*be") in v.decompose2("al0be")
     assert ("p1*be", "al*q2") in v.decompose2("al0be")
 
 
 def test_corrupted_interchange_detected():
     sq = models.pasting_square_2category()
-    d1 = sq.dim(1)
+    d1 = sq.dims[1]
     table = dict(d1._table)
     # break one vertical composite: al*p2 ; q1*be now lands on the wrong cell
     table[("al*p2", "q1*be")] = frozenset(["al*q2"])
@@ -188,7 +188,7 @@ def test_corrupted_interchange_detected():
 
     broken1 = TableCatoid("square.v-broken", sq.elements(), table,
                           d1._src, d1._tgt, add_units=False)
-    broken = NCatoid("broken-square", (sq.dim(0), broken1))
+    broken = NCatoid("broken-square", (sq.dims[0], broken1))
     rep = check_n_catoid(broken)
     assert not rep.clean
     assert any("interchange" in law or "catoid" in law for law in rep.failed_laws())

@@ -1,13 +1,16 @@
+import io
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convka import models
-from convka.cli import main
+from convka.cli import ALGEBRAS, MODELS, STAR_MODES, main
 from convka.convolution import from_pairs, star_recursive
 from convka.pathtool import (
     Matrix,
@@ -112,13 +115,20 @@ def test_homset_aggregation_rejects_truncated():
 
 
 def test_parse_graph():
-    g = parse_graph("a b x 2\nb c y 3\n# comment\nvertex d\n", make_min_plus())
+    g = parse_graph("a b x 2\nb c y 3\n# comment\nvertex d\n")
     assert ("x", "a", "b", 2) in g.edges
     assert "d" in g.vertices
     with pytest.raises(ParseError, match="duplicate"):
         parse_graph("a b x 2\nb c x 3\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_graph("a b\n")
+
+
+def test_parse_graph_reads_weight_tokens_like_the_other_parsers():
+    # one token parser for every input: inf parses, a bad token is a ParseError
+    assert parse_graph("a b x inf\n").edges == (("x", "a", "b", INF),)
+    with pytest.raises(ParseError, match="line 1: bad weight token '1.5'"):
+        parse_graph("a b x 1.5\n")
 
 
 def test_parse_poset():
@@ -382,3 +392,47 @@ def test_cli_check_all_stdout_is_byte_stable(capsys):
     expected = (Path(__file__).parent / "data" / "check_all_seed7.txt").read_text()
     assert main(["check", "--suite", "all", "--seed", "7", "--samples", "25"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# weight-file lines over a fixed vocabulary: every model's element syntax
+# (eps, dotted, comma), the graph and poset keywords, numbers no algebra
+# accepts, and token soup; three lines in four have the drawn model's shape
+FUZZ_ELEMENTS = ("a", "b", "ab", "eps", "t0.p.t1", "t1", "a,b", "b,a")
+FUZZ_WEIGHTS = ("0", "1", "2", "-1", "inf", "-inf", "nan", "1e400", "1.5")
+FUZZ_VERTICES = ("a", "b", "c")
+_weight = st.sampled_from(FUZZ_WEIGHTS[:3]) | st.sampled_from(FUZZ_WEIGHTS)
+_vertex = st.sampled_from(FUZZ_VERTICES)
+_element_line = st.tuples(st.sampled_from(FUZZ_ELEMENTS), _weight)
+_graph_line = (st.tuples(_vertex, _vertex, st.sampled_from(("x", "y")), _weight)
+               | st.tuples(st.just("vertex"), _vertex))
+_poset_line = (st.tuples(_vertex, st.just("<"), _vertex) | st.tuples(_vertex, _vertex, _weight)
+               | st.tuples(_vertex))
+_soup_line = st.lists(st.sampled_from(FUZZ_ELEMENTS + FUZZ_WEIGHTS + ("<", "vertex")),
+                      min_size=1, max_size=4)
+
+
+def _fuzz_text(model):
+    own = {"graph": _graph_line, "poset": _poset_line}.get(model, _element_line)
+    other = _element_line | _graph_line | _poset_line | _soup_line
+    line = st.sampled_from((own, own, own, other)).flatmap(lambda shape: shape)
+    return st.lists(line.map(" ".join), max_size=3).map("\n".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=st.sampled_from(MODELS).flatmap(lambda m: st.tuples(st.just(m), _fuzz_text(m))),
+       algebra=st.sampled_from(sorted(ALGEBRAS)), star=st.sampled_from(STAR_MODES),
+       max_length=st.integers(-2, 3), check_oracles=st.booleans())
+def test_cli_star_fuzz_exits_cleanly(tmp_path_factory, case, algebra, star, max_length,
+                                     check_oracles):
+    # every input ends in a documented exit code, never a traceback, and the
+    # oracles never disagree (exit 1)
+    model, text = case
+    p = tmp_path_factory.mktemp("fuzz") / "weights.txt"
+    p.write_text(text)
+    argv = ["star", "--model", model, "--algebra", algebra, "--star", star,
+            "--max-length", str(max_length), "--weights", str(p)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--check-oracles"] * check_oracles)
+    assert code in (0, 2, 3), (text, argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
