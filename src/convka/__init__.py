@@ -21,7 +21,6 @@ from .convolution import (
     WeightFunction,
     conv_add,
     convolve,
-    delta,
     from_pairs,
     functions_equal,
     id0,
@@ -55,10 +54,10 @@ from .values import (
 __all__ = [
     "Catoid", "MoebiusViolation", "TableCatoid", "check_catoid_axioms",
     "check_moebius", "check_saturated_chain", "is_functional", "is_local",
-    "WeightFunction", "conv_add", "convolve", "delta", "from_pairs",
-    "functions_equal", "id0", "indicator", "is_in_bracket", "star_dual",
-    "star_path", "star_recursive", "star_unfolded", "test_complement",
-    "zero_function", "Report", "INF", "NEG_INF", "CapabilityError", "DimOps",
+    "WeightFunction", "conv_add", "convolve", "from_pairs", "functions_equal",
+    "id0", "indicator", "is_in_bracket", "star_dual", "star_path",
+    "star_recursive", "star_unfolded", "test_complement", "zero_function",
+    "Report", "INF", "NEG_INF", "CapabilityError", "DimOps",
     "NValueAlgebra", "ValueAlgebra", "check_value_axioms", "load_finite_algebra",
     "make_boolean", "make_boolean_nd", "make_max_plus", "make_min_plus",
     "make_nat_inf_conway", "quantale_star",

@@ -74,7 +74,8 @@ def _build_model_and_weights(args, K):
     """Returns (catoid, weight function, graph); graphs get K[C] weights
     (identities -> 1).  A plain matrix star reads only the edge weights, so
     there the path catoid and its weights are not built and come back None."""
-    text = open(args.weights).read()
+    with open(args.weights) as fh:
+        text = fh.read()
     max_len = args.max_length
 
     if args.model == "graph":
@@ -163,7 +164,6 @@ def cmd_star(args) -> int:
             M = matrix_star(edge_weight_matrix(graph, K))
             rows = list(_matrix_rows(M))
         else:
-            C.require_moebius()
             starfn = {"recursive": star_recursive, "dual": star_dual,
                       "unfolded": star_unfolded}[args.star]
             fs = starfn(f)

@@ -73,11 +73,6 @@ def id0(C, K) -> WeightFunction:
     return WeightFunction(C, K, lambda x: K.one if C.is_identity(x) else K.zero, name="id0")
 
 
-def delta(C, K, y) -> WeightFunction:
-    return WeightFunction(C, K, lambda x: K.one if x == y else K.zero,
-                          name=f"delta({C.format_element(y)})")
-
-
 def indicator(C, K, members) -> WeightFunction:
     s = frozenset(members)
     return WeightFunction(C, K, lambda x: K.one if x in s else K.zero, name="chi")
@@ -424,15 +419,9 @@ def check_conway(C: Catoid, S: ValueAlgebra, rng, samples=100) -> Report:
     """The four Conway identities, pointwise over sampled function pairs."""
     rep = Report(model=C.name, algebra=S.name)
     unit = id0(C, S)
-    pool = S.pool()
-    elements = C.elements()
-
-    def sample():
-        return from_pairs(C, S, {x: rng.choice(pool) for x in elements})
-
     bad_ul, bad_ur, bad_ss, bad_ps = [], [], [], []
     for k in range(samples):
-        f, g = sample(), sample()
+        f, g = random_function(C, S, rng), random_function(C, S, rng)
         fs = star_recursive(f)
         d = first_difference(conv_add(unit, convolve(f, fs)), fs)
         if d:
@@ -450,7 +439,7 @@ def check_conway(C: Catoid, S: ValueAlgebra, rng, samples=100) -> Report:
         d = first_difference(lhs, rhs)
         if d:
             bad_ps.append((k, C.format_element(d[0]), d[1], d[2]))
-    n = samples * len(elements)
+    n = samples * len(C.elements())
     rep.add("conway.unfold-left", FAIL if bad_ul else PASS, bad_ul, checked=n)
     rep.add("conway.unfold-right", FAIL if bad_ur else PASS, bad_ur, checked=n)
     rep.add("conway.sum-star", FAIL if bad_ss else PASS, bad_ss, checked=n)

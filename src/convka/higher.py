@@ -12,6 +12,7 @@ per dimension; they need local, complete models.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .catoid import check_catoid_axioms, is_functional, is_local, memo_compose
 from .convolution import (
@@ -24,7 +25,7 @@ from .convolution import (
     star_recursive,
     zero_function,
 )
-from .modal import cod_hat, dom_hat
+from .modal import cod_hat, dom_hat, modal_laws
 from .report import FAIL, INFO, PASS, Report
 from .values import CapabilityError, NValueAlgebra
 
@@ -251,7 +252,9 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
     Covers lax functoriality of D-/D+, interchange, face absorption, the two
     closure laws, the product-with-domain identity, the idempotence
     inequality, and (when every dimension has a star) the star-domain laws.
-    Each sample's D-_i and D+_i are lifted once per dimension; the laws read
+    Each dimension's modal laws are ``modal.modal_laws`` over that dimension's
+    product, sum and lifts, with the dom and cod witness lists of a law merged
+    into one line.  Each sample's D-_i and D+_i are lifted once; the laws read
     them by sample index, and ``pairs`` holds pairs of indices.
     """
     nc, alg = bundle.nc, bundle.alg
@@ -261,39 +264,18 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
 
     fs = [bundle.zero()] + [bundle.random_function(rng) for _ in range(samples)]
     pairs = list(itertools.product(range(min(len(fs), max(2, samples // 3))), repeat=2))
-    dom = [[bundle.dom_(i, f) for f in fs] for i in range(nc.n)]
-    cod = [[bundle.cod_(i, f) for f in fs] for i in range(nc.n)]
-
+    dom, cod = [], []
     for i in range(nc.n):
-        unit = bundle.id_(i)
-        di, ci = dom[i], cod[i]
-        bad = {k: [] for k in ("expand", "local", "subid", "strict", "additive",
-                               "compat")}
-        for k, f in enumerate(fs):
-            if not function_leq(f, bundle.mul(i, di[k], f), U):
-                bad["expand"].append((k, "dom"))
-            if not function_leq(f, bundle.mul(i, f, ci[k]), U):
-                bad["expand"].append((k, "cod"))
-            if not function_leq(di[k], unit, U) or not function_leq(ci[k], unit, U):
-                bad["subid"].append((k,))
-            if not functions_equal(bundle.cod_(i, di[k]), di[k], U) or \
-               not functions_equal(bundle.dom_(i, ci[k]), ci[k], U):
-                bad["compat"].append((k,))
-        for k, (a, b) in enumerate(pairs):
-            f, g = fs[a], fs[b]
-            fg, f_plus_g = bundle.mul(i, f, g), bundle.add(f, g)
-            if not functions_equal(bundle.dom_(i, bundle.mul(i, f, di[b])),
-                                   bundle.dom_(i, fg), U):
-                bad["local"].append((k, "dom"))
-            if not functions_equal(bundle.cod_(i, bundle.mul(i, ci[a], g)),
-                                   bundle.cod_(i, fg), U):
-                bad["local"].append((k, "cod"))
-            if not functions_equal(bundle.dom_(i, f_plus_g), bundle.add(di[a], di[b]), U):
-                bad["additive"].append((k, "dom"))
-            if not functions_equal(bundle.cod_(i, f_plus_g), bundle.add(ci[a], ci[b]), U):
-                bad["additive"].append((k, "cod"))
-        if not functions_equal(di[0], fs[0], U) or not functions_equal(ci[0], fs[0], U):
-            bad["strict"].append(("D(0) != 0",))
+        di, ci, laws = modal_laws(fs, pairs, partial(bundle.mul, i), bundle.add,
+                                  partial(bundle.dom_, i), partial(bundle.cod_, i),
+                                  bundle.id_(i))
+        dom.append(di)
+        cod.append(ci)
+        ok = functions_equal(di[0], fs[0], U) and functions_equal(ci[0], fs[0], U)
+        bad = {"strict": [] if ok else [("D(0) != 0",)]}
+        for law, witnesses in laws.items():  # dom-expand and cod-expand into expand
+            key = "-".join(w for w in law.split("-") if w not in ("dom", "cod"))
+            bad.setdefault(key, []).extend(witnesses)
         for key, witnesses in sorted(bad.items()):
             rep.add(f"nconv.modal-{key}[{i}]", FAIL if witnesses else PASS, witnesses,
                     checked=len(fs))

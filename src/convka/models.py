@@ -198,7 +198,7 @@ class IntervalCatoid(Catoid):
 
     def __init__(self, poset: PosetSpec):
         super().__init__()
-        self.poset = poset
+        self.vertices = poset.vertices
         self.leq = poset.leq_table()
         self.name = f"intervals({','.join(poset.vertices)})"
 
@@ -213,7 +213,7 @@ class IntervalCatoid(Catoid):
         return (x[1], x[1])
 
     def _build_elements(self):
-        vs = self.poset.vertices
+        vs = self.vertices
         return [(a, b) for a in vs for b in vs if self.leq[(a, b)]]
 
     def sort_key(self, x):
@@ -224,44 +224,26 @@ class IntervalCatoid(Catoid):
 
     def decompose2(self, x):
         a, b = x
-        mids = [m for m in self.poset.vertices if self.leq[(a, m)] and self.leq[(m, b)]]
+        mids = [m for m in self.vertices if self.leq[(a, m)] and self.leq[(m, b)]]
         return sorted(((a, m), (m, b)) for m in mids)
 
 
-class PairGroupoid(Catoid):
-    """All ordered pairs over a finite set; the catoid of untyped relations."""
+class PairGroupoid(IntervalCatoid):
+    """All ordered pairs over a finite set; the catoid of untyped relations.
 
-    is_complete = True
+    It is the interval catoid of the relation that relates every two points.
+    """
 
     def __init__(self, points):
-        super().__init__()
-        self.points = tuple(sorted(points))
-        if not self.points:
+        Catoid.__init__(self)
+        self.vertices = tuple(sorted(points))
+        if not self.vertices:
             raise ValueError("need a nonempty point set")
-        self.name = f"pairs({','.join(map(str, self.points))})"
-
-    def compose(self, y, z):
-        (a, b), (c, d) = y, z
-        return frozenset([(a, d)]) if b == c else frozenset()
-
-    def source(self, x):
-        return (x[0], x[0])
-
-    def target(self, x):
-        return (x[1], x[1])
-
-    def _build_elements(self):
-        return [(a, b) for a in self.points for b in self.points]
-
-    def sort_key(self, x):
-        return x
+        self.leq = dict.fromkeys(itertools.product(self.vertices, repeat=2), True)
+        self.name = f"pairs({','.join(map(str, self.vertices))})"
 
     def format_element(self, x):
         return f"({x[0]},{x[1]})"
-
-    def decompose2(self, x):
-        a, b = x
-        return [((a, m), (m, b)) for m in self.points]  # points are sorted
 
 
 # ---------------------------------------------------------------------------

@@ -402,9 +402,7 @@ def load_finite_algebra(text: str):
 
     def one_dim(suffix: str) -> DimOps:
         key = "mul" + suffix if "mul" + suffix in tables else "mul"
-        unit = units.get(suffix if suffix else "0")
-        if unit is None and suffix == "":
-            unit = units.get("0")
+        unit = units.get(suffix or "0")
         if unit is None:
             raise TableFormatError(f"missing unit one{suffix or ''}:")
         if unit not in index:

@@ -15,6 +15,7 @@ from convka.catoid import (
     is_functional,
     is_local,
 )
+from convka.report import fmt_value
 
 
 def word_splits(w):
@@ -143,6 +144,50 @@ def test_corrupted_model_fails_composability():
     rep = check_catoid_axioms(C)
     assert "catoid.composability-st" in rep.failed_laws()
     assert ("x", "x") in rep.law("catoid.composability-st").witnesses
+
+
+BASIC_LAWS = ("catoid.unit-left", "catoid.unit-right", "props.st-idem", "props.fix-agree",
+              "props.id-idem")
+
+
+def test_broken_table_reports_are_pinned():
+    # each line of check_catoid_axioms, first witness and count included, and
+    # every witness of the failing laws in order
+    corrupted = TableCatoid("broken", ["e", "f", "x"], {("x", "x"): ["x"]},
+                            {"e": "e", "f": "f", "x": "e"}, {"e": "e", "f": "f", "x": "f"})
+    noncommuting = TableCatoid("id-noncommuting", ["e", "f", "x"], {("e", "f"): ["x"]},
+                               {"e": "e", "f": "f", "x": "e"},
+                               {"e": "e", "f": "f", "x": "f"})
+    expected = {
+        corrupted: (
+            [("FAIL", "catoid.assoc", "(x,e,x,{x},{})", 27),
+             ("FAIL", "catoid.composability-st", "(x,x)", 9)]
+            + [("PASS", law, "-", 3) for law in BASIC_LAWS]
+            + [("PASS", "props.id-commute", "-", 9), ("PASS", "props.id-absorb", "-", 9),
+               ("FAIL", "props.st-sub", "(x,x)", 9), ("PASS", "props.st-of-product", "-", 9),
+               ("PASS", "props.member-st", "-", 9), ("PASS", "catoid.orth-idem", "-", 4)],
+            {"catoid.assoc": ["(x,e,x,{x},{})", "(x,f,x,{},{x})"],
+             "catoid.composability-st": ["(x,x)"], "props.st-sub": ["(x,x)", "(x,x)"]}),
+        noncommuting: (
+            [("PASS", "catoid.assoc", "-", 27),
+             ("FAIL", "catoid.composability-st", "(e,f)", 9)]
+            + [("PASS", law, "-", 3) for law in BASIC_LAWS]
+            + [("FAIL", "props.id-commute", "(e,f)", 9),
+               ("FAIL", "props.id-absorb", "(e,f,{e})", 9),
+               ("PASS", "props.st-sub", "-", 9), ("PASS", "props.st-of-product", "-", 9),
+               ("PASS", "props.member-st", "-", 9),
+               ("FAIL", "catoid.orth-idem", "(e,f,{x})", 4)],
+            {"catoid.composability-st": ["(e,f)"],
+             "props.id-commute": ["(e,f)", "(e,x)", "(f,e)", "(x,f)", "(x,x)"],
+             "props.id-absorb": ["(e,f,{e})", "(e,f,{f})", "(e,x,{f})", "(x,f,{e})"],
+             "catoid.orth-idem": ["(e,f,{x})"]}),
+    }
+    for C, (lines, witnesses) in expected.items():
+        rep = check_catoid_axioms(C)
+        assert rep.to_text() == "\n".join(
+            f"{status}\t{law}\t{C.name}\t-\t{w}\t{n}" for status, law, w, n in lines)
+        assert {e.law: [fmt_value(w) for w in e.witnesses]
+                for e in rep.failures} == witnesses
 
 
 def test_moebius_conditions(words4, example_intervals):

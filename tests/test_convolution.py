@@ -11,7 +11,6 @@ from convka.convolution import (
     check_kat,
     conv_add,
     convolve,
-    delta,
     from_pairs,
     function_leq,
     functions_equal,
@@ -90,7 +89,7 @@ def test_indicator_convolution_is_set_composition(words3, boolean, rng):
     for _ in range(5):
         y = rng.choice(words3.elements())
         z = rng.choice(words3.elements())
-        prod = convolve(delta(words3, boolean, y), delta(words3, boolean, z))
+        prod = convolve(indicator(words3, boolean, [y]), indicator(words3, boolean, [z]))
         for x in words3.elements():
             assert prod(x) == (1 if x in words3.compose(y, z) else 0)
 
@@ -375,7 +374,7 @@ def test_star_requires_star_capability(words3):
 def test_is_in_bracket(words3, boolean):
     assert is_in_bracket(id0(words3, boolean))
     assert is_in_bracket(zero_function(words3, boolean))
-    assert not is_in_bracket(delta(words3, boolean, "a"))
+    assert not is_in_bracket(indicator(words3, boolean, ["a"]))
 
 
 def test_bracket_closure(words3, minplus, rng):
@@ -395,7 +394,7 @@ def test_star_path_agrees_on_bracket(words4, minplus, rng):
 
 def test_star_path_rejects_non_bracket(words3, minplus):
     with pytest.raises(CapabilityError, match="K\\[C\\]"):
-        star_path(delta(words3, minplus, "a"))
+        star_path(indicator(words3, minplus, ["a"]))
 
 
 def test_test_complement(words3, boolean):
@@ -408,7 +407,7 @@ def test_test_complement(words3, boolean):
     q = complement_of(p)
     assert set(q.support()) == {("t0",), ("t2",)}  # set difference on identities
     with pytest.raises(CapabilityError, match="test"):
-        complement_of(delta(gs, boolean, ("t0", "p", "t1")))
+        complement_of(indicator(gs, boolean, [("t0", "p", "t1")]))
 
 
 def test_test_idempotence(boolean):

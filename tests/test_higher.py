@@ -1,10 +1,11 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from convka import modal, models
-from convka.catoid import TableCatoid
+from convka.catoid import TableCatoid, check_catoid_axioms
 from convka.convolution import functions_equal, indicator, powerset_star
 from convka.higher import (
     NCatoid,
@@ -13,6 +14,8 @@ from convka.higher import (
     check_n_axioms,
     check_n_catoid,
 )
+from convka.lab import appendix_b_model
+from convka.report import fmt_value
 from convka.values import CapabilityError, DimOps, NValueAlgebra, make_boolean, \
     make_boolean_nd
 
@@ -183,6 +186,21 @@ def test_star_domain_laws_on_square(square, bool2, rng):
     assert rep.law("nconv.dom-product[1]").status == "pass"
 
 
+def test_n_modal_local_failure_has_the_modal_witness_shape(square):
+    # the Appendix B model 1 algebra breaks codomain locality in dimension 1;
+    # witnesses are (i, j, element, lhs, rhs) over sample indices, as in check_modal
+    bundle = NConvolution(square, appendix_b_model(1))
+    rep = check_n_axioms(bundle, random.Random(3), samples=12)
+    law = rep.law("nconv.modal-local[1]")
+    assert (law.status, law.checked, len(law.witnesses)) == ("fail", 13, 7)
+    assert law.witnesses[:2] == [(1, 0, "p1q2", "0", "1_1"), (2, 0, "p1p2", "0", "1_1")]
+    U = square.elements()
+    for i, j, element, lhs, rhs in law.witnesses:
+        assert 0 <= i < 13 and 0 <= j < 13 and lhs != rhs
+        assert element in map(square.dims[1].format_element, U)
+    assert rep.law("nconv.modal-local[0]").status == "pass"
+
+
 # -- differential check of the law checkers against full-product references
 
 
@@ -228,6 +246,30 @@ def _broken_square():
     broken1 = TableCatoid("square.v-broken", sq.elements(), table,
                           d1._src, d1._tgt, add_units=False)
     return NCatoid("broken-square", (sq.dims[0], broken1))
+
+
+def test_broken_square_vertical_catoid_report_is_pinned():
+    rep = check_catoid_axioms(_broken_square().dims[1])
+    assert rep.to_text() == "\n".join("\t".join(line) for line in [
+        ("FAIL", "catoid.assoc", "square.v-broken", "-", "(p1*be,al*p2,q1*be,{al0be},{})",
+         "5832"),
+        ("PASS", "catoid.composability-st", "square.v-broken", "-", "-", "324"),
+        ("PASS", "catoid.unit-left", "square.v-broken", "-", "-", "18"),
+        ("PASS", "catoid.unit-right", "square.v-broken", "-", "-", "18"),
+        ("PASS", "props.st-idem", "square.v-broken", "-", "-", "18"),
+        ("PASS", "props.fix-agree", "square.v-broken", "-", "-", "18"),
+        ("PASS", "props.id-idem", "square.v-broken", "-", "-", "18"),
+        ("PASS", "props.id-commute", "square.v-broken", "-", "-", "324"),
+        ("PASS", "props.id-absorb", "square.v-broken", "-", "-", "324"),
+        ("FAIL", "props.st-sub", "square.v-broken", "-", "(al*p2,q1*be)", "324"),
+        ("FAIL", "props.st-of-product", "square.v-broken", "-", "(al*p2,q1*be,{al*q2})",
+         "324"),
+        ("FAIL", "props.member-st", "square.v-broken", "-", "(al*q2,al*p2,q1*be)", "324"),
+        ("PASS", "catoid.orth-idem", "square.v-broken", "-", "-", "121"),
+    ])
+    assert [fmt_value(w) for w in rep.law("catoid.assoc").witnesses] == [
+        "(p1*be,al*p2,q1*be,{al0be},{})", "(p1p2,al*p2,q1*be,{},{al*q2})",
+        "(p1q2,al*p2,q1*be,{al*q2},{})"]
 
 
 DIFFERENTIAL_CASES = {

@@ -2,10 +2,10 @@ import pytest
 
 from convka import models
 from convka.convolution import (
-    delta,
     from_pairs,
     functions_equal,
     id0,
+    indicator,
     random_function,
     zero_function,
 )
@@ -39,7 +39,7 @@ def test_finite_valency_note_counts_elements_per_identity(diamond_paths, boolean
 
 
 def test_valency_rejected_on_truncated_models(words3, boolean):
-    f = delta(words3, boolean, "a")
+    f = indicator(words3, boolean, ["a"])
     with pytest.raises(CapabilityError, match="truncated"):
         dom_hat(f)
     with pytest.raises(CapabilityError, match="truncated"):
@@ -47,11 +47,11 @@ def test_valency_rejected_on_truncated_models(words3, boolean):
 
 
 def test_dom_hat_is_source_image(one_edge_paths, boolean):
-    f = delta(one_edge_paths, boolean, ("a", ("x",)))
+    f = indicator(one_edge_paths, boolean, [("a", ("x",))])
     df = dom_hat(f)
-    assert functions_equal(df, delta(one_edge_paths, boolean, ("a", ())))
+    assert functions_equal(df, indicator(one_edge_paths, boolean, [("a", ())]))
     cf = cod_hat(f)
-    assert functions_equal(cf, delta(one_edge_paths, boolean, ("b", ())))
+    assert functions_equal(cf, indicator(one_edge_paths, boolean, [("b", ())]))
 
 
 def test_dom_hat_images_oracle(diamond_paths, boolean, rng):
@@ -85,7 +85,7 @@ def test_dom_bracket_closed_form(words3, minplus):
     f = from_pairs(words3, minplus, {x: 0 for x in words3.elements()})
     assert functions_equal(dom_bracket(f), cod_bracket(f))
     with pytest.raises(CapabilityError, match="K\\[C\\]"):
-        dom_bracket(delta(words3, minplus, "a"))
+        dom_bracket(indicator(words3, minplus, ["a"]))
 
 
 def test_bracket_agrees_with_hat_on_complete_models(diamond_paths, boolean, rng):

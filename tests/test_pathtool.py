@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -182,6 +183,14 @@ def test_cli_star_graph_matrix(graph_file, capsys):
     out = capsys.readouterr().out
     assert "a->c\t5" in out.splitlines()
     assert "b->a\tinf" in out.splitlines()
+
+
+def test_cli_star_closes_the_weight_file(graph_file, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["star", "--model", "graph", "--algebra", "minplus",
+                     "--weights", graph_file]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_cli_star_deterministic_output(graph_file, capsys):
