@@ -235,29 +235,29 @@ class TableCatoid(Catoid):
 # law checkers
 
 
-def memo_compose(C: Catoid):
-    """``C.compose`` behind a dict memo that lives as long as the returned function.
+class memo_compose(dict):
+    """``C.compose`` as a table that fills itself: ``products[y, z]`` composes
+    on its first lookup and is a dict hit after that.
 
     Law checkers take one per call, so repeated products cost a lookup and
     nothing is retained once the check returns.
     """
-    memo = {}
-    compose = C.compose
 
-    def composed(y, z):
-        try:
-            return memo[y, z]
-        except KeyError:
-            out = memo[y, z] = compose(y, z)
-            return out
+    __slots__ = ("compose",)
 
-    return composed
+    def __init__(self, C: Catoid):
+        super().__init__()
+        self.compose = C.compose
+
+    def __missing__(self, pair):
+        out = self[pair] = self.compose(*pair)
+        return out
 
 
 def check_catoid_axioms(C: Catoid) -> Report:
     """Associativity, composability, unit laws and the basic source/target facts.
 
-    Products go through one ``memo_compose`` for the whole call, and
+    Products come from one ``memo_compose`` table for the whole call, and
     associativity and the six laws over pairs share one pass over U^2.
     Associativity decides a triple (x, y, z) with x.y and y.z both empty
     without composing, since both sides are then empty; ``checked=`` still
@@ -265,35 +265,35 @@ def check_catoid_axioms(C: Catoid) -> Report:
     """
     U = C.elements()
     rep = Report(model=C.name)
-    compose = memo_compose(C)
+    products = memo_compose(C)
     s, t = C.source, C.target
 
     assoc, comp_st, commute, absorb, st_sub, st_prod, member = [], [], [], [], [], [], []
-    right_defined = {y: [z for z in U if compose(y, z)] for y in U}
+    right_defined = {y: [z for z in U if products[y, z]] for y in U}
     for x, y in itertools.product(U, repeat=2):
-        xy = compose(x, y)
+        xy = products[x, y]
         for z in U if xy else right_defined[y]:
             left = set()
-            for v in compose(y, z):
-                left |= compose(x, v)
+            for v in products[y, z]:
+                left |= products[x, v]
             right = set()
             for u in xy:
-                right |= compose(u, z)
+                right |= products[u, z]
             if left != right:
                 assoc.append((x, y, z, frozenset(left), frozenset(right)))
         if xy and t(x) != s(y):
             comp_st.append((x, y))
-        if compose(s(x), t(y)) != compose(t(y), s(x)):
+        if products[s(x), t(y)] != products[t(y), s(x)]:
             commute.append((x, y))
-        lhs = frozenset(s(w) for w in compose(s(x), y))
-        if lhs != compose(s(x), s(y)):
+        lhs = frozenset(s(w) for w in products[s(x), y])
+        if lhs != products[s(x), s(y)]:
             absorb.append((x, y, lhs))
-        lhs = frozenset(t(w) for w in compose(x, t(y)))
-        if lhs != compose(t(x), t(y)):
+        lhs = frozenset(t(w) for w in products[x, t(y)])
+        if lhs != products[t(x), t(y)]:
             absorb.append((x, y, lhs))
-        if not {s(w) for w in xy} <= {s(w) for w in compose(x, s(y))}:
+        if not {s(w) for w in xy} <= {s(w) for w in products[x, s(y)]}:
             st_sub.append((x, y))
-        if not {t(w) for w in xy} <= {t(w) for w in compose(t(x), y)}:
+        if not {t(w) for w in xy} <= {t(w) for w in products[t(x), y]}:
             st_sub.append((x, y))
         if xy and ({s(w) for w in xy} != {s(x)} or {t(w) for w in xy} != {t(y)}):
             st_prod.append((x, y, frozenset(xy)))
@@ -305,9 +305,9 @@ def check_catoid_axioms(C: Catoid) -> Report:
     rep.add("catoid.composability-st", FAIL if comp_st else PASS, comp_st,
             checked=len(U) ** 2)
 
-    bad = [x for x in U if compose(s(x), x) != frozenset([x])]
+    bad = [x for x in U if products[s(x), x] != frozenset([x])]
     rep.add("catoid.unit-left", FAIL if bad else PASS, bad, checked=len(U))
-    bad = [x for x in U if compose(x, t(x)) != frozenset([x])]
+    bad = [x for x in U if products[x, t(x)] != frozenset([x])]
     rep.add("catoid.unit-right", FAIL if bad else PASS, bad, checked=len(U))
 
     bad = [x for x in U if s(s(x)) != s(x) or t(t(x)) != t(x)
@@ -318,8 +318,8 @@ def check_catoid_axioms(C: Catoid) -> Report:
     rep.add("props.fix-agree", FAIL if bad else PASS, bad, checked=len(U))
 
     bad = [x for x in U
-           if compose(s(x), s(x)) != frozenset([s(x)])
-           or compose(t(x), t(x)) != frozenset([t(x)])]
+           if products[s(x), s(x)] != frozenset([s(x)])
+           or products[t(x), t(x)] != frozenset([t(x)])]
     rep.add("props.id-idem", FAIL if bad else PASS, bad, checked=len(U))
 
     for law, bad in (("props.id-commute", commute), ("props.id-absorb", absorb),
@@ -331,8 +331,8 @@ def check_catoid_axioms(C: Catoid) -> Report:
     bad = []
     for e, f in itertools.product(ids, repeat=2):
         expect = frozenset([e]) if e == f else frozenset()
-        if compose(e, f) != expect:
-            bad.append((e, f, frozenset(compose(e, f))))
+        if products[e, f] != expect:
+            bad.append((e, f, frozenset(products[e, f])))
     rep.add("catoid.orth-idem", FAIL if bad else PASS, bad, checked=len(ids) ** 2)
     return rep
 

@@ -156,21 +156,20 @@ def cmd_star(args) -> int:
         _err(str(exc))
         return 2
 
+    forms = {"recursive": star_recursive, "dual": star_dual, "unfolded": star_unfolded}
     try:
         if args.star == "matrix":
             if args.model != "graph":
                 _err("--star matrix needs --model graph")
                 return 2
-            M = matrix_star(edge_weight_matrix(graph, K))
+            fs, M = None, matrix_star(edge_weight_matrix(graph, K))
             rows = list(_matrix_rows(M))
         else:
-            starfn = {"recursive": star_recursive, "dual": star_dual,
-                      "unfolded": star_unfolded}[args.star]
-            fs = starfn(f)
+            fs, M = forms[args.star](f), None
             rows = [(C.format_element(x), fs(x)) for x in C.elements()]
 
         if args.check_oracles:
-            code = _cross_check(args, C, f, graph, K)
+            code = _cross_check(args, K, C, f, graph, forms, fs, M)
             if code:
                 return code
     except MoebiusViolation as exc:
@@ -185,41 +184,42 @@ def cmd_star(args) -> int:
     return 0
 
 
-def _cross_check(args, C, f, graph, K) -> int:
-    """Recompute the star every applicable way; nonzero on any disagreement."""
-    forms = {}
-    if args.model != "graph" or args.star != "matrix":
-        base = star_recursive(f)
-        forms["recursive"] = base
-        forms["dual"] = star_dual(f)
-        forms["unfolded"] = star_unfolded(f)
-        for name, other in forms.items():
+def _cross_check(args, K, C, f, graph, forms, fs, M) -> int:
+    """Recompute the star every applicable way; nonzero on any disagreement.
+
+    ``fs`` is the printed star function (None for ``--star matrix``) and
+    ``M`` the printed matrix star (None otherwise); neither is computed twice.
+    """
+    stars = {}
+    if fs is not None:
+        stars = {name: fs if name == args.star else form(f) for name, form in forms.items()}
+        base = stars["recursive"]
+        for name, other in stars.items():
             if not functions_equal(base, other):
                 _err(f"oracle disagreement: recursive vs {name}")
                 return 1
-    if args.model == "graph":
-        if not graph.is_acyclic():
-            _err("note: homset/matrix comparison skipped, graph has a cycle")
-            return 0
+    if args.model != "graph":
+        return 0
+    if M is None:
+        M = matrix_star(edge_weight_matrix(graph, K))
+    if not graph.is_acyclic():
+        _err("note: homset comparison skipped, graph has a cycle")
+    else:
         # aggregation over homsets maps K[C] to matrices, convolution to matrix
         # product and so the star to the matrix star of f's own aggregation,
         # identity weights included; that aggregation is I + E, whose star is
         # the printed E* wherever 1* = 1
-        fs = forms.get("recursive") or star_recursive(f)
-        agg = homset_matrix(C, fs, K)
-        M = matrix_star(edge_weight_matrix(graph, K))
+        agg = homset_matrix(C, stars["recursive"] if stars else star_recursive(f), K)
         if agg.rows != matrix_star(homset_matrix(C, f, K)).rows or (
                 K.star(K.one) == K.one and agg.rows != M.rows):
             _err("oracle disagreement: homset aggregation vs matrix star")
             return 1
-        if K.name == "boolean" and warshall_closure(M).rows != M.rows:
-            _err("oracle disagreement: matrix star vs Warshall closure")
-            return 1
-        if K.name == "minplus":
-            fw = floyd_warshall(edge_weight_matrix(graph, K))
-            if fw.rows != M.rows:
-                _err("oracle disagreement: matrix star vs Floyd-Warshall")
-                return 1
+    if K.name == "boolean" and warshall_closure(M).rows != M.rows:
+        _err("oracle disagreement: matrix star vs Warshall closure")
+        return 1
+    if K.name == "minplus" and floyd_warshall(edge_weight_matrix(graph, K)).rows != M.rows:
+        _err("oracle disagreement: matrix star vs Floyd-Warshall")
+        return 1
     return 0
 
 

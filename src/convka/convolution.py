@@ -10,10 +10,13 @@ One engine computes the recursive star in three forms:
 It evaluates on demand from an explicit stack, so element length is not bounded
 by Python's recursion limit.  Terms with f-factor 0 are skipped only when the
 algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve skips them
-under the same condition.  A cycle in the decomposition structure
-(non-Moebius model) raises MoebiusViolation.
+under the same condition.  Dually, a sum that reaches the algebra's additive
+top (``ValueAlgebra.add_top``) stops there, since no further term can change
+it; the engine then never opens the star frames of the remaining terms.  A
+cycle in the decomposition structure (non-Moebius model) raises
+MoebiusViolation.
 star_unfolded, the direct sum over all n-fold non-identity decompositions,
-stays separate as the trusted oracle.
+stays separate as the trusted oracle and sums every term.
 
 Weight functions memoise their values; the caches are idempotent tables for
 pure rules, safe to share between readers.  The engine and convolve read a
@@ -108,11 +111,11 @@ def convolve(f, g) -> WeightFunction:
     """(f*g)(x) = sum of f(y).g(z) over the 2-decompositions of x.
 
     When the algebra's zero is absorbing, a term with f(y) = 0 is skipped
-    without evaluating g(z).
+    without evaluating g(z); the sum stops once it reaches the additive top.
     """
     _check_same(f, g)
     C, K = f.catoid, f.algebra
-    add, mul, zero, decompose2 = K.add, K.mul, K.zero, C.decompose2
+    add, mul, zero, top, decompose2 = K.add, K.mul, K.zero, K.add_top, C.decompose2
     skip_zero, f_memo, g_memo = K.zero_absorbs, f._memo, g._memo
 
     def rule(x):
@@ -122,6 +125,8 @@ def convolve(f, g) -> WeightFunction:
             if skip_zero and u == zero:  # a skipped term would add 0
                 continue
             acc = add(acc, mul(u, g_memo[z] if z in g_memo else g(z)))
+            if acc == top:  # the remaining terms would add nothing
+                break
         return acc
 
     return WeightFunction(C, K, rule, name=f"({f.name}*{g.name})")
@@ -133,6 +138,7 @@ def _star_engine(f, side: str) -> WeightFunction:
     Demand-driven and iterative: a stack holds a frame per element reached
     without a value, with the nonzero terms of one decompose2 scan as (star
     element needed, f-factor) pairs in order, a resume index and the sum.
+    A frame whose sum reaches the additive top is finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -141,19 +147,23 @@ def _star_engine(f, side: str) -> WeightFunction:
     elif not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    add, mul, zero, is_identity = K.add, K.mul, K.zero, C.is_identity
-    left, skip_zero, f_memo = side != "right", K.zero_absorbs, f._memo
+    add, mul, zero, top, is_identity = K.add, K.mul, K.zero, K.add_top, C.is_identity
+    left, keep_zero, f_memo = side != "right", not K.zero_absorbs, f._memo
 
     at_identity = (lambda e: K.one) if side == "path" else (lambda e: K.star(f(e)))
 
     def open_frame(x):
-        boundary, terms = C.source(x) if left else C.target(x), []
-        for pair in C.decompose2(x):
-            factor, need = pair if left else pair[::-1]
-            if factor != boundary:
-                w = f_memo[factor] if factor in f_memo else f(factor)
-                if not (skip_zero and w == zero):  # a skipped term would add 0
-                    terms.append((need, w))
+        # a term whose f-factor is 0 is dropped where zero absorbs: it would add 0
+        if left:
+            b = C.source(x)
+            terms = [(z, w) for y, z in C.decompose2(x)
+                     if y != b and ((w := f_memo[y] if y in f_memo else f(y)) != zero
+                                    or keep_zero)]
+        else:
+            b = C.target(x)
+            terms = [(y, w) for y, z in C.decompose2(x)
+                     if z != b and ((w := f_memo[z] if z in f_memo else f(z)) != zero
+                                    or keep_zero)]
         return [x, terms, 0, zero]
 
     def rule(x):
@@ -163,7 +173,7 @@ def _star_engine(f, side: str) -> WeightFunction:
         while True:
             frame = stack[-1]
             x, terms, i, acc = frame
-            while i < len(terms):
+            while i < len(terms) and acc != top:
                 need, w = terms[i]
                 if need in memo:
                     v = memo[need]

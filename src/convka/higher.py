@@ -64,15 +64,15 @@ def check_n_catoid(nc: NCatoid) -> Report:
     Locality/functionality per dimension are reported as info lines: they
     classify strict n-categories but are not n-catoid axioms.
 
-    Each dimension's products go through one ``memo_compose`` for the whole
-    call.  Interchange walks pairs of j-composable pairs, so a quadruple with
-    w .j x or y .j z empty (empty left side) is decided without composing;
+    Each dimension's products come from one ``memo_compose`` table for the
+    whole call.  Interchange walks pairs of j-composable pairs, so a quadruple
+    with w .j x or y .j z empty (empty left side) is decided without composing;
     associativity does the same for triples with both inner products empty.
     ``checked=`` still counts all |U|^4 (and |U|^3) instances.
     """
     U = nc.elements()
     rep = Report(model=nc.name)
-    composes = [memo_compose(d) for d in nc.dims]
+    products = [memo_compose(d) for d in nc.dims]
 
     for i, d in enumerate(nc.dims):
         sub = check_catoid_axioms(d)
@@ -87,38 +87,38 @@ def check_n_catoid(nc: NCatoid) -> Report:
                or ti(sj(x)) != sj(ti(x)) or ti(tj(x)) != tj(ti(x))]
         rep.add(f"ncat.face-commute[{i},{j}]", FAIL if bad else PASS, bad, checked=len(U))
 
-        cj = composes[j]
+        cj = products[j]
         bad = []
         for x, y in itertools.product(U, repeat=2):
-            prod = cj(x, y)
-            if not _set_map(si, prod) <= cj(si(x), si(y)):
+            prod = cj[x, y]
+            if not _set_map(si, prod) <= cj[si(x), si(y)]:
                 bad.append((x, y, "s"))
-            if not _set_map(ti, prod) <= cj(ti(x), ti(y)):
+            if not _set_map(ti, prod) <= cj[ti(x), ti(y)]:
                 bad.append((x, y, "t"))
         rep.add(f"ncat.lax-functorial[{i},{j}]", FAIL if bad else PASS, bad,
                 checked=len(U) ** 2)
 
     for i, j in itertools.combinations(range(nc.n), 2):
-        ci, cj = composes[i], composes[j]
+        ci, cj = products[i], products[j]
         si, ti = nc.dims[i].source, nc.dims[i].target
         sj, tj = nc.dims[j].source, nc.dims[j].target
 
         # (w, x) with w .j x nonempty, in product order, so that walking
         # pairs of them visits quadruples in the order of U^4
-        pairs = [(w, x, cj(w, x)) for w, x in itertools.product(U, repeat=2) if cj(w, x)]
+        pairs = [(w, x, cj[w, x]) for w, x in itertools.product(U, repeat=2) if cj[w, x]]
         bad = []
         for w, x, wx in pairs:
             for y, z, yz in pairs:
                 lhs = set()
                 for a in wx:
                     for b in yz:
-                        lhs |= ci(a, b)
+                        lhs |= ci[a, b]
                 if not lhs:
                     continue
                 rhs = set()
-                for a in ci(w, y):
-                    for b in ci(x, z):
-                        rhs |= cj(a, b)
+                for a in ci[w, y]:
+                    for b in ci[x, z]:
+                        rhs |= cj[a, b]
                 if not lhs <= rhs:
                     bad.append((w, x, y, z))
         rep.add(f"ncat.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
@@ -131,10 +131,10 @@ def check_n_catoid(nc: NCatoid) -> Report:
 
         bad = []
         for x, y in itertools.product(U, repeat=2):
-            prod = ci(sj(x), sj(y))
+            prod = ci[sj(x), sj(y)]
             if _set_map(sj, prod) != prod:
                 bad.append((x, y, "s"))
-            prod = ci(tj(x), tj(y))
+            prod = ci[tj(x), tj(y)]
             if _set_map(tj, prod) != prod:
                 bad.append((x, y, "t"))
         rep.add(f"ncat.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U) ** 2)

@@ -97,6 +97,17 @@ class ValueAlgebra(_SharedAddition):
         return all(mul(z, a) == z == mul(a, z) and add(z, a) == a == add(a, z)
                    for a in self.pool())
 
+    @cached_property
+    def add_top(self):
+        """The weight t with t + a = a + t = t for every weight a in ``pool()``,
+        decided once per algebra like ``zero_absorbs``; None when no weight
+        absorbs the addition or the algebra has no pool.  A sum that reaches
+        it is settled: boolean 1, min-plus 0, max-plus 0, natinf inf."""
+        if self.carrier is None and self.sample_pool is None:
+            return None
+        pool, add = self.pool(), self.add
+        return next((t for t in pool if all(add(t, a) == t == add(a, t) for a in pool)), None)
+
     @property
     def has_star(self) -> bool:
         return self.star is not None

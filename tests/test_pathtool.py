@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convka import models
+from convka import cli, models, pathtool
 from convka.cli import ALGEBRAS, MODELS, STAR_MODES, main
 from convka.convolution import from_pairs, star_recursive
 from convka.pathtool import (
@@ -324,6 +324,58 @@ def test_cli_matrix_star_builds_no_path_catoid(graph_file, monkeypatch, capsys):
     assert capsys.readouterr().out == rows
     with pytest.raises(AssertionError, match="no path catoid"):
         main(args + ["--check-oracles"])
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_cli_check_oracles_reuses_the_printed_star(graph_file, monkeypatch, capsys):
+    matrix_calls = counting(monkeypatch, cli, "matrix_star")
+    star_calls = counting(monkeypatch, cli, "star_recursive")
+    args = ["star", "--model", "graph", "--algebra", "minplus", "--weights", graph_file,
+            "--check-oracles"]
+    assert main(args + ["--star", "matrix"]) == 0
+    # the printed E* and the star of the aggregation I + E; E* is not recomputed
+    assert len(matrix_calls) == 2 and len(star_calls) == 1
+    matrix_calls.clear(), star_calls.clear()
+    assert main(args + ["--star", "recursive"]) == 0
+    assert len(matrix_calls) == 2 and len(star_calls) == 1
+    assert capsys.readouterr().err == ""
+
+
+CYCLIC_GRAPH = "a b x 1\nb c y 1\nc a z 1\n"
+
+
+@pytest.mark.parametrize("algebra,oracle", [("minplus", "floyd_warshall"),
+                                            ("boolean", "warshall_closure")])
+@pytest.mark.parametrize("star", ["matrix", "recursive"])
+def test_cli_check_oracles_compares_matrix_star_on_cyclic_graphs(
+        algebra, oracle, star, tmp_path, monkeypatch, capsys):
+    p = tmp_path / "cycle.txt"
+    p.write_text(CYCLIC_GRAPH)
+    args = ["star", "--model", "graph", "--algebra", algebra, "--star", star,
+            "--weights", str(p), "--check-oracles"]
+    assert main(args) == 0
+    assert capsys.readouterr().err == "pathtool: note: homset comparison skipped, graph has a cycle\n"
+
+    def wrong(M):
+        right = getattr(pathtool, oracle)(M)
+        rows = [list(r) for r in right.rows]
+        rows[0][1] = 0 if rows[0][1] else 1  # a wrong entry in either algebra
+        return Matrix(right.algebra, right.labels, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(cli, oracle, wrong)
+    assert main(args) == 1
+    assert "oracle disagreement: matrix star vs" in capsys.readouterr().err
 
 
 def test_cli_poset_star(tmp_path, capsys):
