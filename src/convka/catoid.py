@@ -13,7 +13,10 @@ are memo tables for pure functions, so concurrent readers are safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+import weakref
 
 from .report import FAIL, PASS, Report, fmt_value
 
@@ -41,6 +44,7 @@ class Catoid:
         self._dn_cache = {}
         self._len_cache = {}
         self._moebius_report = None
+        self._kernel = None
 
     # -- model surface ------------------------------------------------------
 
@@ -173,6 +177,13 @@ class Catoid:
                 open_.discard(y)
                 cache[y] = best  # need is y or a factor finished before y: cached
 
+    def kernel(self) -> "Kernel":
+        """The integer product table the law checkers run on, built on first
+        use and kept; the star forms and ``check_moebius`` never build it."""
+        if self._kernel is None:
+            self._kernel = Kernel(self)
+        return self._kernel
+
     def moebius_report(self) -> Report:
         if self._moebius_report is None:
             self._moebius_report = check_moebius(self)
@@ -232,107 +243,238 @@ class TableCatoid(Catoid):
 
 
 # ---------------------------------------------------------------------------
-# law checkers
+# the integer kernel of the law checkers
 
 
-class memo_compose(dict):
-    """``C.compose`` as a table that fills itself: ``products[y, z]`` composes
-    on its first lookup and is a dict hit after that.
+class _Bits(dict):
+    """mask -> the ids in it, ascending; filled on first use."""
 
-    Law checkers take one per call, so repeated products cost a lookup and
-    nothing is retained once the check returns.
+    __slots__ = ()
+
+    def __missing__(self, m):
+        out = self[m] = tuple(i for i in range(m.bit_length()) if m >> i & 1)
+        return out
+
+
+class _Union(dict):
+    """mask -> the union of the masks ``part(i)`` over the ids i in it;
+    filled on first use."""
+
+    __slots__ = ("bits", "part")
+
+    def __init__(self, bits, part):
+        super().__init__()
+        self.bits, self.part = bits, part
+
+    def __missing__(self, m):
+        out = 0
+        for i in self.bits[m]:
+            out |= self.part(i)
+        self[m] = out
+        return out
+
+
+class _Rows(dict):
+    """mask m -> the row of (union of u . z over u in m) over the ids z of the
+    universe; filled on first use."""
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def __missing__(self, m):
+        K = self.kernel
+        rows = [K.table[u] if u < K.n else [K.product(u, z) for z in range(K.n)]
+                for u in K.bits[m]] or [[0] * K.n]
+        out = self[m] = [functools.reduce(operator.or_, col) for col in zip(*rows)]
+        return out
+
+
+class Kernel:
+    """A catoid as integers, for the law checkers (the finite incidence-algebra
+    technique: element ids and a dense product table).
+
+    Ids 0..n-1 number ``elements()`` in order; ``src`` and ``tgt`` hold the
+    ids of their sources and targets, and ``table[y][z]`` is the bitmask of
+    the ids in y . z, each pair of the universe composed once.  A model that
+    names a source, target or product outside its universe gives those
+    elements ids after the universe; ``s``, ``t`` and ``product`` compose
+    them on demand, so every witness stays exact.  Sets are bitmasks: union
+    is ``|`` and inclusion ``a & ~b == 0``.  Ids decode to elements only for
+    witnesses.
     """
 
-    __slots__ = ("compose",)
-
     def __init__(self, C: Catoid):
-        super().__init__()
-        self.compose = C.compose
+        U = C.elements()
+        self.catoid = weakref.proxy(C)  # the model keeps its kernel, not the reverse
+        self.n = len(U)
+        self.elements = list(U)
+        self.index = {e: i for i, e in enumerate(U)}
+        self._faces = ({}, {})  # source and target ids of ids past the universe
+        self._outer = {}  # (a, b) -> mask, for pairs outside the universe
+        self.src = [self.id(C.source(x)) for x in U]
+        self.tgt = [self.id(C.target(x)) for x in U]
+        self.faces_end = len(self.elements)  # the universe and its sources and targets
+        self.table = [[self.mask(C.compose(y, z)) for z in U] for y in U]
+        self.bits = _Bits()
 
-    def __missing__(self, pair):
-        out = self[pair] = self.compose(*pair)
+    def id(self, e) -> int:
+        i = self.index.get(e)
+        if i is None:
+            i = self.index[e] = len(self.elements)
+            self.elements.append(e)
+        return i
+
+    def mask(self, elements) -> int:
+        index, m = self.index, 0
+        for e in elements:
+            if e not in index:  # new outside elements are numbered in repr order
+                for f in sorted((f for f in elements if f not in index), key=repr):
+                    self.id(f)
+            m |= 1 << index[e]
+        return m
+
+    def decode(self, m) -> frozenset:
+        return frozenset(map(self.elements.__getitem__, self.bits[m]))
+
+    def _face(self, i, side):
+        faces = self._faces[side]
+        if i not in faces:
+            C = self.catoid
+            faces[i] = self.id((C.target if side else C.source)(self.elements[i]))
+        return faces[i]
+
+    def s(self, i) -> int:
+        return self.src[i] if i < self.n else self._face(i, 0)
+
+    def t(self, i) -> int:
+        return self.tgt[i] if i < self.n else self._face(i, 1)
+
+    def product(self, a, b) -> int:
+        if a < self.n and b < self.n:
+            return self.table[a][b]
+        if (a, b) not in self._outer:
+            E = self.elements
+            self._outer[a, b] = self.mask(self.catoid.compose(E[a], E[b]))
+        return self._outer[a, b]
+
+    @functools.cached_property
+    def face_table(self) -> list:
+        """The product table over the ids below ``faces_end``: the table
+        itself unless a source or target lies outside the universe."""
+        m = self.faces_end
+        if m == self.n:
+            return self.table
+        return [[self.product(a, b) for b in range(m)] for a in range(m)]
+
+    @functools.cached_property
+    def right_defined(self) -> list:
+        """For each id y of the universe, the mask of the ids z with y . z
+        nonempty, with every id past the universe set, since those compose on
+        demand."""
+        past = -1 << self.n
+        return [past | sum(1 << z for z, m in enumerate(row) if m) for row in self.table]
+
+    def compose_masks(self, m1, m2) -> int:
+        """The union of a . b over the ids a in m1 and b in m2."""
+        out, bits, product = 0, self.bits, self.product
+        for a in bits[m1]:
+            for b in bits[m2]:
+                out |= product(a, b)
         return out
+
+    def union(self, part) -> _Union:
+        """A self-filling map from each mask to the union of ``part(i)``, a
+        mask, over the ids i in it."""
+        return _Union(self.bits, part)
+
+    def image(self, face) -> _Union:
+        """A self-filling map from masks to their images under ``face``, a map
+        from this kernel's ids to ids (possibly of another kernel's)."""
+        return _Union(self.bits, lambda i: 1 << face(i))
+
+
+# ---------------------------------------------------------------------------
+# law checkers
 
 
 def check_catoid_axioms(C: Catoid) -> Report:
     """Associativity, composability, unit laws and the basic source/target facts.
 
-    Products come from one ``memo_compose`` table for the whole call, and
-    associativity and the six laws over pairs share one pass over U^2.
-    Associativity decides a triple (x, y, z) with x.y and y.z both empty
-    without composing, since both sides are then empty; ``checked=`` still
-    counts all |U|^3 triples.
+    Runs on the model's kernel: associativity and the six laws over pairs
+    share one pass over U^2, and for each pair (x, y) associativity compares
+    the row of x . (y . z) over all z with the row of (x . y) . z at once.
+    A pair with x . y empty and no y . z composable with x on the left is
+    decided by one mask test, since both rows are then empty; ``checked=``
+    still counts all |U|^3 triples.
     """
-    U = C.elements()
+    K = C.kernel()
+    n, P, F, src, tgt, E = K.n, K.table, K.face_table, K.src, K.tgt, K.elements
+    product, bits, decode, s, t = K.product, K.bits, K.decode, K.s, K.t
+    simg, timg = K.image(s), K.image(t)
     rep = Report(model=C.name)
-    products = memo_compose(C)
-    s, t = C.source, C.target
-
+    rows = _Rows(K)
+    reach = [functools.reduce(operator.or_, row, 0) for row in P]  # all of y . U
     assoc, comp_st, commute, absorb, st_sub, st_prod, member = [], [], [], [], [], [], []
-    right_defined = {y: [z for z in U if products[y, z]] for y in U}
-    for x, y in itertools.product(U, repeat=2):
-        xy = products[x, y]
-        for z in U if xy else right_defined[y]:
-            left = set()
-            for v in products[y, z]:
-                left |= products[x, v]
-            right = set()
-            for u in xy:
-                right |= products[u, z]
-            if left != right:
-                assoc.append((x, y, z, frozenset(left), frozenset(right)))
-        if xy and t(x) != s(y):
-            comp_st.append((x, y))
-        if products[s(x), t(y)] != products[t(y), s(x)]:
-            commute.append((x, y))
-        lhs = frozenset(s(w) for w in products[s(x), y])
-        if lhs != products[s(x), s(y)]:
-            absorb.append((x, y, lhs))
-        lhs = frozenset(t(w) for w in products[x, t(y)])
-        if lhs != products[t(x), t(y)]:
-            absorb.append((x, y, lhs))
-        if not {s(w) for w in xy} <= {s(w) for w in products[x, s(y)]}:
-            st_sub.append((x, y))
-        if not {t(w) for w in xy} <= {t(w) for w in products[t(x), y]}:
-            st_sub.append((x, y))
-        if xy and ({s(w) for w in xy} != {s(x)} or {t(w) for w in xy} != {t(y)}):
-            st_prod.append((x, y, frozenset(xy)))
-        for w in xy:
-            if s(w) != s(x) or t(w) != t(y):
-                member.append((w, x, y))
+    for x in range(n):
+        sx, tx, defined = src[x], tgt[x], K.right_defined[x]
+        Fx, Fsx, Ftx = F[x], F[sx], F[tx]
+        lefts = K.union(functools.partial(product, x)).__getitem__  # y.z -> x.(y.z)
+        for y in range(n):
+            xy, sy, ty = Fx[y], src[y], tgt[y]
+            if xy or reach[y] & defined:  # else both sides are empty for every z
+                left, right = list(map(lefts, P[y])), rows[xy]
+                if left != right:
+                    assoc.extend((E[x], E[y], E[z], decode(left[z]), decode(right[z]))
+                                 for z in range(n) if left[z] != right[z])
+            if xy and tx != sy:
+                comp_st.append((E[x], E[y]))
+            if Fsx[ty] != F[ty][sx]:
+                commute.append((E[x], E[y]))
+            lhs = simg[Fsx[y]]
+            if lhs != Fsx[sy]:
+                absorb.append((E[x], E[y], decode(lhs)))
+            lhs = timg[Fx[ty]]
+            if lhs != Ftx[ty]:
+                absorb.append((E[x], E[y], decode(lhs)))
+            if simg[xy] & ~simg[Fx[sy]]:
+                st_sub.append((E[x], E[y]))
+            if timg[xy] & ~timg[Ftx[y]]:
+                st_sub.append((E[x], E[y]))
+            if xy and (simg[xy] != 1 << sx or timg[xy] != 1 << ty):
+                st_prod.append((E[x], E[y], decode(xy)))
+                member.extend((E[w], E[x], E[y]) for w in bits[xy]
+                              if s(w) != sx or t(w) != ty)
 
-    rep.add("catoid.assoc", FAIL if assoc else PASS, assoc, checked=len(U) ** 3)
-    rep.add("catoid.composability-st", FAIL if comp_st else PASS, comp_st,
-            checked=len(U) ** 2)
+    rep.add("catoid.assoc", FAIL if assoc else PASS, assoc, checked=n ** 3)
+    rep.add("catoid.composability-st", FAIL if comp_st else PASS, comp_st, checked=n ** 2)
 
-    bad = [x for x in U if products[s(x), x] != frozenset([x])]
-    rep.add("catoid.unit-left", FAIL if bad else PASS, bad, checked=len(U))
-    bad = [x for x in U if products[x, t(x)] != frozenset([x])]
-    rep.add("catoid.unit-right", FAIL if bad else PASS, bad, checked=len(U))
+    bad = [E[x] for x in range(n) if F[src[x]][x] != 1 << x]
+    rep.add("catoid.unit-left", FAIL if bad else PASS, bad, checked=n)
+    bad = [E[x] for x in range(n) if F[x][tgt[x]] != 1 << x]
+    rep.add("catoid.unit-right", FAIL if bad else PASS, bad, checked=n)
 
-    bad = [x for x in U if s(s(x)) != s(x) or t(t(x)) != t(x)
-           or s(t(x)) != t(x) or t(s(x)) != s(x)]
-    rep.add("props.st-idem", FAIL if bad else PASS, bad, checked=len(U))
+    bad = [E[x] for x in range(n) if s(src[x]) != src[x] or t(tgt[x]) != tgt[x]
+           or s(tgt[x]) != tgt[x] or t(src[x]) != src[x]]
+    rep.add("props.st-idem", FAIL if bad else PASS, bad, checked=n)
 
-    bad = [x for x in U if (s(x) == x) != (t(x) == x)]
-    rep.add("props.fix-agree", FAIL if bad else PASS, bad, checked=len(U))
+    bad = [E[x] for x in range(n) if (src[x] == x) != (tgt[x] == x)]
+    rep.add("props.fix-agree", FAIL if bad else PASS, bad, checked=n)
 
-    bad = [x for x in U
-           if products[s(x), s(x)] != frozenset([s(x)])
-           or products[t(x), t(x)] != frozenset([t(x)])]
-    rep.add("props.id-idem", FAIL if bad else PASS, bad, checked=len(U))
+    bad = [E[x] for x in range(n)
+           if F[src[x]][src[x]] != 1 << src[x] or F[tgt[x]][tgt[x]] != 1 << tgt[x]]
+    rep.add("props.id-idem", FAIL if bad else PASS, bad, checked=n)
 
     for law, bad in (("props.id-commute", commute), ("props.id-absorb", absorb),
                      ("props.st-sub", st_sub), ("props.st-of-product", st_prod),
                      ("props.member-st", member)):
-        rep.add(law, FAIL if bad else PASS, bad, checked=len(U) ** 2)
+        rep.add(law, FAIL if bad else PASS, bad, checked=n ** 2)
 
-    ids = [e for e in U if C.is_identity(e)]
-    bad = []
-    for e, f in itertools.product(ids, repeat=2):
-        expect = frozenset([e]) if e == f else frozenset()
-        if products[e, f] != expect:
-            bad.append((e, f, frozenset(products[e, f])))
+    ids = [x for x in range(n) if C.is_identity(E[x])]
+    bad = [(E[e], E[f], decode(P[e][f])) for e, f in itertools.product(ids, repeat=2)
+           if P[e][f] != (1 << e if e == f else 0)]
     rep.add("catoid.orth-idem", FAIL if bad else PASS, bad, checked=len(ids) ** 2)
     return rep
 
@@ -369,34 +511,39 @@ def check_moebius(C: Catoid, universe=None) -> Report:
 
 
 def is_local(C: Catoid) -> Report:
-    U = C.elements()
+    K = C.kernel()
+    n, E = K.n, K.elements
+    bad = [(E[x], E[y]) for x, y in itertools.product(range(n), repeat=2)
+           if K.tgt[x] == K.src[y] and not K.table[x][y]]
     rep = Report(model=C.name)
-    bad = [(x, y) for x, y in itertools.product(U, repeat=2)
-           if C.target(x) == C.source(y) and not C.compose(x, y)]
-    rep.add("catoid.local", FAIL if bad else PASS, bad, checked=len(U) ** 2)
+    rep.add("catoid.local", FAIL if bad else PASS, bad, checked=n ** 2)
     return rep
 
 
 def is_functional(C: Catoid) -> Report:
-    U = C.elements()
+    K = C.kernel()
+    E = K.elements
+    bad = [(E[y], E[z], K.decode(m)) for y, row in enumerate(K.table)
+           for z, m in enumerate(row) if m & (m - 1)]
     rep = Report(model=C.name)
-    bad = [(y, z, frozenset(C.compose(y, z)))
-           for y, z in itertools.product(U, repeat=2) if len(C.compose(y, z)) > 1]
-    rep.add("catoid.functional", FAIL if bad else PASS, bad, checked=len(U) ** 2)
+    rep.add("catoid.functional", FAIL if bad else PASS, bad, checked=K.n ** 2)
     return rep
 
 
 def check_saturated_chain(C: Catoid) -> Report:
     """l(z) = l(x) + l(y) for every z in x . y over the universe."""
-    U = C.elements()
+    K = C.kernel()
+    E = K.elements
     rep = Report(model=C.name)
     bad = []
     count = 0
-    for x, y in itertools.product(U, repeat=2):
-        for z in C.compose(x, y):
-            count += 1
-            if C.length(z) != C.length(x) + C.length(y):
-                bad.append((x, y, z, C.length(x) + C.length(y), C.length(z)))
+    for x, row in enumerate(K.table):
+        for y, m in enumerate(row):
+            for z in K.bits[m]:
+                count += 1
+                lz, lx, ly = (C.length(E[i]) for i in (z, x, y))
+                if lz != lx + ly:
+                    bad.append((E[x], E[y], E[z], lx + ly, lz))
     rep.add("moebius.saturated-chain", FAIL if bad else PASS, bad, checked=count)
     return rep
 

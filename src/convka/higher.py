@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .catoid import check_catoid_axioms, is_functional, is_local, memo_compose
+from .catoid import check_catoid_axioms, is_functional, is_local
 from .convolution import (
     conv_add,
     convolve,
@@ -54,25 +54,33 @@ class NCatoid:
         return f"<NCatoid {self.name}: n={self.n}, {len(self.elements())} elements>"
 
 
-def _set_map(fn, xs) -> frozenset:
-    return frozenset(fn(x) for x in xs)
-
-
 def check_n_catoid(nc: NCatoid) -> Report:
     """Full n-catoid axiom list with witnesses, plus strictness classification.
 
     Locality/functionality per dimension are reported as info lines: they
     classify strict n-categories but are not n-catoid axioms.
 
-    Each dimension's products come from one ``memo_compose`` table for the
-    whole call.  Interchange walks pairs of j-composable pairs, so a quadruple
-    with w .j x or y .j z empty (empty left side) is decided without composing;
-    associativity does the same for triples with both inner products empty.
-    ``checked=`` still counts all |U|^4 (and |U|^3) instances.
+    Runs on each dimension's kernel, the one its ``check_catoid_axioms``,
+    ``is_local`` and ``is_functional`` share.  The dimensions number the
+    shared universe alike; an element one dimension names outside it is
+    carried across by value.  Interchange walks pairs of j-composable pairs
+    and skips a quadruple whose left side is empty by one mask test, the
+    right-defined ids of w .j x against y .j z.  ``checked=`` still counts
+    all |U|^4 (and |U|^3) instances.
     """
     U = nc.elements()
+    n = len(U)
     rep = Report(model=nc.name)
-    products = [memo_compose(d) for d in nc.dims]
+    kernels = [d.kernel() for d in nc.dims]
+
+    def faces(k, maps):
+        """For each element map: the images of k's masks under it, and the
+        map over the universe, both as ids of kernel k."""
+        out = []
+        for f in maps:
+            to_k = lambda a, f=f: k.id(f(k.elements[a]))
+            out.append((k.image(to_k), [to_k(x) for x in range(n)]))
+        return out
 
     for i, d in enumerate(nc.dims):
         sub = check_catoid_axioms(d)
@@ -87,56 +95,57 @@ def check_n_catoid(nc: NCatoid) -> Report:
                or ti(sj(x)) != sj(ti(x)) or ti(tj(x)) != tj(ti(x))]
         rep.add(f"ncat.face-commute[{i},{j}]", FAIL if bad else PASS, bad, checked=len(U))
 
-        cj = products[j]
+        kj = kernels[j]
+        (simg, sat), (timg, tat) = faces(kj, (si, ti))
         bad = []
-        for x, y in itertools.product(U, repeat=2):
-            prod = cj[x, y]
-            if not _set_map(si, prod) <= cj[si(x), si(y)]:
-                bad.append((x, y, "s"))
-            if not _set_map(ti, prod) <= cj[ti(x), ti(y)]:
-                bad.append((x, y, "t"))
+        for x, row in enumerate(kj.table):
+            for y, m in enumerate(row):
+                if simg[m] & ~kj.product(sat[x], sat[y]):
+                    bad.append((U[x], U[y], "s"))
+                if timg[m] & ~kj.product(tat[x], tat[y]):
+                    bad.append((U[x], U[y], "t"))
         rep.add(f"ncat.lax-functorial[{i},{j}]", FAIL if bad else PASS, bad,
                 checked=len(U) ** 2)
 
     for i, j in itertools.combinations(range(nc.n), 2):
-        ci, cj = products[i], products[j]
-        si, ti = nc.dims[i].source, nc.dims[i].target
+        ki, kj = kernels[i], kernels[j]
         sj, tj = nc.dims[j].source, nc.dims[j].target
 
         # (w, x) with w .j x nonempty, in product order, so that walking
-        # pairs of them visits quadruples in the order of U^4
-        pairs = [(w, x, cj[w, x]) for w, x in itertools.product(U, repeat=2) if cj[w, x]]
+        # pairs of them visits quadruples in the order of U^4; the product
+        # is held as ids of dimension i
+        to_i = kj.image(lambda a: a if a < n else ki.id(kj.elements[a]))
+        to_j = ki.image(lambda a: a if a < n else kj.id(ki.elements[a]))
+        right_defined = ki.union(lambda a: ki.right_defined[a] if a < n else -1)
+        pairs = [(w, x, to_i[m]) for w, row in enumerate(kj.table)
+                 for x, m in enumerate(row) if m]
         bad = []
         for w, x, wx in pairs:
+            rd, Pw, Px = right_defined[wx], ki.table[w], ki.table[x]
             for y, z, yz in pairs:
-                lhs = set()
-                for a in wx:
-                    for b in yz:
-                        lhs |= ci[a, b]
-                if not lhs:
-                    continue
-                rhs = set()
-                for a in ci[w, y]:
-                    for b in ci[x, z]:
-                        rhs |= cj[a, b]
-                if not lhs <= rhs:
-                    bad.append((w, x, y, z))
+                if rd & yz:
+                    lhs = ki.compose_masks(wx, yz)
+                    if lhs and to_j[lhs] & ~kj.compose_masks(to_j[Pw[y]], to_j[Px[z]]):
+                        bad.append((U[w], U[x], U[y], U[z]))
         rep.add(f"ncat.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
                 checked=len(U) ** 4)
 
+        si, ti = nc.dims[i].source, nc.dims[i].target
         bad = [x for x in U
                if sj(si(x)) != si(x) or sj(ti(x)) != ti(x)
                or tj(si(x)) != si(x) or tj(ti(x)) != ti(x)]
         rep.add(f"ncat.face-absorb[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U))
 
+        (simg, sat), (timg, tat) = faces(ki, (sj, tj))
         bad = []
-        for x, y in itertools.product(U, repeat=2):
-            prod = ci[sj(x), sj(y)]
-            if _set_map(sj, prod) != prod:
-                bad.append((x, y, "s"))
-            prod = ci[tj(x), tj(y)]
-            if _set_map(tj, prod) != prod:
-                bad.append((x, y, "t"))
+        for x in range(n):
+            for y in range(n):
+                m = ki.product(sat[x], sat[y])
+                if simg[m] != m:
+                    bad.append((U[x], U[y], "s"))
+                m = ki.product(tat[x], tat[y])
+                if timg[m] != m:
+                    bad.append((U[x], U[y], "t"))
         rep.add(f"ncat.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U) ** 2)
 
     filt_ok = True
