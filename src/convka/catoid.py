@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import weakref
 
 from .report import FAIL, PASS, Report, fmt_value
 
@@ -246,6 +245,17 @@ class TableCatoid(Catoid):
 # the integer kernel of the law checkers
 
 
+class _Ids(dict):
+    """element -> id over a model's universe; naming any other element is
+    malformed input."""
+
+    __slots__ = ("model",)
+
+    def __missing__(self, e):
+        raise ValueError(f"{self.model}: {fmt_value(e)} is a source, target or product "
+                         "member but not in elements()")
+
+
 class _Bits(dict):
     """mask -> the ids in it, ascending; filled on first use."""
 
@@ -257,19 +267,19 @@ class _Bits(dict):
 
 
 class _Union(dict):
-    """mask -> the union of the masks ``part(i)`` over the ids i in it;
+    """mask -> the union of the masks ``parts[i]`` over the ids i in it;
     filled on first use."""
 
-    __slots__ = ("bits", "part")
+    __slots__ = ("bits", "parts")
 
-    def __init__(self, bits, part):
+    def __init__(self, bits, parts):
         super().__init__()
-        self.bits, self.part = bits, part
+        self.bits, self.parts = bits, parts
 
     def __missing__(self, m):
-        out = 0
+        out, parts = 0, self.parts
         for i in self.bits[m]:
-            out |= self.part(i)
+            out |= parts[i]
         self[m] = out
         return out
 
@@ -286,8 +296,7 @@ class _Rows(dict):
 
     def __missing__(self, m):
         K = self.kernel
-        rows = [K.table[u] if u < K.n else [K.product(u, z) for z in range(K.n)]
-                for u in K.bits[m]] or [[0] * K.n]
+        rows = [K.table[u] for u in K.bits[m]] or [[0] * K.n]
         out = self[m] = [functools.reduce(operator.or_, col) for col in zip(*rows)]
         return out
 
@@ -298,102 +307,56 @@ class Kernel:
 
     Ids 0..n-1 number ``elements()`` in order; ``src`` and ``tgt`` hold the
     ids of their sources and targets, and ``table[y][z]`` is the bitmask of
-    the ids in y . z, each pair of the universe composed once.  A model that
-    names a source, target or product outside its universe gives those
-    elements ids after the universe; ``s``, ``t`` and ``product`` compose
-    them on demand, so every witness stays exact.  Sets are bitmasks: union
-    is ``|`` and inclusion ``a & ~b == 0``.  Ids decode to elements only for
-    witnesses.
+    the ids in y . z, each pair composed once.  A source, target or product
+    member outside ``elements()`` raises ValueError.  Sets are bitmasks:
+    union is ``|`` and inclusion ``a & ~b == 0``.  Ids decode to elements
+    only for witnesses.
     """
 
     def __init__(self, C: Catoid):
         U = C.elements()
-        self.catoid = weakref.proxy(C)  # the model keeps its kernel, not the reverse
+        index = _Ids((e, i) for i, e in enumerate(U))
+        index.model = C.name
+
+        def mask(members):
+            m = 0
+            for e in members:
+                m |= 1 << index[e]
+            return m
+
         self.n = len(U)
-        self.elements = list(U)
-        self.index = {e: i for i, e in enumerate(U)}
-        self._faces = ({}, {})  # source and target ids of ids past the universe
-        self._outer = {}  # (a, b) -> mask, for pairs outside the universe
-        self.src = [self.id(C.source(x)) for x in U]
-        self.tgt = [self.id(C.target(x)) for x in U]
-        self.faces_end = len(self.elements)  # the universe and its sources and targets
-        self.table = [[self.mask(C.compose(y, z)) for z in U] for y in U]
+        self.elements = U
+        self.src = [index[C.source(x)] for x in U]
+        self.tgt = [index[C.target(x)] for x in U]
+        self.table = [[mask(C.compose(y, z)) for z in U] for y in U]
         self.bits = _Bits()
-
-    def id(self, e) -> int:
-        i = self.index.get(e)
-        if i is None:
-            i = self.index[e] = len(self.elements)
-            self.elements.append(e)
-        return i
-
-    def mask(self, elements) -> int:
-        index, m = self.index, 0
-        for e in elements:
-            if e not in index:  # new outside elements are numbered in repr order
-                for f in sorted((f for f in elements if f not in index), key=repr):
-                    self.id(f)
-            m |= 1 << index[e]
-        return m
 
     def decode(self, m) -> frozenset:
         return frozenset(map(self.elements.__getitem__, self.bits[m]))
 
-    def _face(self, i, side):
-        faces = self._faces[side]
-        if i not in faces:
-            C = self.catoid
-            faces[i] = self.id((C.target if side else C.source)(self.elements[i]))
-        return faces[i]
-
-    def s(self, i) -> int:
-        return self.src[i] if i < self.n else self._face(i, 0)
-
-    def t(self, i) -> int:
-        return self.tgt[i] if i < self.n else self._face(i, 1)
-
-    def product(self, a, b) -> int:
-        if a < self.n and b < self.n:
-            return self.table[a][b]
-        if (a, b) not in self._outer:
-            E = self.elements
-            self._outer[a, b] = self.mask(self.catoid.compose(E[a], E[b]))
-        return self._outer[a, b]
-
-    @functools.cached_property
-    def face_table(self) -> list:
-        """The product table over the ids below ``faces_end``: the table
-        itself unless a source or target lies outside the universe."""
-        m = self.faces_end
-        if m == self.n:
-            return self.table
-        return [[self.product(a, b) for b in range(m)] for a in range(m)]
-
     @functools.cached_property
     def right_defined(self) -> list:
-        """For each id y of the universe, the mask of the ids z with y . z
-        nonempty, with every id past the universe set, since those compose on
-        demand."""
-        past = -1 << self.n
-        return [past | sum(1 << z for z, m in enumerate(row) if m) for row in self.table]
+        """For each id y, the mask of the ids z with y . z nonempty."""
+        return [sum(1 << z for z, m in enumerate(row) if m) for row in self.table]
 
     def compose_masks(self, m1, m2) -> int:
         """The union of a . b over the ids a in m1 and b in m2."""
-        out, bits, product = 0, self.bits, self.product
+        out, bits, table = 0, self.bits, self.table
         for a in bits[m1]:
+            row = table[a]
             for b in bits[m2]:
-                out |= product(a, b)
+                out |= row[b]
         return out
 
-    def union(self, part) -> _Union:
-        """A self-filling map from each mask to the union of ``part(i)``, a
-        mask, over the ids i in it."""
-        return _Union(self.bits, part)
+    def union(self, parts) -> _Union:
+        """A self-filling map from each mask to the union of ``parts[i]``, a
+        list of masks, over the ids i in it."""
+        return _Union(self.bits, parts)
 
     def image(self, face) -> _Union:
-        """A self-filling map from masks to their images under ``face``, a map
-        from this kernel's ids to ids (possibly of another kernel's)."""
-        return _Union(self.bits, lambda i: 1 << face(i))
+        """A self-filling map from masks to their images under ``face``, a
+        list from ids to ids."""
+        return _Union(self.bits, [1 << i for i in face])
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +374,18 @@ def check_catoid_axioms(C: Catoid) -> Report:
     still counts all |U|^3 triples.
     """
     K = C.kernel()
-    n, P, F, src, tgt, E = K.n, K.table, K.face_table, K.src, K.tgt, K.elements
-    product, bits, decode, s, t = K.product, K.bits, K.decode, K.s, K.t
-    simg, timg = K.image(s), K.image(t)
+    n, P, src, tgt, E, bits, decode = K.n, K.table, K.src, K.tgt, K.elements, K.bits, K.decode
+    simg, timg = K.image(src), K.image(tgt)
     rep = Report(model=C.name)
     rows = _Rows(K)
     reach = [functools.reduce(operator.or_, row, 0) for row in P]  # all of y . U
     assoc, comp_st, commute, absorb, st_sub, st_prod, member = [], [], [], [], [], [], []
     for x in range(n):
         sx, tx, defined = src[x], tgt[x], K.right_defined[x]
-        Fx, Fsx, Ftx = F[x], F[sx], F[tx]
-        lefts = K.union(functools.partial(product, x)).__getitem__  # y.z -> x.(y.z)
+        Px, Psx, Ptx = P[x], P[sx], P[tx]
+        lefts = K.union(Px).__getitem__  # y.z -> x.(y.z)
         for y in range(n):
-            xy, sy, ty = Fx[y], src[y], tgt[y]
+            xy, sy, ty = Px[y], src[y], tgt[y]
             if xy or reach[y] & defined:  # else both sides are empty for every z
                 left, right = list(map(lefts, P[y])), rows[xy]
                 if left != right:
@@ -431,40 +393,40 @@ def check_catoid_axioms(C: Catoid) -> Report:
                                  for z in range(n) if left[z] != right[z])
             if xy and tx != sy:
                 comp_st.append((E[x], E[y]))
-            if Fsx[ty] != F[ty][sx]:
+            if Psx[ty] != P[ty][sx]:
                 commute.append((E[x], E[y]))
-            lhs = simg[Fsx[y]]
-            if lhs != Fsx[sy]:
+            lhs = simg[Psx[y]]
+            if lhs != Psx[sy]:
                 absorb.append((E[x], E[y], decode(lhs)))
-            lhs = timg[Fx[ty]]
-            if lhs != Ftx[ty]:
+            lhs = timg[Px[ty]]
+            if lhs != Ptx[ty]:
                 absorb.append((E[x], E[y], decode(lhs)))
-            if simg[xy] & ~simg[Fx[sy]]:
+            if simg[xy] & ~simg[Px[sy]]:
                 st_sub.append((E[x], E[y]))
-            if timg[xy] & ~timg[Ftx[y]]:
+            if timg[xy] & ~timg[Ptx[y]]:
                 st_sub.append((E[x], E[y]))
             if xy and (simg[xy] != 1 << sx or timg[xy] != 1 << ty):
                 st_prod.append((E[x], E[y], decode(xy)))
                 member.extend((E[w], E[x], E[y]) for w in bits[xy]
-                              if s(w) != sx or t(w) != ty)
+                              if src[w] != sx or tgt[w] != ty)
 
     rep.add("catoid.assoc", FAIL if assoc else PASS, assoc, checked=n ** 3)
     rep.add("catoid.composability-st", FAIL if comp_st else PASS, comp_st, checked=n ** 2)
 
-    bad = [E[x] for x in range(n) if F[src[x]][x] != 1 << x]
+    bad = [E[x] for x in range(n) if P[src[x]][x] != 1 << x]
     rep.add("catoid.unit-left", FAIL if bad else PASS, bad, checked=n)
-    bad = [E[x] for x in range(n) if F[x][tgt[x]] != 1 << x]
+    bad = [E[x] for x in range(n) if P[x][tgt[x]] != 1 << x]
     rep.add("catoid.unit-right", FAIL if bad else PASS, bad, checked=n)
 
-    bad = [E[x] for x in range(n) if s(src[x]) != src[x] or t(tgt[x]) != tgt[x]
-           or s(tgt[x]) != tgt[x] or t(src[x]) != src[x]]
+    bad = [E[x] for x in range(n) if src[src[x]] != src[x] or tgt[tgt[x]] != tgt[x]
+           or src[tgt[x]] != tgt[x] or tgt[src[x]] != src[x]]
     rep.add("props.st-idem", FAIL if bad else PASS, bad, checked=n)
 
     bad = [E[x] for x in range(n) if (src[x] == x) != (tgt[x] == x)]
     rep.add("props.fix-agree", FAIL if bad else PASS, bad, checked=n)
 
     bad = [E[x] for x in range(n)
-           if F[src[x]][src[x]] != 1 << src[x] or F[tgt[x]][tgt[x]] != 1 << tgt[x]]
+           if P[src[x]][src[x]] != 1 << src[x] or P[tgt[x]][tgt[x]] != 1 << tgt[x]]
     rep.add("props.id-idem", FAIL if bad else PASS, bad, checked=n)
 
     for law, bad in (("props.id-commute", commute), ("props.id-absorb", absorb),

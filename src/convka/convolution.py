@@ -26,7 +26,6 @@ factor's ``_memo`` directly on a hit and call the function only on a miss.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .catoid import Catoid, MoebiusViolation
 from .report import FAIL, PASS, Report
@@ -138,13 +137,8 @@ def _star_engine(f, side: str) -> WeightFunction:
 
     Demand-driven and iterative: a stack holds a frame per element reached
     without a value, with the nonzero terms of one decompose2 scan as (star
-    element needed, f-factor) pairs in order, a resume index, the sum and
-    whether the frame is still to break off for a term.  A frame whose sum
-    reaches the additive top is finished at once, and so is one with a term
-    whose star is already known (a memo hit or an identity) equal to the
-    top: before a frame breaks off to open another for a term, the terms
-    after it are looked at for one (all of them the first time, the last
-    one after that).
+    element needed, f-factor) pairs in order, a resume index and the sum.
+    A frame whose sum reaches the additive top is finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -170,31 +164,7 @@ def _star_engine(f, side: str) -> WeightFunction:
             terms = [(y, w) for y, z in C.decompose2(x)
                      if z != b and ((w := f_memo[z] if z in f_memo else f(z)) != zero
                                     or keep_zero)]
-        return [x, terms, 0, zero, True]
-
-    first, n_identities = itemgetter(0), None
-
-    def known_top(terms, i, look_at_all):
-        # whether a term from i on whose star is known already equals the top
-        nonlocal n_identities
-        if n_identities is None:  # every identity's star is known: memoise them
-            identities = C.identities()
-            memo.update((e, at_identity(e)) for e in identities if e not in memo)
-            n_identities = len(identities)
-        if look_at_all and len(memo) > n_identities:
-            known = map(memo.__contains__, map(first, itertools.islice(terms, i, None)))
-            rest = itertools.compress(itertools.islice(terms, i, None), known)
-        else:
-            # after a frame's first look, or while only identities' stars are
-            # known, only the last term: in a catoid the one known then is
-            # x . t(x), last where sort keys grow with length (words, paths,
-            # guarded strings), and looking at all at every break would cost
-            # a pass per break
-            rest = terms[max(i, len(terms) - 1):]
-        for need, w in rest:
-            if need in memo and (mul(w, memo[need]) if left else mul(memo[need], w)) == top:
-                return True
-        return False
+        return [x, terms, 0, zero]
 
     def rule(x):
         if is_identity(x):
@@ -202,16 +172,13 @@ def _star_engine(f, side: str) -> WeightFunction:
         stack, on_stack = [open_frame(x)], {x}
         while True:
             frame = stack[-1]
-            x, terms, i, acc, look_at_all = frame
+            x, terms, i, acc = frame
             while i < len(terms) and acc != top:
                 need, w = terms[i]
                 if need in memo:
                     v = memo[need]
                 elif is_identity(need):
                     v = memo[need] = at_identity(need)
-                elif top is not None and known_top(terms, i + 1, look_at_all):
-                    acc = top  # the top absorbs on both sides: the sum is the top
-                    continue
                 else:
                     break
                 acc = add(acc, mul(w, v) if left else mul(v, w))
@@ -229,7 +196,7 @@ def _star_engine(f, side: str) -> WeightFunction:
             if need in on_stack:
                 raise MoebiusViolation(
                     f"{C.name}: star recursion cycles at {C.format_element(need)}")
-            frame[2:] = i, acc, False
+            frame[2:] = i, acc
             stack.append(open_frame(need))
             on_stack.add(need)
 

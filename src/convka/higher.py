@@ -61,26 +61,16 @@ def check_n_catoid(nc: NCatoid) -> Report:
     classify strict n-categories but are not n-catoid axioms.
 
     Runs on each dimension's kernel, the one its ``check_catoid_axioms``,
-    ``is_local`` and ``is_functional`` share.  The dimensions number the
-    shared universe alike; an element one dimension names outside it is
-    carried across by value.  Interchange walks pairs of j-composable pairs
-    and skips a quadruple whose left side is empty by one mask test, the
-    right-defined ids of w .j x against y .j z.  ``checked=`` still counts
-    all |U|^4 (and |U|^3) instances.
+    ``is_local`` and ``is_functional`` share; the dimensions share one
+    universe, so their ids agree.  Interchange walks pairs of j-composable
+    pairs and skips a quadruple whose left side is empty by one mask test,
+    the right-defined ids of w .j x against y .j z.  ``checked=`` still
+    counts all |U|^4 (and |U|^3) instances.
     """
     U = nc.elements()
     n = len(U)
     rep = Report(model=nc.name)
     kernels = [d.kernel() for d in nc.dims]
-
-    def faces(k, maps):
-        """For each element map: the images of k's masks under it, and the
-        map over the universe, both as ids of kernel k."""
-        out = []
-        for f in maps:
-            to_k = lambda a, f=f: k.id(f(k.elements[a]))
-            out.append((k.image(to_k), [to_k(x) for x in range(n)]))
-        return out
 
     for i, d in enumerate(nc.dims):
         sub = check_catoid_axioms(d)
@@ -95,14 +85,15 @@ def check_n_catoid(nc: NCatoid) -> Report:
                or ti(sj(x)) != sj(ti(x)) or ti(tj(x)) != tj(ti(x))]
         rep.add(f"ncat.face-commute[{i},{j}]", FAIL if bad else PASS, bad, checked=len(U))
 
-        kj = kernels[j]
-        (simg, sat), (timg, tat) = faces(kj, (si, ti))
+        ki, Pj = kernels[i], kernels[j].table
+        sat, tat = ki.src, ki.tgt
+        simg, timg = ki.image(sat), ki.image(tat)
         bad = []
-        for x, row in enumerate(kj.table):
+        for x, row in enumerate(Pj):
             for y, m in enumerate(row):
-                if simg[m] & ~kj.product(sat[x], sat[y]):
+                if simg[m] & ~Pj[sat[x]][sat[y]]:
                     bad.append((U[x], U[y], "s"))
-                if timg[m] & ~kj.product(tat[x], tat[y]):
+                if timg[m] & ~Pj[tat[x]][tat[y]]:
                     bad.append((U[x], U[y], "t"))
         rep.add(f"ncat.lax-functorial[{i},{j}]", FAIL if bad else PASS, bad,
                 checked=len(U) ** 2)
@@ -112,20 +103,16 @@ def check_n_catoid(nc: NCatoid) -> Report:
         sj, tj = nc.dims[j].source, nc.dims[j].target
 
         # (w, x) with w .j x nonempty, in product order, so that walking
-        # pairs of them visits quadruples in the order of U^4; the product
-        # is held as ids of dimension i
-        to_i = kj.image(lambda a: a if a < n else ki.id(kj.elements[a]))
-        to_j = ki.image(lambda a: a if a < n else kj.id(ki.elements[a]))
-        right_defined = ki.union(lambda a: ki.right_defined[a] if a < n else -1)
-        pairs = [(w, x, to_i[m]) for w, row in enumerate(kj.table)
-                 for x, m in enumerate(row) if m]
+        # pairs of them visits quadruples in the order of U^4
+        right_defined = ki.union(ki.right_defined)
+        pairs = [(w, x, m) for w, row in enumerate(kj.table) for x, m in enumerate(row) if m]
         bad = []
         for w, x, wx in pairs:
             rd, Pw, Px = right_defined[wx], ki.table[w], ki.table[x]
             for y, z, yz in pairs:
                 if rd & yz:
                     lhs = ki.compose_masks(wx, yz)
-                    if lhs and to_j[lhs] & ~kj.compose_masks(to_j[Pw[y]], to_j[Px[z]]):
+                    if lhs and lhs & ~kj.compose_masks(Pw[y], Px[z]):
                         bad.append((U[w], U[x], U[y], U[z]))
         rep.add(f"ncat.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
                 checked=len(U) ** 4)
@@ -136,14 +123,15 @@ def check_n_catoid(nc: NCatoid) -> Report:
                or tj(si(x)) != si(x) or tj(ti(x)) != ti(x)]
         rep.add(f"ncat.face-absorb[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U))
 
-        (simg, sat), (timg, tat) = faces(ki, (sj, tj))
+        Pi, sat, tat = ki.table, kj.src, kj.tgt
+        simg, timg = kj.image(sat), kj.image(tat)
         bad = []
         for x in range(n):
             for y in range(n):
-                m = ki.product(sat[x], sat[y])
+                m = Pi[sat[x]][sat[y]]
                 if simg[m] != m:
                     bad.append((U[x], U[y], "s"))
-                m = ki.product(tat[x], tat[y])
+                m = Pi[tat[x]][tat[y]]
                 if timg[m] != m:
                     bad.append((U[x], U[y], "t"))
         rep.add(f"ncat.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U) ** 2)

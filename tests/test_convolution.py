@@ -377,21 +377,6 @@ def test_sums_stop_at_the_additive_top(words3, boolean):
     assert star("aba") == 1 and set(star._memo) == {"", "aba"}
 
 
-def test_left_star_stops_at_a_known_top_term(words3, words4, boolean, natinf):
-    # the left star of aba needs star(ba) first, but its last term
-    # 1.star(eps) is already the top, so no frame opens for ba or a
-    ones = from_pairs(words3, boolean, {x: 1 for x in words3.elements()})
-    star = star_recursive(ones)
-    assert star("aba") == 1 and set(star._memo) == {"", "aba"}
-    # bbba needs star(bba) first; its third term f(bbb).star(a) = 1.inf is the
-    # natinf top, known from an earlier query, though the last term is 1
-    f = from_pairs(words4, natinf, {"a": INF, "b": 1, "bb": 1, "bbb": 1, "bbba": 1})
-    star = star_recursive(f)
-    assert star("a") == INF
-    assert star("bbba") == star_unfolded(f)("bbba") == INF
-    assert set(star._memo) == {"", "a", "bbba"}
-
-
 def test_star_on_long_unary_word(unary1200):
     K = make_min_plus()
     f = from_pairs(unary1200, K, {"a": 2, "aaa": 5, "a" * 5: 11})

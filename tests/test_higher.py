@@ -272,28 +272,7 @@ def test_broken_square_vertical_catoid_report_is_pinned():
         "(p1q2,al*p2,q1*be,{al*q2},{})"]
 
 
-def _outside_square():
-    """The pasting square with two elements outside its universe: yy joins a
-    horizontal composite and zz a vertical one.  Both dimensions know their
-    faces and units; zz has other horizontal faces than its neighbour al*q2,
-    and the two dimensions number the outside elements differently."""
-    sq = models.pasting_square_2category()
-    faces = {"yy": ("p1p2", "p1p2"), "zz": ("p1", "al*q2")}  # dim-0 and dim-1 model
-    dims = []
-    for k, d in enumerate(sq.dims):
-        src, tgt, table = dict(d._src), dict(d._tgt), dict(d._table)
-        for o, models_of in faces.items():
-            src[o], tgt[o] = d.source(models_of[k]), d.target(models_of[k])
-            table[src[o], o] = table[o, tgt[o]] = frozenset([o])
-        dims.append(TableCatoid(d.name + "-outside", sq.elements(), table, src, tgt,
-                                add_units=False))
-    dims[0]._table["p1", "p2"] = frozenset(["p1p2", "yy"])
-    dims[1]._table["al*p2", "q1*be"] = frozenset(["al*q2", "zz"])
-    return NCatoid("outside-square", dims)
-
-
 DIFFERENTIAL_CASES = {
-    "outside-square": _outside_square,
     "shuffle-concat": lambda: models.shuffle_concat_2catoid("ab", 3),
     "swap": lambda: NCatoid("swap", (models.shuffle_catoid("ab", 3),
                                      models.free_monoid("ab", 3))),

@@ -23,7 +23,7 @@ from convka.catoid import (
     is_local,
 )
 from convka.convolution import from_pairs, star_dual, star_path, star_recursive
-from convka.higher import check_n_catoid
+from convka.higher import NCatoid, check_n_catoid
 from convka.report import FAIL, PASS
 
 
@@ -142,16 +142,13 @@ VALID = {
     "pairs": lambda: models.pair_groupoid(["a", "b"]),
     "paths": lambda: models.path_catoid(models.diamond_dag(), 2),
 }
-OUTSIDE = ("o0", "o1")  # named by broken tables, not in their universes
 
 
 @st.composite
 def table_catoids(draw):
     """A catalogue model as a table, or a random small table, then 0-6
-    corruptions: a product reset to 0-2 elements of the universe or outside
-    it (non-associative, multi-valued, outside products), possibly with an
-    outside factor, a unit entry dropped, or a source or target moved,
-    possibly outside the universe."""
+    corruptions: a product reset to 0-2 elements (non-associative,
+    multi-valued), a unit entry dropped, or a source or target moved."""
     if draw(st.booleans()):
         base = as_table(VALID[draw(st.sampled_from(sorted(VALID)))](), "table")
         U = base.elements()
@@ -170,23 +167,16 @@ def table_catoids(draw):
                 table.setdefault((src[x], x), frozenset([x]))
                 table.setdefault((x, tgt[x]), frozenset([x]))
     identities = sorted({src[x] for x in U} | {tgt[x] for x in U}, key=repr)
-    for o in OUTSIDE:
-        src[o] = draw(st.sampled_from(identities + [o]))
-        tgt[o] = draw(st.sampled_from(identities + [o]))
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["product", "drop-unit", "face"]))
         y, z = draw(st.sampled_from(U)), draw(st.sampled_from(U))
         if kind == "product":
-            if draw(st.integers(0, 2)) == 0:  # a product with an outside factor
-                y, z = draw(st.sampled_from([(y, OUTSIDE[0]), (OUTSIDE[1], z),
-                                             (OUTSIDE[0], OUTSIDE[1])]))
-            table[y, z] = frozenset(draw(st.lists(st.sampled_from(U + list(OUTSIDE)),
-                                                  max_size=2)))
+            table[y, z] = frozenset(draw(st.lists(st.sampled_from(U), max_size=2)))
         elif kind == "drop-unit":
             table.pop((src[y], y), None)
         else:
             faces = src if draw(st.booleans()) else tgt
-            faces[y] = draw(st.sampled_from(identities + list(OUTSIDE)))
+            faces[y] = draw(st.sampled_from(identities))
     return TableCatoid("random", U, table, src, tgt, add_units=False)
 
 
@@ -199,10 +189,8 @@ def test_kernel_checkers_match_frozenset_references(C):
         assert _canonical(C, _lines(check(C))) == _canonical(C, reference(C)), check.__name__
     try:
         expected = reference_saturated_chain(C)
-    except (KeyError, MoebiusViolation):
-        # an outside element has no length and a cycle none either; which
-        # one is met first depends on the order a product's members are read
-        with pytest.raises((KeyError, MoebiusViolation)):
+    except MoebiusViolation:  # a cyclic decomposition has no length
+        with pytest.raises(MoebiusViolation):
             check_saturated_chain(C)
     else:
         assert _canonical(C, _lines(check_saturated_chain(C))) == _canonical(C, expected)
@@ -250,21 +238,36 @@ def test_star_forms_and_moebius_never_build_the_kernel(monkeypatch, boolean):
     assert C._kernel is None
 
 
-def test_products_through_outside_elements_are_checked():
-    # x.x = {o} lies outside the universe and e.o = {x}, so e.(x.x) = {x}
-    # while e.x is empty: associativity fails at (e, x, x) through o
-    C = TableCatoid("through-outside", ["e", "x"], {("x", "x"): ["o"], ("e", "o"): ["x"]},
-                    {"e": "e", "x": "e", "o": "e"}, {"e": "e", "x": "e", "o": "e"},
-                    add_units=False)
-    rep = check_catoid_axioms(C)
-    assert ("e", "x", "x", frozenset(["x"]), frozenset()) in rep.law("catoid.assoc").witnesses
-    assert _canonical(C, _lines(rep)) == _canonical(C, reference_catoid_axioms(C))
+def test_witnesses_list_product_members_in_element_order():
+    # a product's members come out in elements() order, not in the order its
+    # set yields them, which for strings moves with the hash seed
+    members = [f"m{k}" for k in range(6)]
+    faces = {"e": "e", "f": "f", "x": "e", **{m: "f" for m in members}}
+    C = TableCatoid("member-st", ["e", "f", "x"] + members, {("x", "x"): members},
+                    faces, faces)
+    assert [w[0] for w in check_catoid_axioms(C).law("props.member-st").witnesses] == members
+    # a.a holds b (length 2) and each c, which a.b makes length 3
+    cs = [f"c{k}" for k in range(6)]
+    faces = {e: "e" for e in ["e", "a", "b"] + cs}
+    C = TableCatoid("chain", ["e", "a", "b"] + cs, {("a", "a"): ["b"] + cs, ("a", "b"): cs},
+                    faces, faces)
+    assert check_saturated_chain(C).law("moebius.saturated-chain").witnesses == [
+        ("a", "a", c, 2, 3) for c in cs]
 
 
-def test_outside_elements_get_ids_after_the_universe():
-    C = TableCatoid("outside", ["e", "x"], {("x", "x"): ["o", "e"]},
-                    {"e": "e", "x": "e", "o": "e"}, {"e": "e", "x": "e", "o": "e"})
-    K = C.kernel()
-    assert K.elements == ["e", "x", "o"] and K.n == 2
-    assert K.decode(K.table[1][1]) == frozenset(["o", "e"])
-    assert C.kernel() is K
+@pytest.mark.parametrize("where", ["product", "source", "target"])
+def test_elements_outside_the_universe_are_refused(where):
+    # a model whose product or faces name an element outside elements() is
+    # malformed: every law checker says which element, before checking any law
+    faces = {"e": "e", "x": "e", "o": "e"}
+    src, tgt, table = dict(faces), dict(faces), {("x", "x"): ["x"]}
+    if where == "product":
+        table["x", "x"] = ["x", "o"]
+    else:
+        (src if where == "source" else tgt)["x"] = "o"
+    C = TableCatoid("outside", ["e", "x"], table, src, tgt)
+    for check in (check_catoid_axioms, is_local, is_functional, check_saturated_chain):
+        with pytest.raises(ValueError, match="outside: o is a source, target or product"):
+            check(C)
+    with pytest.raises(ValueError, match="outside: o is"):
+        check_n_catoid(NCatoid("outside-2", (C, C)))
