@@ -10,6 +10,7 @@ All algebra objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Optional
@@ -285,182 +286,101 @@ def make_nat_inf_conway() -> ValueAlgebra:
 # finite table parsing
 
 
+_KEY = re.compile(r"carrier|order|add|mul\d*|(one|dom|cod|star)\d*")
+
+
 def load_finite_algebra(text: str):
-    """Parse the line-oriented finite-algebra format.
+    """Parse the block-structured finite-algebra format.
 
-    Blocks: ``carrier: e1 e2 ...``, optional ``order: e1 < e2 < ...`` (a chain
-    inducing add = join), ``add:``/``mul:``/``mulK:`` square tables in carrier
-    order, ``one: e``/``oneK: e`` units, ``dom:``/``cod:`` (or per-dimension
-    ``domK:``/``codK:``) single rows.  ``#`` starts a comment.  Returns a
-    ValueAlgebra for one multiplication, an NValueAlgebra for several.
+    Each ``key:`` line opens a block; its rows are the tokens after the colon
+    plus the data lines up to the next key, and ``#`` starts a comment.  Keys:
+    ``carrier`` (the elements), ``order`` (a chain ``e1 < e2 < ...`` inducing
+    add = join, used when there is no ``add`` table), ``add`` and ``mul`` or
+    ``mul0``..``mulK`` (square tables, rows and columns in carrier order),
+    ``oneK`` (the unit of dimension K) and ``domK``/``codK``/``starK`` (a row
+    with one entry per carrier element).  ``one``, ``dom``, ``cod`` and
+    ``star`` are aliases for dimension 0.  Returns a ValueAlgebra for ``mul``,
+    an NValueAlgebra for numbered multiplications.
     """
-    carrier: list[str] = []
-    order: list[str] = []
-    tables: dict[str, list[list[str]]] = {}
-    rows: dict[str, list[str]] = {}
-    units: dict[str, str] = {}
-    pending: Optional[str] = None
-
-    def fail(msg, lineno):
-        raise TableFormatError(f"line {lineno}: {msg}")
-
+    blocks: dict[str, list[list[str]]] = {}
+    rows = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" in line:
-            key, _, rest = line.partition(":")
+        key, colon, rest = line.partition(":")
+        if colon:
             key = key.strip()
-            rest = rest.strip()
-            pending = None
-            if key == "carrier":
-                carrier = rest.split()
-                if not carrier:
-                    fail("empty carrier", lineno)
-            elif key == "order":
-                order = [tok for tok in rest.split() if tok != "<"]
-            elif key.startswith("one"):
-                units[key[3:] or "0"] = rest
-                if not rest:
-                    fail(f"missing unit element after {key}:", lineno)
-            elif key.startswith(("dom", "cod", "star")):
-                base = key[:3] if not key.startswith("star") else "star"
-                idx = key[len(base):] or "0"
-                rows[base + idx] = rest.split() if rest else []
-                if not rest:
-                    pending = "row:" + base + idx
-            elif key.startswith(("add", "mul")):
-                tables[key] = []
-                pending = "table:" + key
-                if rest:
-                    fail(f"table {key}: starts on its own line", lineno)
-            else:
-                fail(f"unknown key {key!r}", lineno)
-            continue
-        if pending is None:
-            fail(f"unexpected data {line!r}", lineno)
-        kind, _, name = pending.partition(":")
-        if kind == "table":
-            tables[name].append(line.split())
-        else:
-            rows[name] = line.split()
-            pending = None
+            m = _KEY.fullmatch(key)
+            if m is None:
+                raise TableFormatError(f"line {lineno}: unknown key {key!r}")
+            if key == m[1]:
+                key += "0"  # one, dom, cod and star alone name dimension 0
+            rows = blocks[key] = [rest.split()] if rest.strip() else []
+        elif line:
+            if rows is None:
+                raise TableFormatError(f"line {lineno}: unexpected data {line!r}")
+            rows.append(line.split())
 
+    # a table keeps its rows; every other block reads them as one row of tokens
+    carrier = sum(blocks.get("carrier", []), [])
     if not carrier:
         raise TableFormatError("missing carrier")
     if len(set(carrier)) != len(carrier):
         raise TableFormatError("duplicate carrier element")
-    index = {e: i for i, e in enumerate(carrier)}
     n = len(carrier)
 
-    def check_table(name, tab):
-        if len(tab) != n:
-            raise TableFormatError(f"table {name}: expected {n} rows, got {len(tab)}")
-        for i, row in enumerate(tab):
-            if len(row) != n:
-                raise TableFormatError(
-                    f"table {name}: row {carrier[i]} has {len(row)} entries, expected {n}"
-                )
-            for j, v in enumerate(row):
-                if v not in index:
-                    raise TableFormatError(
-                        f"table {name}: row {carrier[i]} column {carrier[j]}: "
-                        f"{v!r} not in carrier"
-                    )
-
-    def check_row(name, row):
+    def cells(label, row):
         if len(row) != n:
-            raise TableFormatError(f"row {name}: expected {n} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            if v not in index:
-                raise TableFormatError(f"row {name}: column {carrier[j]}: {v!r} not in carrier")
+            raise TableFormatError(f"{label} has {len(row)} entries, expected {n}")
+        for e, v in zip(carrier, row):
+            if v not in carrier:
+                raise TableFormatError(f"{label} column {e}: {v!r} not in carrier")
+        return zip(carrier, row)
 
-    def table_fn(tab):
-        data = {(a, b): tab[index[a]][index[b]] for a in carrier for b in carrier}
-        return lambda a, b: data[(a, b)]
+    ops = {}
+    for key, rows in blocks.items():
+        if key in ("carrier", "order") or key.startswith("one"):
+            continue
+        if key.startswith(("add", "mul")):
+            if len(rows) != n:
+                raise TableFormatError(f"table {key}: expected {n} rows, got {len(rows)}")
+            data = {(a, b): v for a, row in zip(carrier, rows)
+                    for b, v in cells(f"table {key}: row {a}", row)}
+            ops[key] = lambda a, b, data=data: data[(a, b)]
+        else:
+            ops[key] = dict(cells(f"row {key}", sum(rows, []))).__getitem__
 
-    def row_fn(row):
-        data = {a: row[index[a]] for a in carrier}
-        return data.__getitem__
-
-    if "add" in tables:
-        check_table("add", tables["add"])
-        add = table_fn(tables["add"])
-    elif order:
+    if "add" in ops:
+        add = ops["add"]
+        zero = next((e for e in carrier if all(add(e, x) == x for x in carrier)), None)
+        if zero is None:
+            raise TableFormatError("add table has no additive unit")
+    elif "order" in blocks:
+        order = [tok for tok in sum(blocks["order"], []) if tok != "<"]
         if set(order) != set(carrier):
             raise TableFormatError("order does not cover the carrier")
         rank = {e: i for i, e in enumerate(order)}
         add = lambda a, b: a if rank[a] >= rank[b] else b  # join of the chain
+        zero = order[0]
     else:
         raise TableFormatError("need an add: table or an order: chain")
 
-    mul_keys = sorted(k for k in tables if k.startswith("mul"))
-    if not mul_keys:
+    # (-1, "") for a lone ``mul``, else (K, "K") for each ``mulK``
+    muls = sorted((int(k[3:] or -1), k[3:]) for k in ops if k.startswith("mul"))
+    if not muls:
         raise TableFormatError("missing multiplication table")
-    for k in mul_keys:
-        check_table(k, tables[k])
-    for k, row in rows.items():
-        check_row(k, row)
-
-    idem = all(add(a, a) == a for a in carrier)
-    zero = carrier[0] if not order else order[0]
-    if "add" in tables:
-        # additive unit: the element e with e+x == x for all x
-        zeros = [e for e in carrier if all(add(e, x) == x for x in carrier)]
-        if not zeros:
-            raise TableFormatError("add table has no additive unit")
-        zero = zeros[0]
-
-    def one_dim(suffix: str) -> DimOps:
-        key = "mul" + suffix if "mul" + suffix in tables else "mul"
-        unit = units.get(suffix or "0")
-        if unit is None:
-            raise TableFormatError(f"missing unit one{suffix or ''}:")
-        if unit not in index:
-            raise TableFormatError(f"unit one{suffix}: {unit!r} not in carrier")
-        dom = rows.get("dom" + (suffix or "0"))
-        cod = rows.get("cod" + (suffix or "0"))
-        star = rows.get("star" + (suffix or "0"))
-        return DimOps(
-            mul=table_fn(tables[key]),
-            one=unit,
-            dom=row_fn(dom) if dom else None,
-            cod=row_fn(cod) if cod else None,
-            star=row_fn(star) if star else None,
-        )
-
-    if mul_keys == ["mul"]:
-        d = one_dim("")
-        return ValueAlgebra(
-            name="table",
-            add=add,
-            mul=d.mul,
-            zero=zero,
-            one=d.one,
-            idempotent_add=idem,
-            star=d.star,
-            dom=d.dom,
-            cod=d.cod,
-            carrier=tuple(carrier),
-        )
-
-    dims = []
-    for k in mul_keys:
-        suffix = k[3:]
-        if not suffix.isdigit():
-            raise TableFormatError(f"bad multiplication key {k}")
-        dims.append((int(suffix), one_dim(suffix)))
-    dims.sort()
-    if [i for i, _ in dims] != list(range(len(dims))):
+    if [i for i, _ in muls] not in ([-1], list(range(len(muls)))):
         raise TableFormatError("multiplication tables must be numbered 0..n-1")
-    return NValueAlgebra(
-        name="table",
-        add=add,
-        zero=zero,
-        dims=tuple(d for _, d in dims),
-        idempotent_add=idem,
-        carrier=tuple(carrier),
-    )
+    dims = []
+    for _, k in muls:
+        d = k or "0"
+        unit = sum(blocks.get("one" + d, []), [])
+        if len(unit) != 1 or unit[0] not in carrier:
+            raise TableFormatError(f"unit one{k}: expected one carrier element, got {unit}")
+        dims.append(DimOps(mul=ops["mul" + k], one=unit[0], dom=ops.get("dom" + d),
+                           cod=ops.get("cod" + d), star=ops.get("star" + d)))
+    A = NValueAlgebra(name="table", add=add, zero=zero, dims=tuple(dims),
+                      idempotent_add=all(add(a, a) == a for a in carrier), carrier=tuple(carrier))
+    return replace(A.view(0), name="table") if muls[0][0] < 0 else A
 
 
 # ---------------------------------------------------------------------------
@@ -500,132 +420,147 @@ AXIOM_CLASSES = (
 )
 
 
-def _tuples(pool, arity, rng, samples):
-    if rng is None:
-        yield from itertools.product(pool, repeat=arity)
-    else:
-        for _ in range(samples):
-            yield tuple(rng.choice(pool) for _ in range(arity))
+def _eq(x, y):
+    return None if x == y else (x, y)
 
 
-def _law(report, name, pool, arity, pred, rng, samples):
-    """Run one equation/inequality law; collect every violating tuple."""
-    bad = []
-    count = 0
-    for t in _tuples(pool, arity, rng, samples):
-        count += 1
-        detail = pred(*t)
-        if detail is not None:
-            bad.append(t + (detail,))
-    report.add(name, FAIL if bad else PASS, witnesses=bad, checked=count)
+def _le(A, x, y):
+    return None if A.leq(x, y) else (x, y)
 
 
-def _implication(report, name, pool, arity, antecedent, conclusion, rng, samples):
-    """Conditional law: instances failing the antecedent count as vacuous."""
-    bad = []
-    count = 0
-    vacuous = 0
-    for t in _tuples(pool, arity, rng, samples):
-        count += 1
-        if not antecedent(*t):
-            vacuous += 1
-            continue
-        detail = conclusion(*t)
-        if detail is not None:
-            bad.append(t + (detail,))
-    report.add(name, FAIL if bad else PASS, witnesses=bad, checked=count, vacuous=vacuous)
+def _law_runner(rep, pool, rng, samples):
+    """The one law runner of a check: ``law(name, arity, pred, given)`` runs
+    ``pred`` over every tuple of the pool (rng None) or over ``samples`` random
+    tuples, but an arity-0 law once.  ``pred`` returns None or the detail of a
+    violation; tuples failing the antecedent ``given`` count as vacuous."""
+
+    def law(name, arity, pred, given=None):
+        if rng is None:
+            tuples = itertools.product(pool, repeat=arity)
+        else:
+            tuples = (tuple(rng.choice(pool) for _ in range(arity))
+                      for _ in range(samples if arity else 1))
+        bad, count, vacuous = [], 0, 0
+        for t in tuples:
+            count += 1
+            if given is not None and not given(*t):
+                vacuous += 1
+            elif (detail := pred(*t)) is not None:
+                bad.append(t + (detail,))
+        rep.add(name, FAIL if bad else PASS, witnesses=bad, checked=count, vacuous=vacuous)
+
+    return law
 
 
-def _semiring_laws(rep, A, pool, rng, samples, tag=""):
+# A one-sided law is stated once, for the left side and dom; the right side
+# and cod state it in the opposite multiplication, x .op y = y . x.
+_SIDES = (("left", "dom", lambda x, y: (x, y)), ("right", "cod", lambda x, y: (y, x)))
+
+
+def _mirrored(mul, mirror):
+    return lambda x, y: mul(*mirror(x, y))
+
+
+def _semiring_laws(law, A, tag=""):
     add, mul, zero, one = A.add, A.mul, A.zero, A.one
-    eq = lambda x, y: None if x == y else (x, y)
-    _law(rep, f"sr.add-assoc{tag}", pool, 3,
-         lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c))), rng, samples)
-    _law(rep, f"sr.add-comm{tag}", pool, 2,
-         lambda a, b: eq(add(a, b), add(b, a)), rng, samples)
-    _law(rep, f"sr.add-zero{tag}", pool, 1,
-         lambda a: eq(add(a, zero), a), rng, samples)
-    _law(rep, f"sr.mul-assoc{tag}", pool, 3,
-         lambda a, b, c: eq(mul(mul(a, b), c), mul(a, mul(b, c))), rng, samples)
-    _law(rep, f"sr.mul-one-left{tag}", pool, 1, lambda a: eq(mul(one, a), a), rng, samples)
-    _law(rep, f"sr.mul-one-right{tag}", pool, 1, lambda a: eq(mul(a, one), a), rng, samples)
-    _law(rep, f"sr.distrib-left{tag}", pool, 3,
-         lambda a, b, c: eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))), rng, samples)
-    _law(rep, f"sr.distrib-right{tag}", pool, 3,
-         lambda a, b, c: eq(mul(add(a, b), c), add(mul(a, c), mul(b, c))), rng, samples)
-    _law(rep, f"sr.zero-annihil-left{tag}", pool, 1,
-         lambda a: eq(mul(zero, a), zero), rng, samples)
-    _law(rep, f"sr.zero-annihil-right{tag}", pool, 1,
-         lambda a: eq(mul(a, zero), zero), rng, samples)
+    for name, arity, pred in (
+        ("add-assoc", 3, lambda a, b, c: _eq(add(add(a, b), c), add(a, add(b, c)))),
+        ("add-comm", 2, lambda a, b: _eq(add(a, b), add(b, a))),
+        ("add-zero", 1, lambda a: _eq(add(a, zero), a)),
+        ("mul-assoc", 3, lambda a, b, c: _eq(mul(mul(a, b), c), mul(a, mul(b, c)))),
+        ("mul-one-left", 1, lambda a: _eq(mul(one, a), a)),
+        ("mul-one-right", 1, lambda a: _eq(mul(a, one), a)),
+        ("distrib-left", 3, lambda a, b, c: _eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))),
+        ("distrib-right", 3, lambda a, b, c: _eq(mul(add(a, b), c), add(mul(a, c), mul(b, c)))),
+        ("zero-annihil-left", 1, lambda a: _eq(mul(zero, a), zero)),
+        ("zero-annihil-right", 1, lambda a: _eq(mul(a, zero), zero)),
+    ):
+        law(f"sr.{name}{tag}", arity, pred)
 
 
-def _dioid_laws(rep, A, pool, rng, samples, tag=""):
-    _semiring_laws(rep, A, pool, rng, samples, tag)
-    _law(rep, f"dioid.add-idem{tag}", pool, 1,
-         lambda a: None if A.add(a, a) == a else (A.add(a, a),), rng, samples)
+def _dioid_laws(law, A, tag=""):
+    _semiring_laws(law, A, tag)
+    law(f"dioid.add-idem{tag}", 1, lambda a: None if A.add(a, a) == a else (A.add(a, a),))
 
 
-def _kleene_laws(rep, A, pool, rng, samples, tag=""):
-    add, mul, one, star, leq = A.add, A.mul, A.one, A.star, A.leq
-    eq = lambda x, y: None if x == y else (x, y)
-    _law(rep, f"ka.unfold-left{tag}", pool, 1,
-         lambda a: eq(add(one, mul(a, star(a))), star(a)), rng, samples)
-    _law(rep, f"ka.unfold-right{tag}", pool, 1,
-         lambda a: eq(add(one, mul(star(a), a)), star(a)), rng, samples)
-    _implication(rep, f"ka.induct-left{tag}", pool, 3,
-                 lambda a, b, c: leq(add(c, mul(a, b)), b),
-                 lambda a, b, c: None if leq(mul(star(a), c), b)
-                 else (mul(star(a), c), b),
-                 rng, samples)
-    _implication(rep, f"ka.induct-right{tag}", pool, 3,
-                 lambda a, b, c: leq(add(c, mul(b, a)), b),
-                 lambda a, b, c: None if leq(mul(c, star(a)), b)
-                 else (mul(c, star(a)), b),
-                 rng, samples)
+def _unfold_laws(law, A, prefix, tag=""):
+    add, one, star = A.add, A.one, A.star
+    for side, _, mirror in _SIDES:
+        m = _mirrored(A.mul, mirror)
+        law(f"{prefix}.unfold-{side}{tag}", 1, lambda a: _eq(add(one, m(a, star(a))), star(a)))
 
 
-def _conway_laws(rep, A, pool, rng, samples):
-    add, mul, one, star = A.add, A.mul, A.one, A.star
-    eq = lambda x, y: None if x == y else (x, y)
-    _law(rep, "conway.unfold-left", pool, 1,
-         lambda a: eq(add(one, mul(a, star(a))), star(a)), rng, samples)
-    _law(rep, "conway.unfold-right", pool, 1,
-         lambda a: eq(add(one, mul(star(a), a)), star(a)), rng, samples)
-    _law(rep, "conway.sum-star", pool, 2,
-         lambda a, b: eq(star(add(a, b)), mul(star(mul(star(a), b)), star(a))),
-         rng, samples)
-    _law(rep, "conway.prod-star-swap", pool, 2,
-         lambda a, b: eq(mul(star(mul(a, b)), a), mul(a, star(mul(b, a)))),
-         rng, samples)
+def _kleene_laws(law, A, tag=""):
+    _unfold_laws(law, A, "ka", tag)
+    add, star, leq = A.add, A.star, A.leq
+    for side, _, mirror in _SIDES:
+        m = _mirrored(A.mul, mirror)
+        law(f"ka.induct-{side}{tag}", 3, lambda a, b, c: _le(A, m(star(a), c), b),
+            given=lambda a, b, c: leq(add(c, m(a, b)), b))
 
 
-def _modal_laws(rep, A, pool, rng, samples, tag=""):
-    add, mul, one, zero, dom, cod, leq = A.add, A.mul, A.one, A.zero, A.dom, A.cod, A.leq
-    eq = lambda x, y: None if x == y else (x, y)
-    _law(rep, f"modal.dom-expand{tag}", pool, 1,
-         lambda a: None if leq(a, mul(dom(a), a)) else (mul(dom(a), a),), rng, samples)
-    _law(rep, f"modal.dom-local{tag}", pool, 2,
-         lambda a, b: eq(dom(mul(a, dom(b))), dom(mul(a, b))), rng, samples)
-    _law(rep, f"modal.dom-subid{tag}", pool, 1,
-         lambda a: None if leq(dom(a), one) else (dom(a),), rng, samples)
-    _law(rep, f"modal.dom-strict{tag}", pool, 0,
-         lambda: eq(dom(zero), zero), rng, 1 if rng else samples)
-    _law(rep, f"modal.dom-additive{tag}", pool, 2,
-         lambda a, b: eq(dom(add(a, b)), add(dom(a), dom(b))), rng, samples)
-    _law(rep, f"modal.cod-expand{tag}", pool, 1,
-         lambda a: None if leq(a, mul(a, cod(a))) else (mul(a, cod(a)),), rng, samples)
-    _law(rep, f"modal.cod-local{tag}", pool, 2,
-         lambda a, b: eq(cod(mul(cod(a), b)), cod(mul(a, b))), rng, samples)
-    _law(rep, f"modal.cod-subid{tag}", pool, 1,
-         lambda a: None if leq(cod(a), one) else (cod(a),), rng, samples)
-    _law(rep, f"modal.cod-strict{tag}", pool, 0,
-         lambda: eq(cod(zero), zero), rng, 1 if rng else samples)
-    _law(rep, f"modal.cod-additive{tag}", pool, 2,
-         lambda a, b: eq(cod(add(a, b)), add(cod(a), cod(b))), rng, samples)
-    _law(rep, f"modal.compat-dom{tag}", pool, 1,
-         lambda a: eq(cod(dom(a)), dom(a)), rng, samples)
-    _law(rep, f"modal.compat-cod{tag}", pool, 1,
-         lambda a: eq(dom(cod(a)), cod(a)), rng, samples)
+def _conway_laws(law, A):
+    _unfold_laws(law, A, "conway")
+    add, mul, star = A.add, A.mul, A.star
+    law("conway.sum-star", 2,
+        lambda a, b: _eq(star(add(a, b)), mul(star(mul(star(a), b)), star(a))))
+    law("conway.prod-star-swap", 2,
+        lambda a, b: _eq(mul(star(mul(a, b)), a), mul(a, star(mul(b, a)))))
+
+
+def _modal_laws(law, A, tag=""):
+    add, one, zero, leq = A.add, A.one, A.zero, A.leq
+    for _, f, mirror in _SIDES:
+        face, m = getattr(A, f), _mirrored(A.mul, mirror)
+
+        def local(a, b):  # dom(a.dom(b)) = dom(a.b), cod(cod(a).b) = cod(a.b)
+            a, b = mirror(a, b)
+            return _eq(face(m(a, face(b))), face(m(a, b)))
+
+        law(f"modal.{f}-expand{tag}", 1,
+            lambda a: None if leq(a, m(face(a), a)) else (m(face(a), a),))
+        law(f"modal.{f}-local{tag}", 2, local)
+        law(f"modal.{f}-subid{tag}", 1, lambda a: None if leq(face(a), one) else (face(a),))
+        law(f"modal.{f}-strict{tag}", 0, lambda: _eq(face(zero), zero))
+        law(f"modal.{f}-additive{tag}", 2,
+            lambda a, b: _eq(face(add(a, b)), add(face(a), face(b))))
+    for f, g in (("dom", "cod"), ("cod", "dom")):
+        face, other = getattr(A, f), getattr(A, g)
+        law(f"modal.compat-{f}{tag}", 1, lambda a: _eq(other(face(a)), face(a)))
+
+
+def _interchange(A, mi, mj):
+    return lambda a, b, c, d: _le(A, mi(mj(a, b), mj(c, d)), mj(mi(a, c), mi(b, d)))
+
+
+def _n_laws(law, A, cls):
+    """The laws linking the dimensions of an n-semiring and an n-Kleene algebra."""
+    for i in range(A.n):
+        _dioid_laws(law, A.view(i), f"[{i}]")
+        _modal_laws(law, A.view(i), f"[{i}]")
+    for i, j in itertools.permutations(range(A.n), 2):
+        mj = A.dims[j].mul
+        for _, f, _ in _SIDES:
+            face = getattr(A.dims[i], f)
+            law(f"nsr.{f}-lax[{i},{j}]", 2,
+                lambda a, b: _le(A, face(mj(a, b)), mj(face(a), face(b))))
+    for i, j in itertools.combinations(range(A.n), 2):
+        mi, di, dj = A.dims[i].mul, A.dims[i], A.dims[j]
+        law(f"nsr.interchange[{i}<{j}]", 4, _interchange(A, mi, dj.mul))
+        law(f"nsr.dom-absorb[{i}<{j}]", 1, lambda a: _eq(dj.dom(di.dom(a)), di.dom(a)))
+        for _, f, _ in _SIDES:
+            face = getattr(dj, f)
+            law(f"nsr.closure-{f}[{i}<{j}]", 2,
+                lambda a, b: _eq(face(mi(face(a), face(b))), mi(face(a), face(b))))
+    if cls == "n_kleene":
+        for i in range(A.n):
+            _kleene_laws(law, A.view(i), f"[{i}]")
+        for i, j in itertools.combinations(range(A.n), 2):
+            sj = A.dims[j].star
+            for _, f, mirror in _SIDES:
+                face, m = getattr(A.dims[i], f), _mirrored(A.dims[i].mul, mirror)
+                law(f"nka.star-{f}[{i}<{j}]", 2,
+                    lambda a, b: _le(A, m(face(a), sj(b)), sj(m(face(a), b))))
 
 
 def _require(A, attr, cls):
@@ -649,107 +584,44 @@ def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
         raise CapabilityError(f"{A.name}: class {cls!r} needs a one-dimensional algebra")
     if rng is None and not A.is_finite:
         raise CapabilityError(f"{A.name}: exhaustive checking needs a finite carrier")
-
-    pool = A.carrier if rng is None else A.pool()
-    rep = Report(algebra=A.name)
-    eq = lambda x, y: None if x == y else (x, y)
-
-    if cls == "semiring":
-        _semiring_laws(rep, A, pool, rng, samples)
-    elif cls == "dioid":
-        _dioid_laws(rep, A, pool, rng, samples)
-    elif cls == "kleene":
+    if cls in ("kleene", "conway"):
         _require(A, "has_star", cls)
-        _dioid_laws(rep, A, pool, rng, samples)
-        _kleene_laws(rep, A, pool, rng, samples)
-    elif cls == "conway":
-        _require(A, "has_star", cls)
-        _semiring_laws(rep, A, pool, rng, samples)
-        _conway_laws(rep, A, pool, rng, samples)
-    elif cls == "modal":
+    if cls == "modal":
         _require(A, "has_modal", cls)
-        _dioid_laws(rep, A, pool, rng, samples)
-        _modal_laws(rep, A, pool, rng, samples)
-    elif cls == "interchange":
-        if A.n != 2:
-            raise CapabilityError("interchange class is two-dimensional")
-        v0, v1 = A.view(0), A.view(1)
-        _dioid_laws(rep, v0, pool, rng, samples, tag="[0]")
-        _dioid_laws(rep, v1, pool, rng, samples, tag="[1]")
-        if v0.has_star and v1.has_star:
-            _kleene_laws(rep, v0, pool, rng, samples, tag="[0]")
-            _kleene_laws(rep, v1, pool, rng, samples, tag="[1]")
-        m0, m1 = A.dims[0].mul, A.dims[1].mul
-        _law(rep, "ic.interchange", pool, 4,
-             lambda a, b, c, d: None
-             if A.leq(m0(m1(a, b), m1(c, d)), m1(m0(a, c), m0(b, d)))
-             else (m0(m1(a, b), m1(c, d)), m1(m0(a, c), m0(b, d))),
-             rng, samples)
-        _law(rep, "ic.unit-leq", pool, 0,
-             lambda: None if A.leq(A.dims[0].one, A.dims[1].one) else
-             (A.dims[0].one, A.dims[1].one), rng, 1 if rng else samples)
-    elif cls in ("n_semiring", "n_kleene"):
+    if cls == "interchange" and A.n != 2:
+        raise CapabilityError("interchange class is two-dimensional")
+    if cls in ("n_semiring", "n_kleene"):
         for i, d in enumerate(A.dims):
             if d.dom is None or d.cod is None:
                 raise CapabilityError(f"{A.name}: dimension {i} lacks modal maps")
-        for i in range(A.n):
-            vi = A.view(i)
-            _dioid_laws(rep, vi, pool, rng, samples, tag=f"[{i}]")
-            _modal_laws(rep, vi, pool, rng, samples, tag=f"[{i}]")
-        for i in range(A.n):
-            for j in range(A.n):
-                if i == j:
-                    continue
-                di, mj = A.dims[i], A.dims[j].mul
-                _law(rep, f"nsr.dom-lax[{i},{j}]", pool, 2,
-                     lambda a, b, di=di, mj=mj: None
-                     if A.leq(di.dom(mj(a, b)), mj(di.dom(a), di.dom(b)))
-                     else (di.dom(mj(a, b)), mj(di.dom(a), di.dom(b))),
-                     rng, samples)
-                _law(rep, f"nsr.cod-lax[{i},{j}]", pool, 2,
-                     lambda a, b, di=di, mj=mj: None
-                     if A.leq(di.cod(mj(a, b)), mj(di.cod(a), di.cod(b)))
-                     else (di.cod(mj(a, b)), mj(di.cod(a), di.cod(b))),
-                     rng, samples)
-        for i in range(A.n):
-            for j in range(i + 1, A.n):
-                mi, dj = A.dims[i].mul, A.dims[j]
-                mj, di = A.dims[j].mul, A.dims[i]
-                _law(rep, f"nsr.interchange[{i}<{j}]", pool, 4,
-                     lambda a, b, c, d, mi=mi, mj=mj: None
-                     if A.leq(mi(mj(a, b), mj(c, d)), mj(mi(a, c), mi(b, d)))
-                     else (mi(mj(a, b), mj(c, d)), mj(mi(a, c), mi(b, d))),
-                     rng, samples)
-                _law(rep, f"nsr.dom-absorb[{i}<{j}]", pool, 1,
-                     lambda a, di=di, dj=dj: eq(dj.dom(di.dom(a)), di.dom(a)),
-                     rng, samples)
-                _law(rep, f"nsr.closure-dom[{i}<{j}]", pool, 2,
-                     lambda a, b, mi=mi, dj=dj: eq(
-                         dj.dom(mi(dj.dom(a), dj.dom(b))), mi(dj.dom(a), dj.dom(b))),
-                     rng, samples)
-                _law(rep, f"nsr.closure-cod[{i}<{j}]", pool, 2,
-                     lambda a, b, mi=mi, dj=dj: eq(
-                         dj.cod(mi(dj.cod(a), dj.cod(b))), mi(dj.cod(a), dj.cod(b))),
-                     rng, samples)
-        if cls == "n_kleene":
-            for i, d in enumerate(A.dims):
-                if d.star is None:
-                    raise CapabilityError(f"{A.name}: dimension {i} lacks a star")
-                _kleene_laws(rep, A.view(i), pool, rng, samples, tag=f"[{i}]")
-            for i in range(A.n):
-                for j in range(i + 1, A.n):
-                    mi, di = A.dims[i].mul, A.dims[i]
-                    sj = A.dims[j].star
-                    _law(rep, f"nka.star-dom[{i}<{j}]", pool, 2,
-                         lambda a, b, mi=mi, di=di, sj=sj: None
-                         if A.leq(mi(di.dom(a), sj(b)), sj(mi(di.dom(a), b)))
-                         else (mi(di.dom(a), sj(b)), sj(mi(di.dom(a), b))),
-                         rng, samples)
-                    _law(rep, f"nka.star-cod[{i}<{j}]", pool, 2,
-                         lambda a, b, mi=mi, di=di, sj=sj: None
-                         if A.leq(mi(sj(b), di.cod(a)), sj(mi(b, di.cod(a))))
-                         else (mi(sj(b), di.cod(a)), sj(mi(b, di.cod(a)))),
-                         rng, samples)
+    if cls == "n_kleene":
+        for i, d in enumerate(A.dims):
+            if d.star is None:
+                raise CapabilityError(f"{A.name}: dimension {i} lacks a star")
+
+    rep = Report(algebra=A.name)
+    law = _law_runner(rep, A.carrier if rng is None else A.pool(), rng, samples)
+    if cls in ("semiring", "conway"):
+        _semiring_laws(law, A)
+    elif cls in ("dioid", "kleene", "modal"):
+        _dioid_laws(law, A)
+    if cls == "kleene":
+        _kleene_laws(law, A)
+    elif cls == "conway":
+        _conway_laws(law, A)
+    elif cls == "modal":
+        _modal_laws(law, A)
+    elif cls == "interchange":
+        views = [A.view(0), A.view(1)]
+        for i, v in enumerate(views):
+            _dioid_laws(law, v, f"[{i}]")
+        if all(v.has_star for v in views):
+            for i, v in enumerate(views):
+                _kleene_laws(law, v, f"[{i}]")
+        law("ic.interchange", 4, _interchange(A, A.dims[0].mul, A.dims[1].mul))
+        law("ic.unit-leq", 0, lambda: _le(A, A.dims[0].one, A.dims[1].one))
+    elif cls in ("n_semiring", "n_kleene"):
+        _n_laws(law, A, cls)
     return rep
 
 

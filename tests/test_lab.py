@@ -1,7 +1,7 @@
 import pytest
 
-from convka import models
-from convka.convolution import functions_equal, id0, star_recursive, zero_function
+from convka import lab, models
+from convka.convolution import functions_equal, id0, star_dual, star_recursive, zero_function
 from convka.lab import (
     CampaignConfig,
     appendix_b_model,
@@ -127,6 +127,19 @@ def test_modal_negative_control_fails_whatever_the_sample_budget(samples):
         assert rep.clean, (seed, rep.failed_laws())
         xfails = {e.law for e in rep.entries if e.status == XFAIL}
         assert {"modal.dom-local", "modal.cod-local"} <= xfails, seed
+
+
+@pytest.mark.parametrize("samples, compared", [(1, 1), (2, 2), (3, 3), (8, 4)])
+def test_star_triple_agree_counts_the_samples_it_compares(samples, compared, monkeypatch):
+    # the triple comparison runs on at most max(3, samples // 2) samples, and
+    # never on more samples than drawn; checked= must count only those
+    stars = []
+    monkeypatch.setattr(lab, "star_dual", lambda f: stars.append(f) or star_dual(f))
+    rep = run_campaign(CampaignConfig(suites=("kleene",), seed=1, samples=samples))
+    sizes = {"words(ab,4)": 31, "paths(8v)": 25, "guarded(2t,2a,3)": 170}
+    counts = {e.model: e.checked for e in rep.entries if e.law == "conv.star-triple-agree"}
+    assert counts == {model: n * compared for model, n in sizes.items()}
+    assert len(stars) == 3 * compared
 
 
 def test_campaign_all_is_clean():

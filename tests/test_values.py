@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +18,8 @@ from convka.values import (
     make_nat_inf_conway,
     quantale_star,
 )
-from convka.lab import appendix_b_model, three_chain_quantale
+from convka.lab import appendix_b_model, negative_control_dioid, three_chain_quantale
+from relations import make_relations
 
 
 def test_boolean_basics(boolean):
@@ -29,6 +33,18 @@ def test_boolean_basics(boolean):
 def test_boolean_is_kleene_algebra(boolean):
     rep = check_value_axioms(boolean, "kleene")
     assert rep.clean, rep.failed_laws()
+
+
+def test_relations_are_a_kleene_algebra_with_domain():
+    # the one non-commutative test algebra: a one-sided law checked on the
+    # wrong side still passes on boolean, but fails here
+    R = make_relations()
+    assert R.mul(0b0010, 0b1000) == 0b0010 and R.mul(0b1000, 0b0010) == 0  # not commutative
+    assert R.star(0b0010) == 0b1011 and R.dom(0b0010) == 0b0001 and R.cod(0b0010) == 0b1000
+    assert R.zero_absorbs and R.add_top == 0b1111
+    for cls in ("semiring", "dioid", "kleene", "conway", "modal"):
+        rep = check_value_axioms(R, cls)
+        assert rep.clean, (cls, rep.failed_laws())
 
 
 def test_min_plus_basics(minplus):
@@ -127,6 +143,22 @@ def test_table_format_errors():
         load_finite_algebra("carrier: x y\norder: x < y\nmul:\nx y\ny y\n")
     with pytest.raises(TableFormatError, match="add"):
         load_finite_algebra("carrier: x y\nmul:\nx y\ny y\none: x")
+
+
+def test_table_blocks_take_rows_after_the_key_and_alias_dimension_zero():
+    head = "carrier: 0 1\norder: 0 < 1\n"
+    spread = load_finite_algebra(head + "mul: 0 0\n0 1\none:\n1\nstar:\n1\n1\n")
+    aliased = load_finite_algebra(head + "mul:\n0 0\n0 1\none0: 1\nstar0: 1 1\n")
+    for A in (spread, aliased):
+        assert (A.name, A.zero, A.one) == ("table", "0", "1")
+        assert [A.mul(a, b) for a in A.carrier for b in A.carrier] == ["0", "0", "0", "1"]
+        assert [A.star(a) for a in A.carrier] == ["1", "1"] and A.dom is None
+    nd = load_finite_algebra(head + "mul0:\n0 0\n0 1\none: 1\ndom: 0 1\n")
+    assert nd.n == 1 and nd.dims[0].one == "1" and nd.dims[0].dom("1") == "1"
+    with pytest.raises(TableFormatError, match="unknown key 'domain'"):
+        load_finite_algebra(head + "mul:\n0 0\n0 1\none: 1\ndomain: 0 1\n")
+    with pytest.raises(TableFormatError, match="numbered"):
+        load_finite_algebra(head + "mul:\n0 0\n0 1\nmul0:\n0 0\n0 1\none: 1\n")
 
 
 def test_one_dimensional_table_roundtrip():
@@ -240,3 +272,36 @@ def test_n_filtration():
         assert s0 <= s1
     s0, s1 = n_filtration(appendix_b_model(1))
     assert s0 == frozenset({"0", "1_0"}) and s1 == frozenset({"0", "1_0", "1_1"})
+
+
+# ---------------------------------------------------------------------------
+# every value law's verdict, counts and witnesses, pinned
+
+VALUE_LAW_PIN = Path(__file__).parent / "data" / "value_laws.txt"
+
+
+def value_law_lines():
+    """One tab-separated line per law of each pinned (algebra, class) run, both
+    exhaustive and sampled from random.Random(3): the case, the mode, the law,
+    its status, checked and vacuous counts and the full witness list."""
+    cases = [(f"appendix{which}", appendix_b_model(which), cls)
+             for which in (1, 2) for cls in ("n_semiring", "interchange")]
+    cases.append(("negative-control", negative_control_dioid(), "modal"))
+    cases += [(f"boolean{n}d", make_boolean_nd(n), "n_kleene") for n in (2, 3)]
+    cases += [("boolean", make_boolean(), cls)
+              for cls in ("semiring", "dioid", "kleene", "conway", "modal")]
+    for label, A, cls in cases:
+        for mode, rng in (("exhaustive", None), ("sampled", random.Random(3))):
+            rep = check_value_axioms(A, cls, rng=rng, samples=25)
+            for e in rep.entries:
+                yield "\t".join([label, cls, mode, e.algebra, e.law, e.status, str(e.checked),
+                                 str(e.vacuous), repr(e.witnesses)])
+
+
+def test_value_law_witnesses_pinned():
+    expected = VALUE_LAW_PIN.read_text().splitlines()
+    assert list(value_law_lines()) == expected
+
+
+if __name__ == "__main__":  # regenerate the pin: python tests/test_values.py
+    VALUE_LAW_PIN.write_text("".join(line + "\n" for line in value_law_lines()))
