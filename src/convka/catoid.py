@@ -24,6 +24,21 @@ class MoebiusViolation(Exception):
     """Raised when decomposition structure is circular or unbounded."""
 
 
+class Memo(dict):
+    """A table that fills a missing key k with ``fn(k)`` and keeps it.  ``fn``
+    must be pure and must not hold the memo's owner: an owner reachable from
+    its own memo is freed only by the cycle collector."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, k):
+        out = self[k] = self.fn(k)
+        return out
+
+
 class Catoid:
     """Base contract: compose, source, target, element enumeration.
 
@@ -245,60 +260,12 @@ class TableCatoid(Catoid):
 # the integer kernel of the law checkers
 
 
-class _Ids(dict):
-    """element -> id over a model's universe; naming any other element is
-    malformed input."""
-
-    __slots__ = ("model",)
-
-    def __missing__(self, e):
-        raise ValueError(f"{self.model}: {fmt_value(e)} is a source, target or product "
-                         "member but not in elements()")
-
-
-class _Bits(dict):
-    """mask -> the ids in it, ascending; filled on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, m):
-        out = self[m] = tuple(i for i in range(m.bit_length()) if m >> i & 1)
-        return out
-
-
-class _Union(dict):
-    """mask -> the union of the masks ``parts[i]`` over the ids i in it;
-    filled on first use."""
-
-    __slots__ = ("bits", "parts")
-
-    def __init__(self, bits, parts):
-        super().__init__()
-        self.bits, self.parts = bits, parts
-
-    def __missing__(self, m):
-        out, parts = 0, self.parts
-        for i in self.bits[m]:
-            out |= parts[i]
-        self[m] = out
-        return out
-
-
-class _Rows(dict):
-    """mask m -> the row of (union of u . z over u in m) over the ids z of the
-    universe; filled on first use."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel):
-        super().__init__()
-        self.kernel = kernel
-
-    def __missing__(self, m):
-        K = self.kernel
-        rows = [K.table[u] for u in K.bits[m]] or [[0] * K.n]
-        out = self[m] = [functools.reduce(operator.or_, col) for col in zip(*rows)]
-        return out
+def _join(parts, keys) -> int:
+    """The union of the masks ``parts[k]`` over the keys k."""
+    out = 0
+    for k in keys:
+        out |= parts[k]
+    return out
 
 
 class Kernel:
@@ -315,21 +282,21 @@ class Kernel:
 
     def __init__(self, C: Catoid):
         U = C.elements()
-        index = _Ids((e, i) for i, e in enumerate(U))
-        index.model = C.name
-
-        def mask(members):
-            m = 0
-            for e in members:
-                m |= 1 << index[e]
-            return m
+        index = {e: i for i, e in enumerate(U)}
+        bit = {e: 1 << i for i, e in enumerate(U)}
 
         self.n = len(U)
         self.elements = U
-        self.src = [index[C.source(x)] for x in U]
-        self.tgt = [index[C.target(x)] for x in U]
-        self.table = [[mask(C.compose(y, z)) for z in U] for y in U]
-        self.bits = _Bits()
+        try:
+            self.src = [index[C.source(x)] for x in U]
+            self.tgt = [index[C.target(x)] for x in U]
+            self.table = [[_join(bit, C.compose(y, z)) for z in U] for y in U]
+        except KeyError as exc:
+            if exc.args[0] in index:  # the model's own lookup failed, not the universe
+                raise
+            raise ValueError(f"{C.name}: {fmt_value(exc.args[0])} is a source, target or "
+                             "product member but not in elements()") from None
+        self.bits = Memo(lambda m: tuple(i for i in range(m.bit_length()) if m >> i & 1))
 
     def decode(self, m) -> frozenset:
         return frozenset(map(self.elements.__getitem__, self.bits[m]))
@@ -348,15 +315,16 @@ class Kernel:
                 out |= row[b]
         return out
 
-    def union(self, parts) -> _Union:
+    def union(self, parts) -> Memo:
         """A self-filling map from each mask to the union of ``parts[i]``, a
         list of masks, over the ids i in it."""
-        return _Union(self.bits, parts)
+        bits = self.bits
+        return Memo(lambda m: _join(parts, bits[m]))
 
-    def image(self, face) -> _Union:
+    def image(self, face) -> Memo:
         """A self-filling map from masks to their images under ``face``, a
         list from ids to ids."""
-        return _Union(self.bits, [1 << i for i in face])
+        return self.union([1 << i for i in face])
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +345,8 @@ def check_catoid_axioms(C: Catoid) -> Report:
     n, P, src, tgt, E, bits, decode = K.n, K.table, K.src, K.tgt, K.elements, K.bits, K.decode
     simg, timg = K.image(src), K.image(tgt)
     rep = Report(model=C.name)
-    rows = _Rows(K)
+    rows = Memo(lambda m: [functools.reduce(operator.or_, col)  # row of (union of m) . z
+                           for col in zip(*[P[u] for u in bits[m]] or [[0] * n])])
     reach = [functools.reduce(operator.or_, row, 0) for row in P]  # all of y . U
     assoc, comp_st, commute, absorb, st_sub, st_prod, member = [], [], [], [], [], [], []
     for x in range(n):

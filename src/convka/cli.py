@@ -62,7 +62,7 @@ def _decode_element(model: str, tok: str):
         return "" if tok == "eps" else tok
     if model == "guarded":
         return tuple(tok.split("."))
-    if model in ("poset", "pairs"):
+    if model == "pairs":
         parts = tok.split(",")
         if len(parts) != 2:
             raise ParseError(f"element {tok!r}: expected 'a,b'")

@@ -287,9 +287,6 @@ def verify_quantale_star(C: Catoid, Q: ValueAlgebra, rng, samples=50) -> Report:
 # ---------------------------------------------------------------------------
 # campaign driver
 
-SUITES = ("catoid", "kleene", "kat", "modal", "interchange", "nka", "conway",
-          "independence", "quantale", "all")
-
 
 @dataclass
 class CampaignConfig:
@@ -473,6 +470,7 @@ _SUITE_FN = {
     "independence": lambda config: verify_independence(),
     "quantale": _suite_quantale,
 }
+SUITES = (*_SUITE_FN, "all")
 
 
 def run_campaign(config: CampaignConfig) -> Report:
@@ -483,7 +481,7 @@ def run_campaign(config: CampaignConfig) -> Report:
     for s in config.suites:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
-        names.extend([n for n in SUITES if n != "all"] if s == "all" else [s])
+        names.extend(_SUITE_FN if s == "all" else [s])
     seen = set()
     rep = Report()
     for name in names:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .catoid import Catoid
+from .catoid import Catoid, Memo
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,25 @@ def _interleavings(u, v):
     return out
 
 
+def _subword_splits(x):
+    """The pairs of complementary subwords of x, sorted by the word sort key."""
+    pairs = set()
+    for r in range(len(x) + 1):
+        for places in itertools.combinations(range(len(x)), r):
+            chosen = set(places)
+            y = "".join(x[i] for i in range(len(x)) if i in chosen)
+            z = "".join(x[i] for i in range(len(x)) if i not in chosen)
+            pairs.add((y, z))
+    return sorted(pairs, key=lambda p: ((len(p[0]), p[0]), (len(p[1]), p[1])))
+
+
 class ShuffleCatoid(FreeMonoid):
     """Words under the shuffle multioperation; not functional for len >= 1."""
 
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)
         self.name = f"shuffle({''.join(self.alphabet)},{max_len})"
-        self._d2_memo = {}
+        self._splits = Memo(_subword_splits)
 
     def compose(self, y, z):
         if len(y) + len(z) > self.max_len:
@@ -172,19 +184,7 @@ class ShuffleCatoid(FreeMonoid):
         return frozenset(_interleavings(y, z))
 
     def decompose2(self, x):
-        if x not in self._d2_memo:
-            self._d2_memo[x] = self._subword_splits(x)
-        return self._d2_memo[x]
-
-    def _subword_splits(self, x):
-        pairs = set()
-        for r in range(len(x) + 1):
-            for places in itertools.combinations(range(len(x)), r):
-                chosen = set(places)
-                y = "".join(x[i] for i in range(len(x)) if i in chosen)
-                z = "".join(x[i] for i in range(len(x)) if i not in chosen)
-                pairs.add((y, z))
-        return sorted(pairs, key=lambda p: (self.sort_key(p[0]), self.sort_key(p[1])))
+        return self._splits[x]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ class GuardedStringCatoid(Catoid):
             raise ValueError("need nonempty test and action sets")
         self.max_len = max_len
         self.name = f"guarded({len(self.tests)}t,{len(self.actions)}a,{max_len})"
-        self._d2_memo = {}
+        self._splits = Memo(lambda x: [(x[: i + 1], x[i:]) for i in range(0, len(x), 2)])
 
     def compose(self, y, z):
         if y[-1] != z[0]:
@@ -376,9 +376,7 @@ class GuardedStringCatoid(Catoid):
 
     def decompose2(self, x):
         """Splits at each test, memoised; the left factors grow, so the list is sorted."""
-        if x not in self._d2_memo:
-            self._d2_memo[x] = [(x[: i + 1], x[i:]) for i in range(0, len(x), 2)]
-        return self._d2_memo[x]
+        return self._splits[x]
 
 
 # ---------------------------------------------------------------------------

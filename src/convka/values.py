@@ -598,6 +598,8 @@ def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
         for i, d in enumerate(A.dims):
             if d.star is None:
                 raise CapabilityError(f"{A.name}: dimension {i} lacks a star")
+    if cls in ("kleene", "modal", "interchange", "n_semiring", "n_kleene"):
+        _require(A, "idempotent_add", cls)  # their laws read the order
 
     rep = Report(algebra=A.name)
     law = _law_runner(rep, A.carrier if rng is None else A.pool(), rng, samples)

@@ -271,3 +271,10 @@ def test_elements_outside_the_universe_are_refused(where):
             check(C)
     with pytest.raises(ValueError, match="outside: o is"):
         check_n_catoid(NCatoid("outside-2", (C, C)))
+
+
+def test_a_models_own_key_error_is_not_blamed_on_the_universe():
+    # x is in elements(); only the model's source map lacks it
+    C = TableCatoid("gap", ["e", "x"], {}, {"e": "e"}, {"e": "e", "x": "e"}, add_units=False)
+    with pytest.raises(KeyError, match="'x'"):
+        C.kernel()

@@ -1,10 +1,15 @@
+import gc
+import random
+import weakref
 from math import comb
 
 import pytest
 
 from convka import models
 from convka.catoid import check_catoid_axioms, check_moebius
+from convka.convolution import convolve, random_function, star_dual, star_recursive
 from convka.higher import check_n_catoid
+from convka.values import make_min_plus
 
 
 def shuffle_oracle(v, w):
@@ -192,3 +197,29 @@ def test_corrupted_interchange_detected():
     rep = check_n_catoid(broken)
     assert not rep.clean
     assert any("interchange" in law or "catoid" in law for law in rep.failed_laws())
+
+
+def test_models_are_freed_by_reference_counting():
+    """A model's split memo, kernel and the weight functions over it form no
+    reference cycle, so dropping the model frees it with the collector off."""
+
+    def exercise(C):
+        check_catoid_axioms(C)
+        C.require_moebius()
+        f = random_function(C, make_min_plus(), random.Random(3))
+        for g in (star_recursive(f), star_dual(f), convolve(f, f)):
+            for x in C.elements():
+                g(x)
+        return weakref.ref(C), weakref.ref(C.kernel())
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build, args in ((models.shuffle_catoid, ("ab", 3)),
+                            (models.guarded_string_catoid, (["t0", "t1"], ["p"], 2)),
+                            (models.free_monoid, ("a", 50))):
+            refs = exercise(build(*args))
+            assert [r() for r in refs] == [None, None], build.__name__
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -77,6 +78,23 @@ def test_nat_inf_conway(natinf, rng):
     assert not natinf.idempotent_add
     rep = check_value_axioms(natinf, "conway", rng=rng, samples=400)
     assert rep.clean, rep.failed_laws()
+
+
+def test_order_classes_refuse_non_idempotent_addition(natinf):
+    """Classes whose laws read the order refuse before running any law; the
+    classes without an order still report on natinf, dioid.add-idem failing."""
+    with pytest.raises(CapabilityError, match="class 'kleene' needs idempotent_add"):
+        check_value_axioms(natinf, "kleene", rng=random.Random(1))
+    with pytest.raises(CapabilityError, match="class 'modal' needs has_modal"):
+        check_value_axioms(natinf, "modal", rng=random.Random(1))
+    counted = dataclasses.replace(make_boolean_nd(2), idempotent_add=False)
+    for cls in ("interchange", "n_semiring", "n_kleene"):
+        with pytest.raises(CapabilityError, match=f"class '{cls}' needs idempotent_add"):
+            check_value_axioms(counted, cls)
+    assert check_value_axioms(natinf, "dioid", rng=random.Random(1)).failed_laws() == {
+        "dioid.add-idem"}
+    for cls in ("semiring", "conway"):
+        assert check_value_axioms(natinf, cls, rng=random.Random(1)).clean
 
 
 def test_nat_inf_star_oracle():
