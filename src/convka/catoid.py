@@ -18,6 +18,7 @@ import itertools
 import operator
 
 from .report import FAIL, PASS, Report, fmt_value
+from .values import SIDES
 
 
 class MoebiusViolation(Exception):
@@ -382,10 +383,9 @@ def check_catoid_axioms(C: Catoid) -> Report:
     rep.add("catoid.assoc", FAIL if assoc else PASS, assoc, checked=n ** 3)
     rep.add("catoid.composability-st", FAIL if comp_st else PASS, comp_st, checked=n ** 2)
 
-    bad = [E[x] for x in range(n) if P[src[x]][x] != 1 << x]
-    rep.add("catoid.unit-left", FAIL if bad else PASS, bad, checked=n)
-    bad = [E[x] for x in range(n) if P[x][tgt[x]] != 1 << x]
-    rep.add("catoid.unit-right", FAIL if bad else PASS, bad, checked=n)
+    for (side, _, mirror), face in zip(SIDES, (src, tgt)):  # s(x).x = {x} = x.t(x)
+        bad = [E[x] for x in range(n) for a, b in [mirror(face[x], x)] if P[a][b] != 1 << x]
+        rep.add(f"catoid.unit-{side}", FAIL if bad else PASS, bad, checked=n)
 
     bad = [E[x] for x in range(n) if src[src[x]] != src[x] or tgt[tgt[x]] != tgt[x]
            or src[tgt[x]] != tgt[x] or tgt[src[x]] != src[x]]

@@ -27,7 +27,7 @@ from .convolution import (
 )
 from .modal import cod_hat, dom_hat, modal_laws
 from .report import FAIL, INFO, PASS, Report
-from .values import CapabilityError, NValueAlgebra
+from .values import SIDES, CapabilityError, NValueAlgebra
 
 
 class NCatoid:
@@ -71,6 +71,7 @@ def check_n_catoid(nc: NCatoid) -> Report:
     n = len(U)
     rep = Report(model=nc.name)
     kernels = [d.kernel() for d in nc.dims]
+    faces = [(d.source, d.target) for d in nc.dims]
 
     for i, d in enumerate(nc.dims):
         sub = check_catoid_axioms(d)
@@ -78,29 +79,22 @@ def check_n_catoid(nc: NCatoid) -> Report:
             rep.add(f"dim{i}.{e.law}", e.status, e.witnesses, e.checked, note=e.note)
 
     for i, j in itertools.permutations(range(nc.n), 2):
-        si, ti = nc.dims[i].source, nc.dims[i].target
-        sj, tj = nc.dims[j].source, nc.dims[j].target
-        bad = [x for x in U
-               if si(sj(x)) != sj(si(x)) or si(tj(x)) != tj(si(x))
-               or ti(sj(x)) != sj(ti(x)) or ti(tj(x)) != tj(ti(x))]
+        bad = [x for x in U if any(a(b(x)) != b(a(x)) for a in faces[i] for b in faces[j])]
         rep.add(f"ncat.face-commute[{i},{j}]", FAIL if bad else PASS, bad, checked=len(U))
 
         ki, Pj = kernels[i], kernels[j].table
-        sat, tat = ki.src, ki.tgt
-        simg, timg = ki.image(sat), ki.image(tat)
+        ids = [(face, at, ki.image(at)) for face, at in (("s", ki.src), ("t", ki.tgt))]
         bad = []
         for x, row in enumerate(Pj):
             for y, m in enumerate(row):
-                if simg[m] & ~Pj[sat[x]][sat[y]]:
-                    bad.append((U[x], U[y], "s"))
-                if timg[m] & ~Pj[tat[x]][tat[y]]:
-                    bad.append((U[x], U[y], "t"))
+                for face, at, img in ids:  # s_i(x .j y) <= s_i(x) .j s_i(y), and for t_i
+                    if img[m] & ~Pj[at[x]][at[y]]:
+                        bad.append((U[x], U[y], face))
         rep.add(f"ncat.lax-functorial[{i},{j}]", FAIL if bad else PASS, bad,
                 checked=len(U) ** 2)
 
     for i, j in itertools.combinations(range(nc.n), 2):
         ki, kj = kernels[i], kernels[j]
-        sj, tj = nc.dims[j].source, nc.dims[j].target
 
         # (w, x) with w .j x nonempty, in product order, so that walking
         # pairs of them visits quadruples in the order of U^4
@@ -117,23 +111,18 @@ def check_n_catoid(nc: NCatoid) -> Report:
         rep.add(f"ncat.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
                 checked=len(U) ** 4)
 
-        si, ti = nc.dims[i].source, nc.dims[i].target
-        bad = [x for x in U
-               if sj(si(x)) != si(x) or sj(ti(x)) != ti(x)
-               or tj(si(x)) != si(x) or tj(ti(x)) != ti(x)]
+        bad = [x for x in U if any(b(a(x)) != a(x) for a in faces[i] for b in faces[j])]
         rep.add(f"ncat.face-absorb[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U))
 
-        Pi, sat, tat = ki.table, kj.src, kj.tgt
-        simg, timg = kj.image(sat), kj.image(tat)
+        Pi = ki.table
+        ids = [(face, at, kj.image(at)) for face, at in (("s", kj.src), ("t", kj.tgt))]
         bad = []
         for x in range(n):
             for y in range(n):
-                m = Pi[sat[x]][sat[y]]
-                if simg[m] != m:
-                    bad.append((U[x], U[y], "s"))
-                m = Pi[tat[x]][tat[y]]
-                if timg[m] != m:
-                    bad.append((U[x], U[y], "t"))
+                for face, at, img in ids:  # s_j(s_j(x) .i s_j(y)) = s_j(x) .i s_j(y), and t_j
+                    m = Pi[at[x]][at[y]]
+                    if img[m] != m:
+                        bad.append((U[x], U[y], face))
         rep.add(f"ncat.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U) ** 2)
 
     filt_ok = True
@@ -219,6 +208,17 @@ class NConvolution:
         return random_function(self.nc.dims[0], self.views[0], rng)
 
 
+def _interchange_failure(bundle, i, j, rng):
+    """Interchange of dimensions i < j on four fresh random functions,
+    (f .j g) .i (h .j k) <= (f .i h) .j (g .i k): the first element where it
+    fails with both sides there, or None."""
+    f, g, h, k = (bundle.random_function(rng) for _ in range(4))
+    lhs = bundle.mul(i, bundle.mul(j, f, g), bundle.mul(j, h, k))
+    rhs = bundle.mul(j, bundle.mul(i, f, h), bundle.mul(i, g, k))
+    return next(((x, lhs(x), rhs(x)) for x in bundle.nc.elements()
+                 if not lhs.algebra.leq(lhs(x), rhs(x))), None)
+
+
 def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
     """Interchange inequality of dimensions 0 and 1 on function quadruples, plus id0 <= id1."""
     nc, alg = bundle.nc, bundle.alg
@@ -231,14 +231,8 @@ def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
 
     bad = []
     for k in range(samples):
-        f, g, h, kk = (bundle.random_function(rng) for _ in range(4))
-        lhs = bundle.mul(0, bundle.mul(1, f, g), bundle.mul(1, h, kk))
-        rhs = bundle.mul(1, bundle.mul(0, f, h), bundle.mul(0, g, kk))
-        if not function_leq(lhs, rhs, U):
-            for x in U:
-                if not alg.leq(lhs(x), rhs(x)):
-                    bad.append((k, nc.dims[0].format_element(x), lhs(x), rhs(x)))
-                    break
+        if (d := _interchange_failure(bundle, 0, 1, rng)) is not None:
+            bad.append((k, nc.dims[0].format_element(d[0]), d[1], d[2]))
     rep.add("ic.interchange", FAIL if bad else PASS, bad, checked=samples * len(U))
     return rep
 
@@ -252,7 +246,8 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
     Each dimension's modal laws are ``modal.modal_laws`` over that dimension's
     product, sum and lifts, with the dom and cod witness lists of a law merged
     into one line.  Each sample's D-_i and D+_i are lifted once; the laws read
-    them by sample index, and ``pairs`` holds pairs of indices.
+    them by sample index, and ``pairs`` holds pairs of indices.  A dom/cod
+    pair of laws is one statement, the cod half in the opposite product.
     """
     nc, alg = bundle.nc, bundle.alg
     rep = Report(model=nc.name, algebra=alg.name)
@@ -261,14 +256,14 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
 
     fs = [bundle.zero()] + [bundle.random_function(rng) for _ in range(samples)]
     pairs = list(itertools.product(range(min(len(fs), max(2, samples // 3))), repeat=2))
-    dom, cod = [], []
+    faces = {"dom": bundle.dom_, "cod": bundle.cod_}
+    lifts = []  # lifts[i][face][k]: D-_i or D+_i of sample k
     for i in range(nc.n):
-        di, ci, laws = modal_laws(fs, pairs, partial(bundle.mul, i), bundle.add,
-                                  partial(bundle.dom_, i), partial(bundle.cod_, i),
-                                  bundle.id_(i))
-        dom.append(di)
-        cod.append(ci)
-        ok = functions_equal(di[0], fs[0], U) and functions_equal(ci[0], fs[0], U)
+        lift, laws = modal_laws(fs, pairs, partial(bundle.mul, i), bundle.add,
+                                partial(bundle.dom_, i), partial(bundle.cod_, i),
+                                bundle.id_(i))
+        lifts.append(lift)
+        ok = all(functions_equal(d[0], fs[0], U) for d in lift.values())
         bad = {"strict": [] if ok else [("D(0) != 0",)]}
         for law, witnesses in laws.items():  # dom-expand and cod-expand into expand
             key = "-".join(w for w in law.split("-") if w not in ("dom", "cod"))
@@ -281,40 +276,32 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
         bad = []
         for k, (a, b) in enumerate(pairs):
             fg = bundle.mul(j, fs[a], fs[b])
-            if not function_leq(bundle.dom_(i, fg), bundle.mul(j, dom[i][a], dom[i][b]), U):
-                bad.append((k, "dom"))
-            if not function_leq(bundle.cod_(i, fg), bundle.mul(j, cod[i][a], cod[i][b]), U):
-                bad.append((k, "cod"))
+            for face, lift in lifts[i].items():
+                if not function_leq(faces[face](i, fg), bundle.mul(j, lift[a], lift[b]), U):
+                    bad.append((k, face))
         rep.add(f"nconv.d-lax[{i},{j}]", FAIL if bad else PASS, bad, checked=len(pairs))
 
     for i, j in itertools.combinations(range(nc.n), 2):
-        bad = []
-        for k in range(max(4, samples // 2)):
-            f, g, h, kk = (bundle.random_function(rng) for _ in range(4))
-            lhs = bundle.mul(i, bundle.mul(j, f, g), bundle.mul(j, h, kk))
-            rhs = bundle.mul(j, bundle.mul(i, f, h), bundle.mul(i, g, kk))
-            if not function_leq(lhs, rhs, U):
-                bad.append((k,))
+        bad = [(k,) for k in range(max(4, samples // 2))
+               if _interchange_failure(bundle, i, j, rng) is not None]
         rep.add(f"nconv.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
                 checked=max(4, samples // 2))
 
-        bad = [(k,) for k, df in enumerate(dom[i])
+        bad = [(k,) for k, df in enumerate(lifts[i]["dom"])
                if not functions_equal(bundle.dom_(j, df), df, U)]
         rep.add(f"nconv.dom-absorb[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(fs))
 
         bad = []
         for k, (a, b) in enumerate(pairs):
-            prod = bundle.mul(i, dom[j][a], dom[j][b])
-            if not functions_equal(bundle.dom_(j, prod), prod, U):
-                bad.append((k, "dom"))
-            prod = bundle.mul(i, cod[j][a], cod[j][b])
-            if not functions_equal(bundle.cod_(j, prod), prod, U):
-                bad.append((k, "cod"))
+            for face, lift in lifts[j].items():
+                prod = bundle.mul(i, lift[a], lift[b])
+                if not functions_equal(faces[face](j, prod), prod, U):
+                    bad.append((k, face))
         rep.add(f"nconv.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(pairs))
 
         bad = []
         vj = bundle.views[j]
-        for k, df in enumerate(dom[i]):
+        for k, df in enumerate(lifts[i]["dom"]):
             for x in U:
                 if not leq(df(x), vj.mul(df(x), df(x))):
                     bad.append((k, nc.dims[0].format_element(x)))
@@ -327,7 +314,7 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
         Ci = nc.dims[i]
         vi = bundle.views[i]
         for k, (a, b) in enumerate(pairs):
-            df, g = dom[i][a], fs[b]
+            df, g = lifts[i]["dom"][a], fs[b]
             lhs = bundle.mul(i, df, g)
             for x in U:
                 if lhs(x) != vi.mul(df(Ci.source(x)), g(x)):
@@ -340,15 +327,12 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
         for i, j in itertools.combinations(range(nc.n), 2):
             bad = []
             for k, (a, b) in enumerate(pairs):
-                df, cf, g = dom[i][a], cod[i][a], fs[b]
-                lhs = bundle.mul(i, df, bundle.star(j, g))
-                rhs = bundle.star(j, bundle.mul(i, df, g))
-                if not function_leq(lhs, rhs, U):
-                    bad.append((k, "dom"))
-                lhs = bundle.mul(i, bundle.star(j, g), cf)
-                rhs = bundle.star(j, bundle.mul(i, g, cf))
-                if not function_leq(lhs, rhs, U):
-                    bad.append((k, "cod"))
+                g, g_star = fs[b], bundle.star(j, fs[b])
+                for _, face, mirror in SIDES:  # D-(f) .i g* <= (D-(f) .i g)*
+                    df = lifts[i][face][a]
+                    rhs = bundle.star(j, bundle.mul(i, *mirror(df, g)))
+                    if not function_leq(bundle.mul(i, *mirror(df, g_star)), rhs, U):
+                        bad.append((k, face))
             rep.add(f"nconv.star-domain[{i}<{j}]", FAIL if bad else PASS, bad,
                     checked=len(pairs))
     return rep

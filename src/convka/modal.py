@@ -30,7 +30,7 @@ from .convolution import (
     zero_function,
 )
 from .report import FAIL, PASS, Report
-from .values import CapabilityError, ValueAlgebra
+from .values import SIDES, CapabilityError, ValueAlgebra
 
 
 def _hat(f, take_source: bool) -> WeightFunction:
@@ -83,44 +83,37 @@ def modal_laws(fs, pairs, mul, add, dom, cod, unit):
     Each sample's D- (``dom``) and D+ (``cod``) is lifted once.  Expansion,
     subidentity and compatibility are checked per sample i, witnessed by
     (i,); locality and additivity per index pair (i, j) in ``pairs``,
-    witnessed by (i, j, element, lhs, rhs) and (i, j).  ``unit`` is the
-    convolution unit, over the catoid that formats witness elements.
-    Returns the D- lifts, the D+ lifts and the witness lists by law name.
+    witnessed by (i, j, element, lhs, rhs) and (i, j).  Each law is stated
+    for dom, and cod reads it in the opposite product.  ``unit`` is the
+    convolution unit, over the catoid that formats witness elements.  Returns
+    the lifts by face and the witness lists by law.
     """
     fmt = unit.catoid.format_element
-    dm = [dom(f) for f in fs]
-    dp = [cod(f) for f in fs]
+    ops = {"dom": (dom, cod), "cod": (cod, dom)}  # each face, then the other one
+    lifts = {face: [op(f) for f in fs] for face, (op, _) in ops.items()}
     laws = {law: [] for law in (
         "dom-expand", "cod-expand", "dom-subid", "cod-subid", "compat-dom", "compat-cod",
         "dom-local", "cod-local", "dom-additive", "cod-additive")}
     for i, f in enumerate(fs):
-        df, cf = dm[i], dp[i]
-        if not function_leq(f, mul(df, f)):
-            laws["dom-expand"].append((i,))
-        if not function_leq(f, mul(f, cf)):
-            laws["cod-expand"].append((i,))
-        if not function_leq(df, unit):
-            laws["dom-subid"].append((i,))
-        if not function_leq(cf, unit):
-            laws["cod-subid"].append((i,))
-        if not functions_equal(cod(df), df):
-            laws["compat-dom"].append((i,))
-        if not functions_equal(dom(cf), cf):
-            laws["compat-cod"].append((i,))
+        for _, face, mirror in SIDES:
+            df, other = lifts[face][i], ops[face][1]
+            if not function_leq(f, mul(*mirror(df, f))):
+                laws[f"{face}-expand"].append((i,))
+            if not function_leq(df, unit):
+                laws[f"{face}-subid"].append((i,))
+            if not functions_equal(other(df), df):
+                laws[f"compat-{face}"].append((i,))
     for i, j in pairs:
-        f, g = fs[i], fs[j]
-        fg, f_plus_g = mul(f, g), add(f, g)
-        d = first_difference(dom(mul(f, dm[j])), dom(fg))
-        if d:
-            laws["dom-local"].append((i, j, fmt(d[0]), d[1], d[2]))
-        d = first_difference(cod(mul(dp[i], g)), cod(fg))
-        if d:
-            laws["cod-local"].append((i, j, fmt(d[0]), d[1], d[2]))
-        if not functions_equal(dom(f_plus_g), add(dm[i], dm[j])):
-            laws["dom-additive"].append((i, j))
-        if not functions_equal(cod(f_plus_g), add(dp[i], dp[j])):
-            laws["cod-additive"].append((i, j))
-    return dm, dp, laws
+        fg, f_plus_g = mul(fs[i], fs[j]), add(fs[i], fs[j])
+        for _, face, mirror in SIDES:
+            op, lift = ops[face][0], lifts[face]
+            a, b = mirror(i, j)  # dom(f.dom(g)) = dom(f.g), cod(cod(f).g) = cod(f.g)
+            d = first_difference(op(mul(*mirror(fs[a], lift[b]))), op(fg))
+            if d:
+                laws[f"{face}-local"].append((i, j, fmt(d[0]), d[1], d[2]))
+            if not functions_equal(op(f_plus_g), add(lift[i], lift[j])):
+                laws[f"{face}-additive"].append((i, j))
+    return lifts, laws
 
 
 def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Report:
@@ -159,9 +152,9 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
     if variant == "bracket":
         fs.append(id0(C, K))
     pairs = itertools.product(range(len(fs)), repeat=2)
-    dm, dp, laws = modal_laws(fs, pairs, convolve, conv_add, D_minus, D_plus, unit)
+    lifts, laws = modal_laws(fs, pairs, convolve, conv_add, D_minus, D_plus, unit)
 
-    ok = functions_equal(dm[0], zero) and functions_equal(dp[0], zero)
+    ok = all(functions_equal(lift[0], zero) for lift in lifts.values())
     rep.add("modal.strictness", PASS if ok else FAIL,
             [] if ok else [("D(0) != 0",)], checked=2)
     for law, bad in sorted(laws.items()):
@@ -171,7 +164,7 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
     if variant == "bracket":
         fixed = []
         for i, f in enumerate(fs):
-            if functions_equal(dm[i], f):
+            if functions_equal(lifts["dom"][i], f):
                 fixed.append("0" if not f.support() else
                              ("id0" if functions_equal(f, unit) else f"f{i}"))
         names = sorted(set(fixed))

@@ -286,7 +286,7 @@ def make_nat_inf_conway() -> ValueAlgebra:
 # finite table parsing
 
 
-_KEY = re.compile(r"carrier|order|add|mul\d*|(one|dom|cod|star)\d*")
+_KEY = re.compile(r"carrier|order|add|mul\d*|(one|dom|cod|star)(\d*)")
 
 
 def load_finite_algebra(text: str):
@@ -355,7 +355,10 @@ def load_finite_algebra(text: str):
         if zero is None:
             raise TableFormatError("add table has no additive unit")
     elif "order" in blocks:
-        order = [tok for tok in sum(blocks["order"], []) if tok != "<"]
+        tokens = sum(blocks["order"], [])
+        order = tokens[::2]
+        if tokens[1::2] != ["<"] * (len(order) - 1) or len(set(order)) != len(order):
+            raise TableFormatError("order must be a chain e1 < e2 < ... naming each element once")
         if set(order) != set(carrier):
             raise TableFormatError("order does not cover the carrier")
         rank = {e: i for i, e in enumerate(order)}
@@ -370,6 +373,10 @@ def load_finite_algebra(text: str):
         raise TableFormatError("missing multiplication table")
     if [i for i, _ in muls] not in ([-1], list(range(len(muls)))):
         raise TableFormatError("multiplication tables must be numbered 0..n-1")
+    tabled = {k or "0" for _, k in muls}  # the dimensions with a multiplication table
+    for key in blocks:  # a oneK/domK/codK/starK block needs the table mulK
+        if (m := _KEY.fullmatch(key))[1] and m[2] not in tabled:
+            raise TableFormatError(f"{key}: no multiplication table for dimension {m[2]}")
     dims = []
     for _, k in muls:
         d = k or "0"
@@ -453,8 +460,9 @@ def _law_runner(rep, pool, rng, samples):
 
 
 # A one-sided law is stated once, for the left side and dom; the right side
-# and cod state it in the opposite multiplication, x .op y = y . x.
-_SIDES = (("left", "dom", lambda x, y: (x, y)), ("right", "cod", lambda x, y: (y, x)))
+# and cod state it in the opposite multiplication, x .op y = y . x.  The
+# function-level checkers read their paired laws through the same sides.
+SIDES = (("left", "dom", lambda x, y: (x, y)), ("right", "cod", lambda x, y: (y, x)))
 
 
 def _mirrored(mul, mirror):
@@ -485,7 +493,7 @@ def _dioid_laws(law, A, tag=""):
 
 def _unfold_laws(law, A, prefix, tag=""):
     add, one, star = A.add, A.one, A.star
-    for side, _, mirror in _SIDES:
+    for side, _, mirror in SIDES:
         m = _mirrored(A.mul, mirror)
         law(f"{prefix}.unfold-{side}{tag}", 1, lambda a: _eq(add(one, m(a, star(a))), star(a)))
 
@@ -493,7 +501,7 @@ def _unfold_laws(law, A, prefix, tag=""):
 def _kleene_laws(law, A, tag=""):
     _unfold_laws(law, A, "ka", tag)
     add, star, leq = A.add, A.star, A.leq
-    for side, _, mirror in _SIDES:
+    for side, _, mirror in SIDES:
         m = _mirrored(A.mul, mirror)
         law(f"ka.induct-{side}{tag}", 3, lambda a, b, c: _le(A, m(star(a), c), b),
             given=lambda a, b, c: leq(add(c, m(a, b)), b))
@@ -510,7 +518,7 @@ def _conway_laws(law, A):
 
 def _modal_laws(law, A, tag=""):
     add, one, zero, leq = A.add, A.one, A.zero, A.leq
-    for _, f, mirror in _SIDES:
+    for _, f, mirror in SIDES:
         face, m = getattr(A, f), _mirrored(A.mul, mirror)
 
         def local(a, b):  # dom(a.dom(b)) = dom(a.b), cod(cod(a).b) = cod(a.b)
@@ -540,7 +548,7 @@ def _n_laws(law, A, cls):
         _modal_laws(law, A.view(i), f"[{i}]")
     for i, j in itertools.permutations(range(A.n), 2):
         mj = A.dims[j].mul
-        for _, f, _ in _SIDES:
+        for _, f, _ in SIDES:
             face = getattr(A.dims[i], f)
             law(f"nsr.{f}-lax[{i},{j}]", 2,
                 lambda a, b: _le(A, face(mj(a, b)), mj(face(a), face(b))))
@@ -548,7 +556,7 @@ def _n_laws(law, A, cls):
         mi, di, dj = A.dims[i].mul, A.dims[i], A.dims[j]
         law(f"nsr.interchange[{i}<{j}]", 4, _interchange(A, mi, dj.mul))
         law(f"nsr.dom-absorb[{i}<{j}]", 1, lambda a: _eq(dj.dom(di.dom(a)), di.dom(a)))
-        for _, f, _ in _SIDES:
+        for _, f, _ in SIDES:
             face = getattr(dj, f)
             law(f"nsr.closure-{f}[{i}<{j}]", 2,
                 lambda a, b: _eq(face(mi(face(a), face(b))), mi(face(a), face(b))))
@@ -557,7 +565,7 @@ def _n_laws(law, A, cls):
             _kleene_laws(law, A.view(i), f"[{i}]")
         for i, j in itertools.combinations(range(A.n), 2):
             sj = A.dims[j].star
-            for _, f, mirror in _SIDES:
+            for _, f, mirror in SIDES:
                 face, m = getattr(A.dims[i], f), _mirrored(A.dims[i].mul, mirror)
                 law(f"nka.star-{f}[{i}<{j}]", 2,
                     lambda a, b: _le(A, m(face(a), sj(b)), sj(m(face(a), b))))

@@ -161,6 +161,14 @@ def test_table_format_errors():
         load_finite_algebra("carrier: x y\norder: x < y\nmul:\nx y\ny y\n")
     with pytest.raises(TableFormatError, match="add"):
         load_finite_algebra("carrier: x y\nmul:\nx y\ny y\none: x")
+    tables = "mul:\nx x x\nx y z\nx z x\none: y\n"
+    for chain in ("x < y < z < y", "x y z", "x < y < z <"):  # a repeat, no '<', a loose '<'
+        with pytest.raises(TableFormatError, match="chain"):
+            load_finite_algebra(f"carrier: x y z\norder: {chain}\n" + tables)
+    with pytest.raises(TableFormatError, match="order does not cover the carrier"):
+        load_finite_algebra("carrier: x y z\norder: x < y\n" + tables)
+    with pytest.raises(TableFormatError, match="dom1: no multiplication table for dimension 1"):
+        load_finite_algebra("carrier: x y z\norder: x < y < z\n" + tables + "dom1: x y y\n")
 
 
 def test_table_blocks_take_rows_after_the_key_and_alias_dimension_zero():
