@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from convka.values import (
+    AXIOM_CLASSES,
     INF,
     NEG_INF,
     CapabilityError,
@@ -309,7 +310,8 @@ VALUE_LAW_PIN = Path(__file__).parent / "data" / "value_laws.txt"
 def value_law_lines():
     """One tab-separated line per law of each pinned (algebra, class) run, both
     exhaustive and sampled from random.Random(3): the case, the mode, the law,
-    its status, checked and vacuous counts and the full witness list."""
+    its status, checked and vacuous counts and the full witness list.  Then one
+    outcome line per stock algebra, class (and an unknown name) and mode."""
     cases = [(f"appendix{which}", appendix_b_model(which), cls)
              for which in (1, 2) for cls in ("n_semiring", "interchange")]
     cases.append(("negative-control", negative_control_dioid(), "modal"))
@@ -322,6 +324,28 @@ def value_law_lines():
             for e in rep.entries:
                 yield "\t".join([label, cls, mode, e.algebra, e.law, e.status, str(e.checked),
                                  str(e.vacuous), repr(e.witnesses)])
+    # then one outcome line per (algebra, class, mode): the law count and the
+    # failing laws, or the refusal's exception type and message
+    two = make_boolean_nd(2)
+    starless = dataclasses.replace(two, dims=tuple(dataclasses.replace(d, star=None)
+                                                   for d in two.dims))
+    algebras = [("boolean", make_boolean()), ("minplus", make_min_plus()),
+                ("maxplus", make_max_plus()), ("natinf", make_nat_inf_conway()),
+                ("appendix1", appendix_b_model(1)), ("appendix2", appendix_b_model(2)),
+                ("three-chain", three_chain_quantale()),
+                ("negative-control", negative_control_dioid()),
+                ("boolean2d", two), ("boolean3d", make_boolean_nd(3)),
+                ("boolean2d-starless", starless)]
+    for label, A in algebras:
+        for cls in AXIOM_CLASSES + ("nonsense",):
+            for mode, rng in (("exhaustive", None), ("sampled", random.Random(3))):
+                try:
+                    rep = check_value_axioms(A, cls, rng=rng, samples=10)
+                except Exception as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                else:
+                    outcome = f"laws={len(rep.entries)} failed={sorted(rep.failed_laws())}"
+                yield "\t".join([label, cls, mode, "outcome", outcome])
 
 
 def test_value_law_witnesses_pinned():
