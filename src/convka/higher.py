@@ -125,13 +125,10 @@ def check_n_catoid(nc: NCatoid) -> Report:
                         bad.append((U[x], U[y], face))
         rep.add(f"ncat.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U) ** 2)
 
-    filt_ok = True
-    for i in range(nc.n - 1):
-        lower = set(nc.dims[i].identities())
-        upper = set(nc.dims[i + 1].identities())
-        if not lower <= upper:
-            filt_ok = False
-    rep.add("ncat.identity-filtration", PASS if filt_ok else FAIL, checked=nc.n - 1)
+    # each identity of dimension i must be one of dimension i+1
+    bad = [(i, e) for i in range(nc.n - 1) for e in nc.dims[i].identities()
+           if not nc.dims[i + 1].is_identity(e)]
+    rep.add("ncat.identity-filtration", FAIL if bad else PASS, bad, checked=nc.n - 1)
 
     for i, d in enumerate(nc.dims):
         loc = is_local(d).clean

@@ -26,22 +26,18 @@ class TableFormatError(Exception):
     """Malformed finite-algebra table text."""
 
 
-class _Inf:
-    __slots__ = ()
+class _Infinity:
+    """An infinity token, compared by identity and printed as its text."""
+
+    def __init__(self, text: str):
+        self.text = text
 
     def __repr__(self):
-        return "inf"
+        return self.text
 
 
-class _NegInf:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "-inf"
-
-
-INF = _Inf()
-NEG_INF = _NegInf()
+INF = _Infinity("inf")
+NEG_INF = _Infinity("-inf")
 
 
 class _SharedAddition:
@@ -190,63 +186,39 @@ def make_boolean() -> ValueAlgebra:
     )
 
 
-def make_min_plus() -> ValueAlgebra:
-    """Min-plus Kleene algebra on the non-negative integers with inf adjoined."""
+def _tropical(name, best, zero, pool, **modal) -> ValueAlgebra:
+    """The tropical Kleene algebra over integers with ``zero`` adjoined: add
+    keeps the ``best`` of two weights and has ``zero`` as its unit, mul is +
+    and ``zero`` absorbs it, one is 0 and the star is constant 0."""
 
     def add(a, b):
-        if a is INF:
+        if a is zero:
             return b
-        if b is INF:
+        if b is zero:
             return a
-        return min(a, b)
+        return best(a, b)
 
     def mul(a, b):
-        if a is INF or b is INF:
-            return INF
+        if a is zero or b is zero:
+            return zero
         return a + b
+
+    return ValueAlgebra(name=name, add=add, mul=mul, zero=zero, one=0, idempotent_add=True,
+                        star=lambda a: 0, sample_pool=pool, **modal)
+
+
+def make_min_plus() -> ValueAlgebra:
+    """Min-plus Kleene algebra on the non-negative integers with inf adjoined."""
 
     def dom(a):
         return INF if a is INF else 0
 
-    return ValueAlgebra(
-        name="minplus",
-        add=add,
-        mul=mul,
-        zero=INF,
-        one=0,
-        idempotent_add=True,
-        star=lambda a: 0,
-        dom=dom,
-        cod=dom,
-        sample_pool=tuple(range(10)) + (INF,),
-    )
+    return _tropical("minplus", min, INF, tuple(range(10)) + (INF,), dom=dom, cod=dom)
 
 
 def make_max_plus() -> ValueAlgebra:
     """Max-plus Kleene algebra on the non-positive integers with -inf adjoined."""
-
-    def add(a, b):
-        if a is NEG_INF:
-            return b
-        if b is NEG_INF:
-            return a
-        return max(a, b)
-
-    def mul(a, b):
-        if a is NEG_INF or b is NEG_INF:
-            return NEG_INF
-        return a + b
-
-    return ValueAlgebra(
-        name="maxplus",
-        add=add,
-        mul=mul,
-        zero=NEG_INF,
-        one=0,
-        idempotent_add=True,
-        star=lambda a: 0,
-        sample_pool=tuple(range(-9, 1)) + (NEG_INF,),
-    )
+    return _tropical("maxplus", max, NEG_INF, tuple(range(-9, 1)) + (NEG_INF,))
 
 
 def make_nat_inf_conway() -> ValueAlgebra:
@@ -295,7 +267,7 @@ def load_finite_algebra(text: str):
     Each ``key:`` line opens a block; its rows are the tokens after the colon
     plus the data lines up to the next key, and ``#`` starts a comment.  Keys:
     ``carrier`` (the elements), ``order`` (a chain ``e1 < e2 < ...`` inducing
-    add = join, used when there is no ``add`` table), ``add`` and ``mul`` or
+    add = join, refused beside an ``add`` table), ``add`` and ``mul`` or
     ``mul0``..``mulK`` (square tables, rows and columns in carrier order),
     ``oneK`` (the unit of dimension K) and ``domK``/``codK``/``starK`` (a row
     with one entry per carrier element).  ``one``, ``dom``, ``cod`` and
@@ -350,6 +322,8 @@ def load_finite_algebra(text: str):
             ops[key] = dict(cells(f"row {key}", sum(rows, []))).__getitem__
 
     if "add" in ops:
+        if "order" in blocks:
+            raise TableFormatError("give an add: table or an order: chain, not both")
         add = ops["add"]
         zero = next((e for e in carrier if all(add(e, x) == x for x in carrier)), None)
         if zero is None:
@@ -414,18 +388,6 @@ def quantale_star(A: ValueAlgebra, a):
 
 # ---------------------------------------------------------------------------
 # axiom checking
-
-AXIOM_CLASSES = (
-    "semiring",
-    "dioid",
-    "kleene",
-    "conway",
-    "modal",
-    "interchange",
-    "n_semiring",
-    "n_kleene",
-)
-
 
 def _eq(x, y):
     return None if x == y else (x, y)
@@ -541,8 +503,20 @@ def _interchange(A, mi, mj):
     return lambda a, b, c, d: _le(A, mi(mj(a, b), mj(c, d)), mj(mi(a, c), mi(b, d)))
 
 
-def _n_laws(law, A, cls):
-    """The laws linking the dimensions of an n-semiring and an n-Kleene algebra."""
+def _interchange_laws(law, A):
+    """Two dioids (Kleene when both have stars), interchange and 1_0 <= 1_1."""
+    views = [A.view(0), A.view(1)]
+    for i, v in enumerate(views):
+        _dioid_laws(law, v, f"[{i}]")
+    if all(v.has_star for v in views):
+        for i, v in enumerate(views):
+            _kleene_laws(law, v, f"[{i}]")
+    law("ic.interchange", 4, _interchange(A, A.dims[0].mul, A.dims[1].mul))
+    law("ic.unit-leq", 0, lambda: _le(A, A.dims[0].one, A.dims[1].one))
+
+
+def _n_laws(law, A):
+    """The laws linking the dimensions of an n-semiring."""
     for i in range(A.n):
         _dioid_laws(law, A.view(i), f"[{i}]")
         _modal_laws(law, A.view(i), f"[{i}]")
@@ -560,15 +534,35 @@ def _n_laws(law, A, cls):
             face = getattr(dj, f)
             law(f"nsr.closure-{f}[{i}<{j}]", 2,
                 lambda a, b: _eq(face(mi(face(a), face(b))), mi(face(a), face(b))))
-    if cls == "n_kleene":
-        for i in range(A.n):
-            _kleene_laws(law, A.view(i), f"[{i}]")
-        for i, j in itertools.combinations(range(A.n), 2):
-            sj = A.dims[j].star
-            for _, f, mirror in SIDES:
-                face, m = getattr(A.dims[i], f), _mirrored(A.dims[i].mul, mirror)
-                law(f"nka.star-{f}[{i}<{j}]", 2,
-                    lambda a, b: _le(A, m(face(a), sj(b)), sj(m(face(a), b))))
+
+
+def _n_kleene_laws(law, A):
+    """The star laws an n-Kleene algebra adds to its n-semiring."""
+    for i in range(A.n):
+        _kleene_laws(law, A.view(i), f"[{i}]")
+    for i, j in itertools.combinations(range(A.n), 2):
+        sj = A.dims[j].star
+        for _, f, mirror in SIDES:
+            face, m = getattr(A.dims[i], f), _mirrored(A.dims[i].mul, mirror)
+            law(f"nka.star-{f}[{i}<{j}]", 2,
+                lambda a, b: _le(A, m(face(a), sj(b)), sj(m(face(a), b))))
+
+
+# One row per axiom class: whether it is n-dimensional, the capabilities it
+# needs (of each dimension when n-dimensional), whether its laws read the
+# order, and its law groups in report order.
+_CLASSES = {
+    "semiring": (False, (), False, (_semiring_laws,)),
+    "dioid": (False, (), False, (_dioid_laws,)),
+    "kleene": (False, ("has_star",), True, (_dioid_laws, _kleene_laws)),
+    "conway": (False, ("has_star",), False, (_semiring_laws, _conway_laws)),
+    "modal": (False, ("has_modal",), True, (_dioid_laws, _modal_laws)),
+    "interchange": (True, (), True, (_interchange_laws,)),
+    "n_semiring": (True, ("has_modal",), True, (_n_laws,)),
+    "n_kleene": (True, ("has_modal", "has_star"), True, (_n_laws, _n_kleene_laws)),
+}
+AXIOM_CLASSES = tuple(_CLASSES)
+_LACKS = {"has_modal": "modal maps", "has_star": "a star"}
 
 
 def _require(A, attr, cls):
@@ -583,66 +577,35 @@ def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
     carrier); otherwise a random.Random drives bounded sampling.  Violations
     are all collected, not first-fail.
     """
-    if cls not in AXIOM_CLASSES:
+    if cls not in _CLASSES:
         raise ValueError(f"unknown axiom class {cls!r}")
-    multi = isinstance(A, NValueAlgebra)
-    if cls in ("interchange", "n_semiring", "n_kleene") and not multi:
-        raise CapabilityError(f"{A.name}: class {cls!r} needs an n-dimensional algebra")
-    if cls not in ("interchange", "n_semiring", "n_kleene") and multi:
-        raise CapabilityError(f"{A.name}: class {cls!r} needs a one-dimensional algebra")
+    multi, needs, ordered, groups = _CLASSES[cls]
+    if multi != isinstance(A, NValueAlgebra):
+        kind = "an n-dimensional" if multi else "a one-dimensional"
+        raise CapabilityError(f"{A.name}: class {cls!r} needs {kind} algebra")
     if rng is None and not A.is_finite:
         raise CapabilityError(f"{A.name}: exhaustive checking needs a finite carrier")
-    if cls in ("kleene", "conway"):
-        _require(A, "has_star", cls)
-    if cls == "modal":
-        _require(A, "has_modal", cls)
     if cls == "interchange" and A.n != 2:
         raise CapabilityError("interchange class is two-dimensional")
-    if cls in ("n_semiring", "n_kleene"):
-        for i, d in enumerate(A.dims):
-            if d.dom is None or d.cod is None:
-                raise CapabilityError(f"{A.name}: dimension {i} lacks modal maps")
-    if cls == "n_kleene":
-        for i, d in enumerate(A.dims):
-            if d.star is None:
-                raise CapabilityError(f"{A.name}: dimension {i} lacks a star")
-    if cls in ("kleene", "modal", "interchange", "n_semiring", "n_kleene"):
+    for attr in needs:  # of every dimension when n-dimensional
+        if not multi:
+            _require(A, attr, cls)
+        for i in range(A.n if multi else 0):
+            if not getattr(A.view(i), attr):
+                raise CapabilityError(f"{A.name}: dimension {i} lacks {_LACKS[attr]}")
+    if ordered:
         _require(A, "idempotent_add", cls)  # their laws read the order
 
     rep = Report(algebra=A.name)
     law = _law_runner(rep, A.carrier if rng is None else A.pool(), rng, samples)
-    if cls in ("semiring", "conway"):
-        _semiring_laws(law, A)
-    elif cls in ("dioid", "kleene", "modal"):
-        _dioid_laws(law, A)
-    if cls == "kleene":
-        _kleene_laws(law, A)
-    elif cls == "conway":
-        _conway_laws(law, A)
-    elif cls == "modal":
-        _modal_laws(law, A)
-    elif cls == "interchange":
-        views = [A.view(0), A.view(1)]
-        for i, v in enumerate(views):
-            _dioid_laws(law, v, f"[{i}]")
-        if all(v.has_star for v in views):
-            for i, v in enumerate(views):
-                _kleene_laws(law, v, f"[{i}]")
-        law("ic.interchange", 4, _interchange(A, A.dims[0].mul, A.dims[1].mul))
-        law("ic.unit-leq", 0, lambda: _le(A, A.dims[0].one, A.dims[1].one))
-    elif cls in ("n_semiring", "n_kleene"):
-        _n_laws(law, A, cls)
+    for group in groups:
+        group(law, A)
     return rep
 
 
 def make_boolean_nd(n: int = 2) -> NValueAlgebra:
     """Boolean n-dimensional Kleene algebra: every dimension is the boolean KA."""
-    dim = DimOps(mul=min, one=1, dom=lambda a: a, cod=lambda a: a, star=lambda a: 1)
-    return NValueAlgebra(
-        name=f"boolean{n}d",
-        add=max,
-        zero=0,
-        dims=tuple(dim for _ in range(n)),
-        idempotent_add=True,
-        carrier=(0, 1),
-    )
+    B = make_boolean()
+    dim = DimOps(mul=B.mul, one=B.one, dom=B.dom, cod=B.cod, star=B.star)
+    return NValueAlgebra(name=f"boolean{n}d", add=B.add, zero=B.zero, dims=(dim,) * n,
+                         carrier=B.carrier)

@@ -303,3 +303,11 @@ def test_swapped_interchange_fails_with_known_witnesses():
     nc = DIFFERENTIAL_CASES["swap"]()
     law = check_n_catoid(nc).law("ncat.interchange[0<1]")
     assert (law.status, len(law.witnesses), law.checked) == ("fail", 44, 50625)
+
+
+def test_identity_filtration_names_each_missing_identity(square):
+    rev = NCatoid("rev", square.dims[::-1])
+    law = check_n_catoid(rev).law("ncat.identity-filtration")
+    assert (law.status, law.checked) == ("fail", 1)
+    missing = ("p1", "p1p2", "p1q2", "p2", "q1", "q1p2", "q1q2", "q2")
+    assert law.witnesses == [(0, e) for e in missing]

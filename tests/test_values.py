@@ -66,6 +66,25 @@ def test_max_plus_basics():
     assert mp.zero is NEG_INF
 
 
+def test_max_plus_is_min_plus_negated():
+    """Negation, swapping inf and -inf, carries max-plus onto min-plus."""
+    mn, mx = make_min_plus(), make_max_plus()
+
+    def neg(a):
+        return NEG_INF if a is INF else INF if a is NEG_INF else -a
+
+    pool = mx.sample_pool
+    assert sorted(map(neg, mn.sample_pool), key=repr) == sorted(pool, key=repr)
+    for a in pool:
+        assert neg(mx.star(a)) == mn.star(neg(a))
+        for b in pool:
+            assert neg(mx.add(a, b)) == mn.add(neg(a), neg(b))
+            assert neg(mx.mul(a, b)) == mn.mul(neg(a), neg(b))
+    assert neg(mx.zero) is mn.zero and neg(mx.one) == mn.one
+    assert mn.dom is mn.cod and mn.dom(INF) is INF and mn.dom(7) == 0
+    assert mx.dom is None and mx.cod is None and not mx.has_modal
+
+
 @pytest.mark.parametrize("make", [make_min_plus, make_max_plus])
 def test_tropical_kleene_laws_sampled(make, rng):
     rep = check_value_axioms(make(), "kleene", rng=rng, samples=400)
@@ -168,6 +187,9 @@ def test_table_format_errors():
             load_finite_algebra(f"carrier: x y z\norder: {chain}\n" + tables)
     with pytest.raises(TableFormatError, match="order does not cover the carrier"):
         load_finite_algebra("carrier: x y z\norder: x < y\n" + tables)
+    with pytest.raises(TableFormatError, match="add: table or an order: chain, not both"):
+        load_finite_algebra("carrier: 0 1\norder: 1 0 0 zz\nadd:\n0 1\n1 1\n"
+                            "mul:\n0 0\n0 1\none: 1")
     with pytest.raises(TableFormatError, match="dom1: no multiplication table for dimension 1"):
         load_finite_algebra("carrier: x y z\norder: x < y < z\n" + tables + "dom1: x y y\n")
 
