@@ -7,8 +7,12 @@ element is exact because every factor of an in-bound element is in-bound.
 Such models set ``is_complete = False``; models whose universe is the whole
 catoid set it to True.
 
-Models are immutable after construction.  The decomposition and length caches
-are memo tables for pure functions, so concurrent readers are safe.
+Elements are numbered by their position in ``elements()``; ``index()``,
+``faces()`` and ``rows()`` give the ids, faces and decompositions that the
+kernel and the convolution layer run on.
+
+Models are immutable after construction.  The decomposition, row and length
+caches are memo tables for pure functions, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ class Catoid:
 
     Subclasses must implement ``compose``, ``source``, ``target``,
     ``_build_elements`` and ``sort_key``; they may override ``decompose2``
-    with a closed form (equivalence with the generic inversion is a test).
+    with a closed form (equivalence with the generic inversion is a test),
+    and ``rows`` with one that decodes to it.
     """
 
     name = "catoid"
@@ -53,7 +58,9 @@ class Catoid:
 
     def __init__(self):
         self._elements = None
-        self._element_set = None
+        self._index = None
+        self._faces = None
+        self._rows = {}
         self._identities = None
         self._d2_cache = None
         self._dn_cache = {}
@@ -86,12 +93,49 @@ class Catoid:
     def elements(self) -> list:
         if self._elements is None:
             self._elements = sorted(self._build_elements(), key=self.sort_key)
-            self._element_set = frozenset(self._elements)
+            self._index = {e: i for i, e in enumerate(self._elements)}
         return self._elements
 
+    def index(self) -> dict:
+        """Each element's id, its position in ``elements()``."""
+        if self._index is None:
+            self.elements()
+        return self._index
+
     def __contains__(self, x):
-        self.elements()
-        return x in self._element_set
+        return x in self.index()
+
+    def _in_universe(self, build):
+        """``build()``, where a KeyError for an element outside ``elements()``
+        becomes the one ValueError that names it."""
+        index = self.index()
+        try:
+            return build()
+        except KeyError as exc:
+            if exc.args[0] in index:  # the model's own lookup failed, not the universe
+                raise
+            raise ValueError(f"{self.name}: {fmt_value(exc.args[0])} is a source, target or "
+                             "product member but not in elements()") from None
+
+    def faces(self) -> tuple:
+        """(source ids, target ids, identity flags), one entry per id, built
+        once; callers must not mutate the lists."""
+        if self._faces is None:
+            U, index = self.elements(), self.index()
+            src, tgt = self._in_universe(lambda: (
+                [index[self.source(x)] for x in U], [index[self.target(x)] for x in U]))
+            self._faces = src, tgt, [s == i for i, s in enumerate(src)]
+        return self._faces
+
+    def rows(self, i) -> tuple:
+        """``decompose2`` of element i as (left ids, right ids), in the same
+        order; memoised per instance."""
+        row = self._rows.get(i)
+        if row is None:
+            pairs, index = self.decompose2(self.elements()[i]), self.index()
+            row = self._rows[i] = self._in_universe(lambda: (
+                tuple(index[y] for y, _ in pairs), tuple(index[z] for _, z in pairs)))
+        return row
 
     def is_identity(self, x) -> bool:
         return self.source(x) == x
@@ -110,18 +154,22 @@ class Catoid:
         keeps the table.  A closed form in a subclass must list the same pairs
         in the same order, which ``check_decompose2_consistency`` guards;
         where its pairs are built with strictly growing left factors it can
-        return them without sorting.  Of the closed forms, shuffle and guarded
-        strings memoise their splits per instance, since the law checkers
-        decompose the same elements again and again.  Words, paths, pairs and
-        intervals do not: their split costs one pass, and a memo over a long
-        word or a dense graph would keep hundreds of thousands of slices alive.
+        return them without sorting.  The convolution layer reads
+        decompositions as ids through ``rows``, which keeps them, so of the
+        closed forms only shuffle memoises its splits: ``check_moebius``,
+        ``length`` and ``check_decompose2_consistency`` each decompose every
+        element, and a shuffle split enumerates all subwords.
         """
         if self._d2_cache is None:
-            table = {e: [] for e in self.elements()}
-            for y, z in itertools.product(self.elements(), repeat=2):
-                for w in self.compose(y, z):
-                    if w in table:
+            U = self.elements()
+            table = {e: [] for e in U}
+
+            def invert():
+                for y, z in itertools.product(U, repeat=2):
+                    for w in self.compose(y, z):
                         table[w].append((y, z))
+
+            self._in_universe(invert)
             pair_key = lambda p: (self.sort_key(p[0]), self.sort_key(p[1]))
             self._d2_cache = {e: sorted(ps, key=pair_key) for e, ps in table.items()}
         return self._d2_cache[x]
@@ -273,30 +321,23 @@ class Kernel:
     """A catoid as integers, for the law checkers (the finite incidence-algebra
     technique: element ids and a dense product table).
 
-    Ids 0..n-1 number ``elements()`` in order; ``src`` and ``tgt`` hold the
-    ids of their sources and targets, and ``table[y][z]`` is the bitmask of
-    the ids in y . z, each pair composed once.  A source, target or product
-    member outside ``elements()`` raises ValueError.  Sets are bitmasks:
+    Ids 0..n-1 number ``elements()`` in order; ``src`` and ``tgt`` are the
+    catoid's ``faces()``, and ``table[y][z]`` is the bitmask of the ids in
+    y . z, each pair composed once.  A source, target or product member
+    outside ``elements()`` raises the catoid's one ValueError for it.  Sets are bitmasks:
     union is ``|`` and inclusion ``a & ~b == 0``.  Ids decode to elements
     only for witnesses.
     """
 
     def __init__(self, C: Catoid):
         U = C.elements()
-        index = {e: i for i, e in enumerate(U)}
         bit = {e: 1 << i for i, e in enumerate(U)}
 
         self.n = len(U)
         self.elements = U
-        try:
-            self.src = [index[C.source(x)] for x in U]
-            self.tgt = [index[C.target(x)] for x in U]
-            self.table = [[_join(bit, C.compose(y, z)) for z in U] for y in U]
-        except KeyError as exc:
-            if exc.args[0] in index:  # the model's own lookup failed, not the universe
-                raise
-            raise ValueError(f"{C.name}: {fmt_value(exc.args[0])} is a source, target or "
-                             "product member but not in elements()") from None
+        self.src, self.tgt, _ = C.faces()
+        self.table = C._in_universe(
+            lambda: [[_join(bit, C.compose(y, z)) for z in U] for y in U])
         self.bits = Memo(lambda m: tuple(i for i in range(m.bit_length()) if m >> i & 1))
 
     def decode(self, m) -> frozenset:

@@ -18,9 +18,12 @@ MoebiusViolation.
 star_unfolded, the direct sum over all n-fold non-identity decompositions,
 stays separate as the trusted oracle and sums every term.
 
-Weight functions memoise their values; the caches are idempotent tables for
-pure rules, safe to share between readers.  The engine and convolve read a
-factor's ``_memo`` directly on a hit and call the function only on a miss.
+Weight functions run on element ids, the positions in ``elements()``: each
+memoises its values in a list indexed by id, an idempotent table for a pure
+rule, safe to share between readers.  Convolve, the engine and the
+comparisons read decompositions as ids through ``Catoid.rows`` and a factor's
+values from its list, calling ``at`` only on a miss.  Elements are decoded
+only at the boundary: ``f(x)`` looks x's id up, and results name elements.
 """
 
 from __future__ import annotations
@@ -33,58 +36,75 @@ from .values import SIDES, CapabilityError, ValueAlgebra
 
 
 class WeightFunction:
-    """A total, memoised map from catoid elements to weights."""
+    """A total, memoised map from catoid elements to weights.
 
-    __slots__ = ("catoid", "algebra", "name", "_rule", "_memo")
+    ``rule`` takes an element.  Values are kept by element id, where None
+    marks one not yet computed; ``at(i)`` reads and fills the value at id i.
+    """
+
+    __slots__ = ("catoid", "algebra", "name", "_rule", "_vals", "_index")
 
     def __init__(self, catoid: Catoid, algebra: ValueAlgebra, rule, name="f"):
-        self.catoid = catoid
-        self.algebra = algebra
-        self.name = name
-        self._rule = rule
-        self._memo = {}
+        E = catoid.elements()
+        self._bind(catoid, algebra, name, lambda i: rule(E[i]), None)
+
+    @classmethod
+    def by_id(cls, catoid, algebra, name, rule=None, vals=None) -> "WeightFunction":
+        """The function whose value at id i is ``rule(i)``, or ``vals[i]``
+        where ``vals`` is given; ``vals`` is kept, not copied."""
+        wf = cls.__new__(cls)
+        wf._bind(catoid, algebra, name, rule, vals)
+        return wf
+
+    def _bind(self, catoid, algebra, name, rule, vals):
+        self.catoid, self.algebra, self.name, self._rule = catoid, algebra, name, rule
+        self._index = catoid.index()
+        self._vals = [None] * len(self._index) if vals is None else vals
+
+    def at(self, i):
+        v = self._vals[i]
+        if v is None:
+            v = self._vals[i] = self._rule(i)
+        return v
 
     def __call__(self, x):
-        memo = self._memo
-        if x in memo:
-            return memo[x]
-        v = self._rule(x)
-        memo[x] = v
-        return v
+        return self.at(self._index[x])
 
     def over(self, catoid: Catoid, algebra: ValueAlgebra) -> "WeightFunction":
         """The same map read over another catoid and algebra on the same
-        elements and weights, such as one dimension of an n-catoid; the view
-        shares this function's rule and memo."""
-        view = WeightFunction(catoid, algebra, self._rule, self.name)
-        view._memo = self._memo
-        return view
+        elements, in the same order, and weights, such as one dimension of an
+        n-catoid; the view shares this function's rule and values."""
+        return WeightFunction.by_id(catoid, algebra, self.name, self._rule, self._vals)
 
     def support(self) -> list:
-        return [x for x in self.catoid.elements() if self(x) != self.algebra.zero]
+        at, zero = self.at, self.algebra.zero
+        return [x for i, x in enumerate(self.catoid.elements()) if at(i) != zero]
 
     def __repr__(self):
         return f"<WeightFunction {self.name}>"
 
 
 def zero_function(C, K) -> WeightFunction:
-    return WeightFunction(C, K, lambda x: K.zero, name="0")
+    return WeightFunction.by_id(C, K, "0", vals=[K.zero] * len(C.elements()))
 
 
 def id0(C, K) -> WeightFunction:
     """Unit of convolution: the indicator of the identity set."""
-    return WeightFunction(C, K, lambda x: K.one if C.is_identity(x) else K.zero, name="id0")
+    return WeightFunction.by_id(C, K, "id0", vals=[K.one if e else K.zero for e in C.faces()[2]])
 
 
 def indicator(C, K, members) -> WeightFunction:
-    s = frozenset(members)
-    return WeightFunction(C, K, lambda x: K.one if x in s else K.zero, name="chi")
+    return from_pairs(C, K, ((x, K.one) for x in members), name="chi")
 
 
 def from_pairs(C, K, pairs, name="f") -> WeightFunction:
-    """The weights in ``pairs``, zero elsewhere."""
-    table, zero = dict(pairs), K.zero
-    return WeightFunction(C, K, lambda x: table.get(x, zero), name=name)
+    """The weights in ``pairs``, zero elsewhere; pairs off the universe are
+    ignored."""
+    vals, index = [K.zero] * len(C.elements()), C.index()
+    for x, w in dict(pairs).items():
+        if x in index:
+            vals[index[x]] = w
+    return WeightFunction.by_id(C, K, name, vals=vals)
 
 
 def _check_same(f, g):
@@ -98,13 +118,9 @@ def _check_same(f, g):
 def conv_add(f, g) -> WeightFunction:
     """Pointwise sum."""
     _check_same(f, g)
-    C, K = f.catoid, f.algebra
-    add, f_memo, g_memo = K.add, f._memo, g._memo
-
-    def rule(x):
-        return add(f_memo[x] if x in f_memo else f(x), g_memo[x] if x in g_memo else g(x))
-
-    return WeightFunction(C, K, rule, name=f"({f.name}+{g.name})")
+    add, f_at, g_at = f.algebra.add, f.at, g.at
+    return WeightFunction.by_id(f.catoid, f.algebra, f"({f.name}+{g.name})",
+                                lambda i: add(f_at(i), g_at(i)))
 
 
 def convolve(f, g) -> WeightFunction:
@@ -115,30 +131,34 @@ def convolve(f, g) -> WeightFunction:
     """
     _check_same(f, g)
     C, K = f.catoid, f.algebra
-    add, mul, zero, top, decompose2 = K.add, K.mul, K.zero, K.add_top, C.decompose2
-    skip_zero, f_memo, g_memo = K.zero_absorbs, f._memo, g._memo
+    add, mul, zero, top, rows = K.add, K.mul, K.zero, K.add_top, C.rows
+    skip_zero, fv, f_at, gv, g_at = K.zero_absorbs, f._vals, f.at, g._vals, g.at
 
     def rule(x):
         acc = zero
-        for y, z in decompose2(x):
-            u = f_memo[y] if y in f_memo else f(y)
+        for y, z in zip(*rows(x)):
+            u = fv[y]
+            if u is None:
+                u = f_at(y)
             if skip_zero and u == zero:  # a skipped term would add 0
                 continue
-            acc = add(acc, mul(u, g_memo[z] if z in g_memo else g(z)))
+            v = gv[z]
+            acc = add(acc, mul(u, g_at(z) if v is None else v))
             if acc == top:  # the remaining terms would add nothing
                 break
         return acc
 
-    return WeightFunction(C, K, rule, name=f"({f.name}*{g.name})")
+    return WeightFunction.by_id(C, K, f"({f.name}*{g.name})", rule)
 
 
 def _star_engine(f, side: str) -> WeightFunction:
     """f* by the left ("left"), dual ("right") or K[C] ("path") recursion.
 
-    Demand-driven and iterative: a stack holds a frame per element reached
-    without a value, with the nonzero terms of one decompose2 scan as (star
+    Demand-driven and iterative on ids: a stack holds a frame per element
+    reached without a value, with the nonzero terms of its row as (star
     element needed, f-factor) pairs in order, a resume index and the sum.
-    A frame whose sum reaches the additive top is finished at once.
+    The dual recursion reads each row with its two sides exchanged.  A frame
+    whose sum reaches the additive top is finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -147,27 +167,24 @@ def _star_engine(f, side: str) -> WeightFunction:
     elif not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    add, mul, zero, top, is_identity = K.add, K.mul, K.zero, K.add_top, C.is_identity
-    left, keep_zero, f_memo = side != "right", not K.zero_absorbs, f._memo
+    add, mul, zero, top, rows = K.add, K.mul, K.zero, K.add_top, C.rows
+    src, tgt, is_identity = C.faces()
+    left, keep_zero, fv, f_at = side != "right", not K.zero_absorbs, f._vals, f.at
+    base = src if left else tgt
 
-    at_identity = (lambda e: K.one) if side == "path" else (lambda e: K.star(f(e)))
+    at_identity = (lambda e: K.one) if side == "path" else (lambda e: K.star(f_at(e)))
 
     def open_frame(x):
         # a term whose f-factor is 0 is dropped where zero absorbs: it would add 0
-        if left:
-            b = C.source(x)
-            terms = [(z, w) for y, z in C.decompose2(x)
-                     if y != b and ((w := f_memo[y] if y in f_memo else f(y)) != zero
-                                    or keep_zero)]
-        else:
-            b = C.target(x)
-            terms = [(y, w) for y, z in C.decompose2(x)
-                     if z != b and ((w := f_memo[z] if z in f_memo else f(z)) != zero
-                                    or keep_zero)]
+        b, (ys, zs) = base[x], rows(x)
+        factors, needs = (ys, zs) if left else (zs, ys)
+        terms = [(n, w) for y, n in zip(factors, needs)
+                 if y != b and ((w := f_at(y) if fv[y] is None else fv[y]) != zero
+                                or keep_zero)]
         return [x, terms, 0, zero]
 
     def rule(x):
-        if is_identity(x):
+        if is_identity[x]:
             return at_identity(x)
         stack, on_stack = [open_frame(x)], {x}
         while True:
@@ -175,34 +192,33 @@ def _star_engine(f, side: str) -> WeightFunction:
             x, terms, i, acc = frame
             while i < len(terms) and acc != top:
                 need, w = terms[i]
-                if need in memo:
-                    v = memo[need]
-                elif is_identity(need):
-                    v = memo[need] = at_identity(need)
-                else:
-                    break
+                v = vals[need]
+                if v is None:
+                    if not is_identity[need]:
+                        break
+                    v = vals[need] = at_identity(need)
                 acc = add(acc, mul(w, v) if left else mul(v, w))
                 i += 1
             else:
                 stack.pop()
                 on_stack.discard(x)
                 if side != "path":
-                    e = K.star(f(C.source(x) if left else C.target(x)))
+                    e = K.star(f_at(base[x]))
                     acc = mul(e, acc) if left else mul(acc, e)
                 if not stack:
                     return acc
-                memo[x] = acc
+                vals[x] = acc
                 continue
             if need in on_stack:
-                raise MoebiusViolation(
-                    f"{C.name}: star recursion cycles at {C.format_element(need)}")
+                raise MoebiusViolation(f"{C.name}: star recursion cycles at "
+                                       f"{C.format_element(C.elements()[need])}")
             frame[2:] = i, acc
             stack.append(open_frame(need))
             on_stack.add(need)
 
     prefix = {"left": "star", "right": "star'", "path": "star#"}[side]
-    wf = WeightFunction(C, K, rule, name=f"{prefix}({f.name})")
-    memo = wf._memo
+    wf = WeightFunction.by_id(C, K, f"{prefix}({f.name})", rule)
+    vals = wf._vals
     return wf
 
 
@@ -246,10 +262,11 @@ def star_unfolded(f) -> WeightFunction:
 
 def is_in_bracket(f) -> bool:
     """Membership in K[C]: the zero map, or every identity mapped to 1."""
-    ids = f.catoid.identities()
-    if all(f(e) == f.algebra.one for e in ids):
+    at, K, is_identity = f.at, f.algebra, f.catoid.faces()[2]
+    ids = range(len(is_identity))
+    if all(at(i) == K.one for i in itertools.compress(ids, is_identity)):
         return True
-    return all(f(x) == f.algebra.zero for x in f.catoid.elements())
+    return all(at(i) == K.zero for i in ids)
 
 
 def star_path(f) -> WeightFunction:
@@ -257,21 +274,25 @@ def star_path(f) -> WeightFunction:
     return _star_engine(f, "path")
 
 
+def _ids(f, universe):
+    """The ids of ``universe``, by default all of f's catoid."""
+    return range(len(f._vals)) if universe is None else map(f._index.__getitem__, universe)
+
+
 def functions_equal(f, g, universe=None) -> bool:
-    U = universe if universe is not None else f.catoid.elements()
-    return all(f(x) == g(x) for x in U)
+    f_at, g_at = f.at, g.at
+    return all(f_at(i) == g_at(i) for i in _ids(f, universe))
+
 
 def function_leq(f, g, universe=None) -> bool:
-    U = universe if universe is not None else f.catoid.elements()
-    K = f.algebra
-    return all(K.leq(f(x), g(x)) for x in U)
+    f_at, g_at, leq = f.at, g.at, f.algebra.leq
+    return all(leq(f_at(i), g_at(i)) for i in _ids(f, universe))
 
 
 def first_difference(f, g, universe=None):
-    U = universe if universe is not None else f.catoid.elements()
-    for x in U:
-        if f(x) != g(x):
-            return (x, f(x), g(x))
+    for i in _ids(f, universe):
+        if f.at(i) != g.at(i):
+            return (f.catoid.elements()[i], f.at(i), g.at(i))
     return None
 
 
@@ -281,15 +302,9 @@ def first_difference(f, g, universe=None):
 
 def is_test(p) -> bool:
     """p is chi_P for some subset P of the identities."""
-    C, K = p.catoid, p.algebra
-    for x in C.elements():
-        v = p(x)
-        if C.is_identity(x):
-            if v not in (K.zero, K.one):
-                return False
-        elif v != K.zero:
-            return False
-    return True
+    at, K = p.at, p.algebra
+    return all(at(i) in (K.zero, K.one) if e else at(i) == K.zero
+               for i, e in enumerate(p.catoid.faces()[2]))
 
 
 def test_complement(p) -> WeightFunction:

@@ -21,7 +21,6 @@ from .convolution import (
     conv_add,
     convolve,
     first_difference,
-    from_pairs,
     function_leq,
     functions_equal,
     id0,
@@ -40,12 +39,13 @@ def _hat(f, take_source: bool) -> WeightFunction:
     if not C.is_complete:
         raise CapabilityError(
             f"{C.name}: cannot certify finite valency, universe is truncated")
-    anchor, lift = (C.source, K.dom) if take_source else (C.target, K.cod)
-    table = {e: K.zero for e in C.identities()}
-    for y in C.elements():
-        e = anchor(y)
-        table[e] = K.add(table[e], lift(f(y)))
-    return from_pairs(C, K, table, name=("D-" if take_source else "D+") + f"({f.name})")
+    src, tgt, _ = C.faces()
+    anchor, lift = (src, K.dom) if take_source else (tgt, K.cod)
+    vals, at = [K.zero] * len(anchor), f.at
+    for y, e in enumerate(anchor):
+        vals[e] = K.add(vals[e], lift(at(y)))
+    name = ("D-" if take_source else "D+") + f"({f.name})"
+    return WeightFunction.by_id(C, K, name, vals=vals)
 
 
 def dom_hat(f) -> WeightFunction:
@@ -60,9 +60,9 @@ def cod_hat(f) -> WeightFunction:
 def _bracket(f, op: str) -> WeightFunction:
     if not is_in_bracket(f):
         raise CapabilityError(f"{op} needs a weight function in K[C]")
-    C, K = f.catoid, f.algebra
+    C, K, at = f.catoid, f.algebra, f.at
     # stops at the first nonzero value, where f.support() would evaluate all
-    nonzero = any(f(x) != K.zero for x in C.elements())
+    nonzero = any(at(i) != K.zero for i in range(len(C.elements())))
     return id0(C, K) if nonzero else zero_function(C, K)
 
 

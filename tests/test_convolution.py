@@ -338,6 +338,25 @@ CONVOLUTION_MODELS = (
 )
 
 
+def decoded_rows(C):
+    """``C.rows`` of every element, decoded to pairs of elements."""
+    E = C.elements()
+    return [[(E[y], E[z]) for y, z in zip(*C.rows(i))] for i in range(len(E))]
+
+
+def test_rows_decode_to_decompose2():
+    # one- and three-letter words take the closed forms, the rest Catoid.rows
+    for C in CONVOLUTION_MODELS + (models.free_monoid("a", 6), models.free_monoid("abc", 3),
+                                   *models.pasting_square_2category().dims):
+        assert decoded_rows(C) == [list(C.decompose2(x)) for x in C.elements()], C.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_catoids())
+def test_rows_decode_to_decompose2_on_random_catoids(C):
+    assert decoded_rows(C) == [list(C.decompose2(x)) for x in C.elements()], C.name
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(CONVOLUTION_MODELS), random_catoids()),
        st.sampled_from(STOCK_ALGEBRAS + (RELATIONS, skewed_algebra())), st.data())
@@ -377,7 +396,9 @@ def test_sums_stop_at_the_additive_top(words3, boolean):
     # the dual star of aba sums star(eps).1, star(a).1 and star(ab).1; the
     # first term settles it, so no frame opens for a or ab
     star = star_dual(ones)
-    assert star("aba") == 1 and set(star._memo) == {"", "aba"}
+    assert star("aba") == 1
+    filled = {x for x, v in zip(words3.elements(), star._vals) if v is not None}
+    assert filled == {"", "aba"}
 
 
 def test_star_on_long_unary_word(unary1200):
@@ -403,6 +424,21 @@ def test_cli_star_on_long_unary_word(tmp_path, capsys):
         out[form] = capsys.readouterr().out
     assert out["recursive"] == out["dual"]
     assert out["recursive"].splitlines()[-1] == "a" * 500 + "\t834"
+
+
+def test_unary_stars_read_closed_form_rows():
+    # the stars of a^800 read the words' closed-form rows: no decompose2 call
+    # and nothing kept in the model's rows memo
+    C = models.free_monoid("a", 1000)
+    C.require_moebius()
+    f = from_pairs(C, make_min_plus(), {"a": 2, "aaa": 5})
+
+    def refuse(x):
+        raise AssertionError(f"decompose2({x!r}) called")
+
+    C.decompose2 = refuse
+    assert star_recursive(f)("a" * 800) == star_dual(f)("a" * 800) == 266 * 5 + 2 * 2
+    assert C._rows == {}
 
 
 def test_star_requires_moebius(boolean, rng):

@@ -22,7 +22,7 @@ from convka.catoid import (
     is_functional,
     is_local,
 )
-from convka.convolution import from_pairs, star_dual, star_path, star_recursive
+from convka.convolution import convolve, from_pairs, star_dual, star_path, star_recursive
 from convka.higher import NCatoid, check_n_catoid
 from convka.report import FAIL, PASS
 
@@ -271,6 +271,24 @@ def test_elements_outside_the_universe_are_refused(where):
             check(C)
     with pytest.raises(ValueError, match="outside: o is"):
         check_n_catoid(NCatoid("outside-2", (C, C)))
+
+
+@pytest.mark.parametrize("where", ["product", "source", "target"])
+def test_stars_and_convolve_refuse_elements_outside_the_universe(where, boolean):
+    # x . x is empty, so the model is Moebius wherever o sits; the stars meet o
+    # through the faces or the decompositions, convolve through the latter
+    faces = {"e": "e", "x": "e"}
+    src, tgt, table = dict(faces), dict(faces), {}
+    if where == "product":
+        table["x", "e"] = ["x", "o"]
+    else:
+        (src if where == "source" else tgt)["x"] = "o"
+    C = TableCatoid("outside", ["e", "x"], table, src, tgt)
+    f = from_pairs(C, boolean, {"x": 1})
+    forms = (star_recursive, star_dual) + ((lambda f: convolve(f, f)),) * (where == "product")
+    for form in forms:
+        with pytest.raises(ValueError, match="outside: o is a source, target or product"):
+            form(f)("x")
 
 
 def test_a_models_own_key_error_is_not_blamed_on_the_universe():

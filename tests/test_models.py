@@ -29,6 +29,15 @@ def test_free_monoid_compose():
     assert C.source("ab") == ""
 
 
+def test_free_monoid_letters_are_distinct_single_characters():
+    # a two-character letter made words(ab,c) list abab, which compose
+    # refused, and split abc into a and bc, both outside the universe
+    for build in (models.free_monoid, models.shuffle_catoid):
+        for alphabet in (("ab", "c"), ("a", ""), "aba"):
+            with pytest.raises(ValueError, match="distinct single characters"):
+                build(alphabet, 2)
+
+
 def test_shuffle_compose_matches_recursive_definition():
     C = models.shuffle_catoid("abcd", 4)
     assert C.compose("ab", "c") == frozenset(["abc", "acb", "cab"])
@@ -200,7 +209,7 @@ def test_corrupted_interchange_detected():
 
 
 def test_models_are_freed_by_reference_counting():
-    """A model's split memo, kernel and the weight functions over it form no
+    """A model's rows memo, kernel and the weight functions over it form no
     reference cycle, so dropping the model frees it with the collector off."""
 
     def exercise(C):
