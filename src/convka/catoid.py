@@ -7,10 +7,6 @@ element is exact because every factor of an in-bound element is in-bound.
 Such models set ``is_complete = False``; models whose universe is the whole
 catoid set it to True.
 
-Elements are numbered by their position in ``elements()``; ``index()``,
-``faces()`` and ``rows()`` give the ids, faces and decompositions that the
-kernel and the convolution layer run on.
-
 Models are immutable after construction.  The decomposition, row and length
 caches are memo tables for pure functions, so concurrent readers are safe.
 """
@@ -61,7 +57,6 @@ class Catoid:
         self._index = None
         self._faces = None
         self._rows = {}
-        self._identities = None
         self._d2_cache = None
         self._dn_cache = {}
         self._len_cache = {}
@@ -97,9 +92,9 @@ class Catoid:
         return self._elements
 
     def index(self) -> dict:
-        """Each element's id, its position in ``elements()``."""
-        if self._index is None:
-            self.elements()
+        """Each element's id, its position in ``elements()``; the kernel and
+        the convolution layer run on ids."""
+        self.elements()
         return self._index
 
     def __contains__(self, x):
@@ -108,11 +103,10 @@ class Catoid:
     def _in_universe(self, build):
         """``build()``, where a KeyError for an element outside ``elements()``
         becomes the one ValueError that names it."""
-        index = self.index()
         try:
             return build()
         except KeyError as exc:
-            if exc.args[0] in index:  # the model's own lookup failed, not the universe
+            if exc.args[0] in self.index():  # the model's own lookup failed, not the universe
                 raise
             raise ValueError(f"{self.name}: {fmt_value(exc.args[0])} is a source, target or "
                              "product member but not in elements()") from None
@@ -134,18 +128,15 @@ class Catoid:
         if row is None:
             pairs, index = self.decompose2(self.elements()[i]), self.index()
             row = self._rows[i] = self._in_universe(lambda: (
-                tuple(index[y] for y, _ in pairs), tuple(index[z] for _, z in pairs)))
+                [index[y] for y, _ in pairs], [index[z] for _, z in pairs]))
         return row
 
     def is_identity(self, x) -> bool:
         return self.source(x) == x
 
     def identities(self) -> list:
-        """The identities in element order, computed once; callers must not
-        mutate the returned list."""
-        if self._identities is None:
-            self._identities = [e for e in self.elements() if self.is_identity(e)]
-        return self._identities
+        """The identities in element order."""
+        return list(itertools.compress(self.elements(), self.faces()[2]))
 
     def decompose2(self, x) -> list:
         """All ordered pairs (y, z) with x in y . z, sorted by the factors' sort keys.
@@ -324,9 +315,9 @@ class Kernel:
     Ids 0..n-1 number ``elements()`` in order; ``src`` and ``tgt`` are the
     catoid's ``faces()``, and ``table[y][z]`` is the bitmask of the ids in
     y . z, each pair composed once.  A source, target or product member
-    outside ``elements()`` raises the catoid's one ValueError for it.  Sets are bitmasks:
-    union is ``|`` and inclusion ``a & ~b == 0``.  Ids decode to elements
-    only for witnesses.
+    outside ``elements()`` raises the catoid's one ValueError for it.  Sets
+    are bitmasks: union is ``|`` and inclusion ``a & ~b == 0``.  Ids decode
+    to elements only for witnesses.
     """
 
     def __init__(self, C: Catoid):

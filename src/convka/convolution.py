@@ -18,12 +18,10 @@ MoebiusViolation.
 star_unfolded, the direct sum over all n-fold non-identity decompositions,
 stays separate as the trusted oracle and sums every term.
 
-Weight functions run on element ids, the positions in ``elements()``: each
-memoises its values in a list indexed by id, an idempotent table for a pure
-rule, safe to share between readers.  Convolve, the engine and the
-comparisons read decompositions as ids through ``Catoid.rows`` and a factor's
-values from its list, calling ``at`` only on a miss.  Elements are decoded
-only at the boundary: ``f(x)`` looks x's id up, and results name elements.
+Weight functions memoise their values in lists indexed by element id, safe
+to share between readers since the rules are pure.  Convolve, the engine and
+the comparisons run on ids and ``Catoid.rows``, reading a factor's list
+directly and calling ``at`` only on a miss; ``f(x)`` looks x's id up.
 """
 
 from __future__ import annotations
@@ -280,8 +278,7 @@ def _ids(f, universe):
 
 
 def functions_equal(f, g, universe=None) -> bool:
-    f_at, g_at = f.at, g.at
-    return all(f_at(i) == g_at(i) for i in _ids(f, universe))
+    return first_difference(f, g, universe) is None
 
 
 def function_leq(f, g, universe=None) -> bool:
@@ -290,9 +287,10 @@ def function_leq(f, g, universe=None) -> bool:
 
 
 def first_difference(f, g, universe=None):
+    f_at, g_at = f.at, g.at
     for i in _ids(f, universe):
-        if f.at(i) != g.at(i):
-            return (f.catoid.elements()[i], f.at(i), g.at(i))
+        if f_at(i) != g_at(i):
+            return (f.catoid.elements()[i], f_at(i), g_at(i))
     return None
 
 
@@ -473,10 +471,5 @@ def check_conway(C: Catoid, S: ValueAlgebra, rng, samples=100) -> Report:
 def random_function(C, K, rng, bracket=False) -> WeightFunction:
     """Seeded random weight function; identities are forced to 1 in bracket mode."""
     pool = K.pool()
-    table = {}
-    for x in C.elements():
-        if bracket and C.is_identity(x):
-            table[x] = K.one
-        else:
-            table[x] = rng.choice(pool)
-    return from_pairs(C, K, table)
+    vals = [K.one if bracket and e else rng.choice(pool) for e in C.faces()[2]]
+    return WeightFunction.by_id(C, K, "f", vals=vals)

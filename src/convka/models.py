@@ -104,11 +104,8 @@ class GraphSpec:
 
 
 class FreeMonoid(Catoid):
-    """Words up to max_len under concatenation; single identity eps.
-
-    Letters are distinct single characters, so a word's factors are its
-    prefixes and suffixes as strings, all inside the universe.
-    """
+    """Words up to max_len over single-character letters under concatenation;
+    single identity eps."""
 
     def __init__(self, alphabet, max_len: int):
         super().__init__()
@@ -146,10 +143,9 @@ class FreeMonoid(Catoid):
         return [(x[:i], x[i:]) for i in range(len(x) + 1)]
 
     def rows(self, i):
-        """A closed form with no memo, which would hold 0.6 MB on words(ab,10):
-        over one letter a^j has id j, over more letters the prefixes and
-        suffixes are looked up (into lists: tuples built from generators on
-        every call grew the process's resident memory)."""
+        """A closed form, unmemoised (a memo holds 0.6 MB on words(ab,10)):
+        over one letter a^j has id j.  Lists, since tuples built from
+        generators on every call grew the process's resident memory."""
         if len(self.alphabet) == 1:
             return range(i + 1), range(i, -1, -1)
         x, index = self.elements()[i], self.index()
