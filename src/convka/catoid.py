@@ -9,6 +9,9 @@ catoid set it to True.
 
 Models are immutable after construction.  The decomposition, row and length
 caches are memo tables for pure functions, so concurrent readers are safe.
+Lengths, the Moebius conditions on decompositions, convolution and the star
+read decompositions as id rows (``Catoid.rows``); outside ``rows`` only the
+oracles call ``decompose2``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Catoid:
         self._rows = {}
         self._d2_cache = None
         self._dn_cache = {}
-        self._len_cache = {}
+        self._lengths = None
         self._moebius_report = None
         self._kernel = None
 
@@ -145,11 +148,8 @@ class Catoid:
         keeps the table.  A closed form in a subclass must list the same pairs
         in the same order, which ``check_decompose2_consistency`` guards;
         where its pairs are built with strictly growing left factors it can
-        return them without sorting.  The convolution layer reads
-        decompositions as ids through ``rows``, which keeps them, so of the
-        closed forms only shuffle memoises its splits: ``check_moebius``,
-        ``length`` and ``check_decompose2_consistency`` each decompose every
-        element, and a shuffle split enumerates all subwords.
+        return them without sorting.  No closed form memoises: outside the
+        oracles the catoid layer reads decompositions only through ``rows``.
         """
         if self._d2_cache is None:
             U = self.elements()
@@ -194,42 +194,40 @@ class Catoid:
     def length(self, x) -> int:
         """Maximal degree of decomposition into non-identity factors.
 
-        Iterative depth-first dynamic programming over decompose2; a frame is
-        [element, resume index, best so far].  Reaching an element that is
+        Iterative depth-first dynamic programming over ``rows``, one length
+        per id (0 exactly for identities); a frame is [id, left ids, right ids,
+        resume index, best so far], so each row is read once.  Reaching an id
         still open means it decomposes through itself, impossible if Moebius.
         """
-        cache, limit, stack, open_, need = self._len_cache, len(self.elements()), [], set(), x
+        L = self._lengths
+        if L is None:
+            L = self._lengths = [0 if e else None for e in self.faces()[2]]
+        need = top = self._in_universe(lambda: self.index()[x])
+        stack, open_ = [], set()
         while True:
-            if need not in cache:
+            if L[need] is None:
                 if need in open_:
-                    raise MoebiusViolation(
-                        f"{self.name}: cyclic decomposition at {self.format_element(need)}")
-                if len(open_) > limit:
-                    raise MoebiusViolation(f"{self.name}: decomposition depth exceeds universe size")
-                if self.is_identity(need):
-                    cache[need] = 0
-                else:
-                    stack.append([need, 0, 1])
-                    open_.add(need)
+                    raise MoebiusViolation(f"{self.name}: cyclic decomposition at "
+                                           f"{self.format_element(self.elements()[need])}")
+                stack.append([need, *self.rows(need), 0, 1])
+                open_.add(need)
             if not stack:
-                return cache[x]
+                return L[top]
             frame = stack[-1]
-            y, i, best = frame
-            pairs = self.decompose2(y)
-            for i in range(i, len(pairs)):
-                u, v = pairs[i]
-                lu, lv = cache.get(u), cache.get(v)  # a cached 0 marks an identity
-                if lu and lv:
-                    best = max(best, lu + lv)
-                elif not (lu == 0 or lv == 0 or lu is None and self.is_identity(u)
-                          or lv is None and self.is_identity(v)):
-                    need = u if lu is None else v
-                    frame[1:] = i, best
+            y, lefts, rights, k, best = frame
+            for k in range(k, len(lefts)):
+                lu, lv = L[lefts[k]], L[rights[k]]
+                if lu == 0 or lv == 0:  # an identity factor
+                    continue
+                if lu is None or lv is None:
+                    need = lefts[k] if lu is None else rights[k]
+                    frame[3:] = k, best
                     break
+                best = max(best, lu + lv)
             else:
                 stack.pop()
                 open_.discard(y)
-                cache[y] = best  # need is y or a factor finished before y: cached
+                L[y] = best  # need is y or a factor finished before y: set
 
     def kernel(self) -> "Kernel":
         """The integer product table the law checkers run on, built on first
@@ -451,18 +449,15 @@ def check_moebius(C: Catoid, universe=None) -> Report:
     positionally."""
     U = list(universe) if universe is not None else C.elements()
     rep = Report(model=C.name)
+    E, index, ident = C.elements(), C.index(), C.faces()[2]
+    ids = C._in_universe(lambda: [index[x] for x in U])
 
-    widths = [len(C.decompose2(x)) for x in U]
+    widths = [len(C.rows(i)[0]) for i in ids]
     rep.add("moebius.finite-2-decomposable", PASS, checked=len(U),
             note=f"max-decompositions={max(widths, default=0)}")
 
-    bad = []
-    for e in U:
-        if not C.is_identity(e):
-            continue
-        for y, z in C.decompose2(e):
-            if not C.is_identity(y) and not C.is_identity(z):
-                bad.append((e, y, z))
+    bad = [(E[e], E[y], E[z]) for e in ids if ident[e]
+           for y, z in zip(*C.rows(e)) if not ident[y] and not ident[z]]
     rep.add("moebius.identities-indecomposable", FAIL if bad else PASS, bad, checked=len(U))
 
     bad = []
@@ -497,6 +492,7 @@ def check_saturated_chain(C: Catoid) -> Report:
     """l(z) = l(x) + l(y) for every z in x . y over the universe."""
     K = C.kernel()
     E = K.elements
+    L = [C.length(x) for x in E]
     rep = Report(model=C.name)
     bad = []
     count = 0
@@ -504,9 +500,8 @@ def check_saturated_chain(C: Catoid) -> Report:
         for y, m in enumerate(row):
             for z in K.bits[m]:
                 count += 1
-                lz, lx, ly = (C.length(E[i]) for i in (z, x, y))
-                if lz != lx + ly:
-                    bad.append((E[x], E[y], E[z], lx + ly, lz))
+                if L[z] != L[x] + L[y]:
+                    bad.append((E[x], E[y], E[z], L[x] + L[y], L[z]))
     rep.add("moebius.saturated-chain", FAIL if bad else PASS, bad, checked=count)
     return rep
 

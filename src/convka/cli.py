@@ -92,7 +92,8 @@ def _build_model_and_weights(args, K):
         for e in C.identities():
             table[e] = K.one
         for name, src, dst, w in graph.edges:
-            table[(src, (name,))] = w
+            if (src, (name,)) in C:  # absent at --max-length < 1 on a cyclic graph
+                table[(src, (name,))] = w
         f = from_pairs(C, K, table, name="w")
         return C, f, graph
 

@@ -96,12 +96,11 @@ def indicator(C, K, members) -> WeightFunction:
 
 
 def from_pairs(C, K, pairs, name="f") -> WeightFunction:
-    """The weights in ``pairs``, zero elsewhere; pairs off the universe are
-    ignored."""
+    """The weights in ``pairs``, zero elsewhere; an element off the universe
+    raises the catoid's ValueError for it."""
     vals, index = [K.zero] * len(C.elements()), C.index()
     for x, w in dict(pairs).items():
-        if x in index:
-            vals[index[x]] = w
+        vals[C._in_universe(lambda: index[x])] = w
     return WeightFunction.by_id(C, K, name, vals=vals)
 
 

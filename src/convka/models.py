@@ -8,10 +8,11 @@ valency-based modal operators require.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .catoid import Catoid, Memo
+from .catoid import Catoid
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,10 @@ class GraphSpec:
                 raise ValueError(f"duplicate edge name {name}")
             seen.add(name)
 
+    @functools.cached_property
     def _depths(self):
         """Edge count of the longest path ending at each vertex, by one Kahn
-        pass (no recursion, so long chains are fine); None on a cyclic graph."""
+        pass per graph (no recursion, so long chains are fine); None if cyclic."""
         out = {v: [] for v in self.vertices}
         indeg = {v: 0 for v in self.vertices}
         for _, src, dst, _ in self.edges:
@@ -89,11 +91,11 @@ class GraphSpec:
         return depth if done == len(depth) else None
 
     def is_acyclic(self) -> bool:
-        return self._depths() is not None
+        return self._depths is not None
 
     def longest_path_len(self) -> int:
         """Edge count of the longest path; only meaningful on acyclic graphs."""
-        depth = self._depths()
+        depth = self._depths
         if depth is None:
             raise ValueError("longest path undefined on a cyclic graph")
         return max(depth.values(), default=0)
@@ -171,25 +173,12 @@ def _interleavings(u, v):
     return out
 
 
-def _subword_splits(x):
-    """The pairs of complementary subwords of x, sorted by the word sort key."""
-    pairs = set()
-    for r in range(len(x) + 1):
-        for places in itertools.combinations(range(len(x)), r):
-            chosen = set(places)
-            y = "".join(x[i] for i in range(len(x)) if i in chosen)
-            z = "".join(x[i] for i in range(len(x)) if i not in chosen)
-            pairs.add((y, z))
-    return sorted(pairs, key=lambda p: ((len(p[0]), p[0]), (len(p[1]), p[1])))
-
-
 class ShuffleCatoid(FreeMonoid):
     """Words under the shuffle multioperation; not functional for len >= 1."""
 
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)
         self.name = f"shuffle({''.join(self.alphabet)},{max_len})"
-        self._splits = Memo(_subword_splits)
 
     def compose(self, y, z):
         if len(y) + len(z) > self.max_len:
@@ -197,7 +186,15 @@ class ShuffleCatoid(FreeMonoid):
         return frozenset(_interleavings(y, z))
 
     def decompose2(self, x):
-        return self._splits[x]
+        """The pairs of complementary subwords of x, sorted by the word sort key."""
+        pairs = set()
+        for r in range(len(x) + 1):
+            for places in itertools.combinations(range(len(x)), r):
+                chosen = set(places)
+                y = "".join(x[i] for i in range(len(x)) if i in chosen)
+                z = "".join(x[i] for i in range(len(x)) if i not in chosen)
+                pairs.add((y, z))
+        return sorted(pairs, key=lambda p: ((len(p[0]), p[0]), (len(p[1]), p[1])))
 
     rows = Catoid.rows
 

@@ -1,7 +1,8 @@
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from convka import models
 from convka.catoid import (
@@ -113,14 +114,70 @@ class Descending(Catoid):
 
 
 def test_length_depth_exceeding_universe_raises():
-    with pytest.raises(MoebiusViolation,
-                       match="descending: decomposition depth exceeds universe size"):
+    # the chain 1 <- 2 <- 3 leaves the universe at 3, which rows refuses
+    with pytest.raises(ValueError, match=r"descending: 3 is a source, target or product "
+                                         r"member but not in elements\(\)"):
         Descending().length(1)
 
 
 def test_length_of_long_word_needs_no_recursion(unary1200):
     assert unary1200.length("a" * 1200) == 1200
     assert unary1200.length("a" * 700) == 700
+
+
+def length_oracle(C, x):
+    """Oracle: the most non-identity factors in a chain decomposition of x."""
+    return max(n for n in range(len(C.elements()) + 1) if C.decompose_n(x, n))
+
+
+LENGTH_MODELS = (
+    lambda: models.free_monoid("ab", 4),
+    lambda: models.shuffle_catoid("ab", 3),
+    lambda: models.guarded_string_catoid(["t0", "t1"], ["p", "q"], 2),
+    lambda: models.path_catoid(models.diamond_dag(), 4),
+    # elements() lists some intervals before their factors
+    lambda: models.interval_catoid(models.example_poset()),
+)
+
+
+def assert_lengths_match_oracle(build):
+    # once from the shortest element up and once from the longest down, on
+    # fresh models, so the search meets both cached and unread factors
+    up, down = build(), build()
+    expected = [length_oracle(up, x) for x in up.elements()]
+    assert [up.length(x) for x in up.elements()] == expected, up.name
+    assert [down.length(x) for x in reversed(down.elements())] == expected[::-1], down.name
+
+
+@pytest.mark.parametrize("build", LENGTH_MODELS,
+                         ids=["words", "shuffle", "guarded", "paths", "intervals"])
+def test_length_matches_chain_oracle(build):
+    assert_lengths_match_oracle(build)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.sampled_from((0.3, 0.6, 0.9)), st.integers(0, 10 ** 6),
+       st.integers(1, 4))
+def test_length_matches_chain_oracle_on_random_dag_paths(n, density, seed, bound):
+    graph = models.random_dag(n, density, seed)
+    assert_lengths_match_oracle(lambda: models.path_catoid(graph, bound))
+
+
+def test_length_reads_each_row_once_and_never_decompose2():
+    # a^1200 reads the closed-form row of each non-empty word once
+    C = models.free_monoid("a", 1200)
+    reads, rows = Counter(), C.rows
+
+    def counted(i):
+        reads[i] += 1
+        return rows(i)
+
+    def refuse(x):
+        raise AssertionError(f"decompose2({x!r}) called")
+
+    C.rows, C.decompose2 = counted, refuse
+    assert C.length("a" * 1200) == 1200
+    assert max(reads.values()) == 1 and len(reads) == 1200  # eps is an identity
 
 
 def test_catoid_axioms_clean(words3, example_intervals, diamond_paths):

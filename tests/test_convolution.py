@@ -103,6 +103,12 @@ def test_algebra_mismatch_rejected(words3, boolean, minplus):
         conv_add(zero_function(words3, boolean), zero_function(words3, minplus))
 
 
+def test_from_pairs_refuses_elements_outside_the_universe(natinf):
+    with pytest.raises(ValueError, match=r"words\(ab,2\): abc is a source, target or "
+                                         r"product member but not in elements\(\)"):
+        from_pairs(models.free_monoid("ab", 2), natinf, {"abc": 1, "a": 2})
+
+
 def test_semiring_laws_pointwise(words3, minplus, rng):
     fs = [random_function(words3, minplus, rng) for _ in range(3)]
     f, g, h = fs

@@ -1,3 +1,4 @@
+import functools
 import io
 import os
 import random
@@ -376,6 +377,35 @@ def test_cli_check_oracles_compares_matrix_star_on_cyclic_graphs(
     monkeypatch.setattr(cli, oracle, wrong)
     assert main(args) == 1
     assert "oracle disagreement: matrix star vs" in capsys.readouterr().err
+
+
+def test_cli_graph_runs_one_kahn_pass_per_graph(graph_file, tmp_path, monkeypatch, capsys):
+    # the bound, the path catoid's completeness and the homset comparison all
+    # ask whether the graph is acyclic; they share one pass per GraphSpec
+    passes, depths = [], models.GraphSpec._depths.func
+
+    def counted(graph):
+        passes.append(graph)
+        return depths(graph)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(models.GraphSpec, "_depths")
+    monkeypatch.setattr(models.GraphSpec, "_depths", prop)
+    cyclic = tmp_path / "cycle.txt"
+    cyclic.write_text(CYCLIC_GRAPH)
+    for weights in (graph_file, str(cyclic)):
+        assert main(["star", "--model", "graph", "--algebra", "minplus", "--weights", weights,
+                     "--check-oracles"]) == 0
+    assert [g.is_acyclic() for g in passes] == [True, False]
+
+
+def test_cli_cyclic_graph_at_max_length_zero_weights_only_the_vertices(tmp_path, capsys):
+    # no one-edge path is in the universe, so none is weighted
+    p = tmp_path / "cycle.txt"
+    p.write_text(CYCLIC_GRAPH)
+    assert main(["star", "--model", "graph", "--algebra", "minplus", "--max-length", "0",
+                 "--weights", str(p), "--check-oracles"]) == 0
+    assert capsys.readouterr().out == "(a)\t0\n(b)\t0\n(c)\t0\n"
 
 
 def test_cli_poset_star(tmp_path, capsys):
