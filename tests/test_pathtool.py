@@ -28,7 +28,8 @@ from convka.pathtool import (
     validate_weight,
     warshall_closure,
 )
-from convka.values import CapabilityError, INF, make_boolean, make_min_plus
+from convka.values import CapabilityError, INF, make_boolean, make_max_plus, make_min_plus
+from relations import make_relations
 
 
 def bool_matrix(rows):
@@ -81,6 +82,20 @@ def test_matrix_star_vs_floyd_warshall_random():
         S = matrix_star(M)
         assert S.rows == floyd_warshall(M).rows
         assert S.rows == mat_power_star(M).rows
+
+
+@pytest.mark.parametrize("make", [make_relations, make_max_plus], ids=lambda m: m.__name__)
+def test_matrix_star_equals_power_sum_star(make):
+    # relations compose in order, so a block product taken the wrong way round shows
+    K = make()
+    rng = random.Random(f"power-sum:{K.name}")
+    weights = [w for w in K.pool() if w != K.zero]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        M = Matrix(K, tuple(range(n)),
+                   tuple(tuple(K.zero if rng.random() < 0.5 else rng.choice(weights)
+                               for _ in range(n)) for _ in range(n)))
+        assert matrix_star(M).rows == mat_power_star(M).rows, M.rows
 
 
 def test_matrix_star_needs_star():
