@@ -2,8 +2,9 @@
 
 Each case is one model with seeded weights for every algebra whose carrier
 the weights fit: words(ab,4), words(a,40), shuffle(ab,3), guarded(2t,2a,2),
-the paths of a DAG and the intervals of a poset.  Each runs in the recursive,
-dual and unfolded forms, and the DAG also under ``--star matrix``.  The
+the paths of a DAG, the intervals of a poset and the paths of length <= 3 of
+a graph with back edges.  Each runs in the recursive, dual and unfolded
+forms, and both graphs also under ``--star matrix``.  The
 unfolded form skips words(a,40): it sums over all 2^39 compositions of a^40.
 A change to how the star forms evaluate, order or format their values shows
 here as a changed line.
@@ -29,6 +30,8 @@ POOLS = {
 FORMS = ("recursive", "dual", "unfolded")
 DAG_EDGES = (("a", "b", "x"), ("b", "d", "y"), ("a", "c", "z"), ("c", "d", "w"),
              ("b", "c", "v"), ("d", "e", "u"), ("a", "e", "t"))
+CYCLIC_EDGES = (("a", "b", "x"), ("b", "c", "y"), ("c", "a", "z"), ("c", "d", "w"),
+                ("d", "b", "v"), ("a", "d", "u"))
 POSET_COVERS = (("a", "d"), ("d", "e"), ("e", "c"), ("a", "b"), ("b", "c"))
 POSET_WEIGHTED = (("a", "d"), ("d", "e"), ("e", "c"), ("a", "b"), ("b", "c"), ("a", "e"),
                   ("b", "b"), ("a", "c"))
@@ -40,8 +43,10 @@ def element_text(tokens):
     return text
 
 
-def dag_text(rng, pool):
-    return "".join(f"{s} {t} {name} {rng.choice(pool)}\n" for s, t, name in DAG_EDGES)
+def edge_text(edges):
+    def text(rng, pool):
+        return "".join(f"{s} {t} {name} {rng.choice(pool)}\n" for s, t, name in edges)
+    return text
 
 
 def poset_text(rng, pool):
@@ -56,8 +61,9 @@ CASES = (
     ("shuffle(ab,3)", "shuffle", 3, element_text(["a", "b", "ab", "bb"]), FORMS),
     ("guarded(2t,2a,2)", "guarded", 2,
      element_text(["t0.p.t1", "t1.q.t0", "t0.q.t0", "t1.p.t1", "t0.p.t1.q.t1"]), FORMS),
-    ("dag-paths", "graph", None, dag_text, FORMS + ("matrix",)),
+    ("dag-paths", "graph", None, edge_text(DAG_EDGES), FORMS + ("matrix",)),
     ("poset-intervals", "poset", None, poset_text, FORMS),
+    ("cyclic-graph", "graph", 3, edge_text(CYCLIC_EDGES), FORMS + ("matrix",)),
 )
 
 
