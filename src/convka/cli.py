@@ -92,8 +92,7 @@ def _build_model_and_weights(args, K):
         for e in C.identities():
             table[e] = K.one
         for name, src, dst, w in graph.edges:
-            if (src, (name,)) in C:  # absent at --max-length < 1 on a cyclic graph
-                table[(src, (name,))] = w
+            table[(src, (name,))] = w
         f = from_pairs(C, K, table, name="w")
         return C, f, graph
 
@@ -143,10 +142,10 @@ def _build_model_and_weights(args, K):
     return C, from_pairs(C, K, table, name="w"), None
 
 
-def _matrix_rows(M):
-    for i, a in enumerate(M.labels):
-        for j, b in enumerate(M.labels):
-            yield f"{a}->{b}", M.at(i, j)
+def _matrix_rows(labels, M):
+    for a, row in zip(labels, M):
+        for b, w in zip(labels, row):
+            yield f"{a}->{b}", w
 
 
 def cmd_star(args) -> int:
@@ -163,8 +162,9 @@ def cmd_star(args) -> int:
             if args.model != "graph":
                 _err("--star matrix needs --model graph")
                 return 2
-            fs, M = None, matrix_star(edge_weight_matrix(graph, K))
-            rows = list(_matrix_rows(M))
+            labels, E = edge_weight_matrix(graph, K)
+            fs, M = None, matrix_star(K, E)
+            rows = list(_matrix_rows(labels, M))
         else:
             fs, M = forms[args.star](f), None
             rows = [(C.format_element(x), fs(x)) for x in C.elements()]
@@ -201,8 +201,9 @@ def _cross_check(args, K, C, f, graph, forms, fs, M) -> int:
                 return 1
     if args.model != "graph":
         return 0
+    _, E = edge_weight_matrix(graph, K)
     if M is None:
-        M = matrix_star(edge_weight_matrix(graph, K))
+        M = matrix_star(K, E)
     if not graph.is_acyclic():
         _err("note: homset comparison skipped, graph has a cycle")
     else:
@@ -211,14 +212,14 @@ def _cross_check(args, K, C, f, graph, forms, fs, M) -> int:
         # identity weights included; that aggregation is I + E, whose star is
         # the printed E* wherever 1* = 1
         agg = homset_matrix(C, stars["recursive"] if stars else star_recursive(f), K)
-        if agg.rows != matrix_star(homset_matrix(C, f, K)).rows or (
-                K.star(K.one) == K.one and agg.rows != M.rows):
+        if agg != matrix_star(K, homset_matrix(C, f, K)) or (
+                K.star(K.one) == K.one and agg != M):
             _err("oracle disagreement: homset aggregation vs matrix star")
             return 1
-    if K.name == "boolean" and warshall_closure(M).rows != M.rows:
+    if K.name == "boolean" and warshall_closure(M) != M:
         _err("oracle disagreement: matrix star vs Warshall closure")
         return 1
-    if K.name == "minplus" and floyd_warshall(edge_weight_matrix(graph, K)).rows != M.rows:
+    if K.name == "minplus" and floyd_warshall(E) != M:
         _err("oracle disagreement: matrix star vs Floyd-Warshall")
         return 1
     return 0

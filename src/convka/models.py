@@ -265,12 +265,15 @@ class PairGroupoid(IntervalCatoid):
 class PathCatoid(Catoid):
     """Paths of a directed graph: constant paths at vertices plus edge runs.
 
-    Elements are (source vertex, edge-name tuple).  Complete exactly when the
-    graph is acyclic and the bound covers its longest path.
+    Elements are (source vertex, edge-name tuple) with at most max_len >= 1
+    edges.  Complete exactly when the graph is acyclic and the bound covers
+    its longest path.
     """
 
     def __init__(self, graph: GraphSpec, max_len: int):
         super().__init__()
+        if max_len < 1:
+            raise ValueError("need max_len >= 1")
         self.graph = graph
         self.max_len = max_len
         self.edge_by_name = {e[0]: e for e in graph.edges}

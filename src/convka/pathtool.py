@@ -1,181 +1,132 @@
 """Weighted path machinery: matrices, the block star, parsers, homset sums.
 
-The matrix star recurses on the block partition with a 1x1 bottom-right
-corner:
+A matrix is a plain list of n >= 1 rows, each a list of n weights of one
+algebra; the functions that read one take the algebra beside it.  The
+matrix star recurses on the block partition with a 1x1 bottom-right corner:
 
     (A B; C D)* = ((A+BD*C)*        A*B(D+CA*B)*
                    D*C(A+BD*C)*     (D+CA*B)*)
 
-Independent oracles (Warshall closure over the booleans, Floyd-Warshall over
-min-plus) live here too, used by tests and by --check-oracles.
+Independent oracles (the power-sum star over idempotent algebras, Warshall
+closure over the booleans, Floyd-Warshall over min-plus) live here too, used
+by tests and by --check-oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 
 from .catoid import Catoid
 from .values import INF, NEG_INF, CapabilityError, ValueAlgebra
 
 
-@dataclass
-class Matrix:
-    """Square weight matrix over one algebra, with row/column labels."""
-
-    algebra: ValueAlgebra
-    labels: tuple
-    rows: tuple  # tuple of tuples
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if n < 1 or len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square and at least 1x1")
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    def at(self, i, j):
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.labels == other.labels
-                and self.rows == other.rows)
-
-
-def _mat(algebra, labels, rows):
-    return Matrix(algebra, tuple(labels), tuple(tuple(r) for r in rows))
-
-
-def mat_add(M, N):
-    K = M.algebra
-    return _mat(K, M.labels, [[K.add(M.at(i, j), N.at(i, j)) for j in range(M.n)]
-                              for i in range(M.n)])
-
-
-def mat_mul(M, N):
-    K = M.algebra
-    out = []
-    for i in range(M.n):
-        row = []
-        for j in range(M.n):
-            acc = K.zero
-            for k in range(M.n):
-                acc = K.add(acc, K.mul(M.at(i, k), N.at(k, j)))
-            row.append(acc)
-        out.append(row)
-    return _mat(K, M.labels, out)
-
-
-def mat_identity(K, labels):
-    n = len(labels)
-    return _mat(K, labels, [[K.one if i == j else K.zero for j in range(n)]
-                            for i in range(n)])
-
-
-def matrix_star(M: Matrix) -> Matrix:
+def matrix_star(K: ValueAlgebra, M: list) -> list:
     """Block-recursive star; the base case is the entrywise star of a 1x1 matrix."""
-    K = M.algebra
+    n = len(M)
+    if n < 1 or any(len(row) != n for row in M):
+        raise ValueError("matrix must be square and at least 1x1")
     if not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
-    if M.n == 1:
-        return _mat(K, M.labels, [[K.star(M.at(0, 0))]])
+    return _block_star(K, M)
 
-    m = M.n - 1
-    A = _mat(K, M.labels[:m], [r[:m] for r in M.rows[:m]])
-    B = [M.rows[i][m] for i in range(m)]     # column vector
-    C = [M.rows[m][j] for j in range(m)]     # row vector
-    D = M.rows[m][m]
 
-    Astar = matrix_star(A)
+def _block_star(K, M):
+    m = len(M) - 1
+    if m == 0:
+        return [[K.star(M[0][0])]]
+    A = [row[:m] for row in M[:m]]
+    B = [row[m] for row in M[:m]]  # column vector
+    C = M[m][:m]                   # row vector
+    D = M[m][m]
+
+    Astar = _block_star(K, A)
     # scalar star of the corner, then the two Schur-style complements
     Dstar = K.star(D)
     # A + B D* C
-    top = [[K.add(A.at(i, j), K.mul(K.mul(B[i], Dstar), C[j])) for j in range(m)]
+    top = [[K.add(A[i][j], K.mul(K.mul(B[i], Dstar), C[j])) for j in range(m)]
            for i in range(m)]
-    top_star = matrix_star(_mat(K, M.labels[:m], top))
+    top_star = _block_star(K, top)
     # D + C A* B
     corner = D
     for i in range(m):
         for j in range(m):
-            corner = K.add(corner, K.mul(K.mul(C[i], Astar.at(i, j)), B[j]))
+            corner = K.add(corner, K.mul(K.mul(C[i], Astar[i][j]), B[j]))
     corner_star = K.star(corner)
 
-    out = [[None] * M.n for _ in range(M.n)]
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = top_star.at(i, j)
+    # top_star's rows become the top rows of the result, the last column appended
     for i in range(m):
         # A* B (D + C A* B)*
         acc = K.zero
         for k in range(m):
-            acc = K.add(acc, K.mul(Astar.at(i, k), B[k]))
-        out[i][m] = K.mul(acc, corner_star)
+            acc = K.add(acc, K.mul(Astar[i][k], B[k]))
+        top_star[i].append(K.mul(acc, corner_star))
+    last = []
     for j in range(m):
         # D* C (A + B D* C)*
         acc = K.zero
         for k in range(m):
-            acc = K.add(acc, K.mul(C[k], top_star.at(k, j)))
-        out[m][j] = K.mul(Dstar, acc)
-    out[m][m] = corner_star
-    return _mat(K, M.labels, out)
+            acc = K.add(acc, K.mul(C[k], top_star[k][j]))
+        last.append(K.mul(Dstar, acc))
+    last.append(corner_star)
+    return top_star + [last]
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
 
 
-def warshall_closure(M: Matrix) -> Matrix:
-    """Reflexive-transitive closure of a boolean matrix, Warshall's algorithm."""
-    n = M.n
-    reach = [[bool(M.at(i, j)) or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                for j in range(n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    return _mat(M.algebra, M.labels, [[1 if v else 0 for v in row] for row in reach])
-
-
-def floyd_warshall(M: Matrix) -> Matrix:
-    """All-pairs shortest paths with zero diagonal, over exact min-plus weights."""
-    n = M.n
-
-    def add(a, b):
-        return INF if a is INF or b is INF else a + b
-
-    dist = [[0 if i == j else M.at(i, j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = add(dist[i][k], dist[k][j])
-                if via is not INF and (dist[i][j] is INF or via < dist[i][j]):
-                    dist[i][j] = via
-    return _mat(M.algebra, M.labels, dist)
-
-
-def mat_power_star(M: Matrix) -> Matrix:
+def mat_power_star(K: ValueAlgebra, M: list) -> list:
     """Sum of matrix powers to a fixed point; oracle for idempotent algebras."""
-    if not M.algebra.idempotent_add:
+    if not K.idempotent_add:
         raise CapabilityError("power-sum star needs an idempotent algebra")
-    acc = mat_identity(M.algebra, M.labels)
-    power = mat_identity(M.algebra, M.labels)
-    for _ in range(M.n * M.n + 2):
-        power = mat_mul(power, M)
-        nxt = mat_add(acc, power)
+    n = len(M)
+    acc = power = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
+    for _ in range(n * n + 2):
+        power = [[reduce(K.add, (K.mul(row[k], M[k][j]) for k in range(n)), K.zero)
+                  for j in range(n)] for row in power]
+        nxt = [[K.add(a, b) for a, b in zip(r, s)] for r, s in zip(acc, power)]
         if nxt == acc:
             return acc
         acc = nxt
     raise CapabilityError("matrix powers did not stabilise")
 
 
+def warshall_closure(M: list) -> list:
+    """Reflexive-transitive closure of a boolean matrix, Warshall's algorithm."""
+    n = len(M)
+    reach = [[bool(M[i][j]) or i == j for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    return [[1 if v else 0 for v in row] for row in reach]
+
+
+def floyd_warshall(M: list) -> list:
+    """All-pairs shortest paths with zero diagonal, over exact min-plus weights."""
+    n = len(M)
+
+    def add(a, b):
+        return INF if a is INF or b is INF else a + b
+
+    dist = [[0 if i == j else M[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = add(dist[i][k], dist[k][j])
+                if via is not INF and (dist[i][j] is INF or via < dist[i][j]):
+                    dist[i][j] = via
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # graph weights and homset aggregation
 
 
-def edge_weight_matrix(graph, K: ValueAlgebra) -> Matrix:
-    """Vertex-indexed matrix of edge weights in sorted vertex order;
+def edge_weight_matrix(graph, K: ValueAlgebra):
+    """Sorted vertex labels and the matrix of edge weights in that order;
     parallel edges are summed."""
     labels = tuple(sorted(graph.vertices))
     idx = {v: i for i, v in enumerate(labels)}
@@ -184,11 +135,12 @@ def edge_weight_matrix(graph, K: ValueAlgebra) -> Matrix:
         if w is None:
             raise ValueError(f"edge {name} has no weight")
         rows[idx[src]][idx[dst]] = K.add(rows[idx[src]][idx[dst]], w)
-    return _mat(K, labels, rows)
+    return labels, rows
 
 
-def homset_matrix(C: Catoid, f, K: ValueAlgebra) -> Matrix:
-    """Aggregate a weight function over each homset into an identity-indexed matrix.
+def homset_matrix(C: Catoid, f, K: ValueAlgebra) -> list:
+    """Aggregate a weight function over each homset into a matrix indexed by
+    the identities in ``C.identities()`` order.
 
     Requires a complete universe: with a truncated one the aggregation would
     silently drop paths, which is exactly the wrong-optimum trap.
@@ -198,14 +150,13 @@ def homset_matrix(C: Catoid, f, K: ValueAlgebra) -> Matrix:
             f"{C.name}: homset aggregation needs a complete universe "
             "(cyclic models are truncated at the bound)")
     ids = C.identities()
-    labels = tuple(C.format_element(e) for e in ids)
     index = {e: i for i, e in enumerate(ids)}
     rows = [[K.zero] * len(ids) for _ in ids]
     for x in C.elements():
         i = index[C.source(x)]
         j = index[C.target(x)]
         rows[i][j] = K.add(rows[i][j], f(x))
-    return _mat(K, labels, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

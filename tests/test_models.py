@@ -81,6 +81,16 @@ def test_path_catoid_cycle_not_complete():
     assert not g.is_acyclic()
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_path_catoid_needs_max_len_at_least_one(max_len):
+    # as for words: a bound below 1 would leave the edges out of the universe
+    g = models.GraphSpec(("a", "b"), (("x", "a", "b", 1), ("y", "b", "a", 1)))
+    with pytest.raises(ValueError, match="need max_len >= 1"):
+        models.path_catoid(g, max_len)
+    with pytest.raises(ValueError, match="max_len >= 1"):
+        models.free_monoid("ab", max_len)
+
+
 def test_long_chain_acyclicity_is_iterative():
     # a recursive depth-first search overflows the stack near 1,000 vertices
     n = 3000

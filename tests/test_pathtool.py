@@ -15,7 +15,6 @@ from convka import cli, models, pathtool
 from convka.cli import ALGEBRAS, MODELS, STAR_MODES, main
 from convka.convolution import from_pairs, star_recursive
 from convka.pathtool import (
-    Matrix,
     ParseError,
     edge_weight_matrix,
     floyd_warshall,
@@ -32,56 +31,45 @@ from convka.values import CapabilityError, INF, make_boolean, make_max_plus, mak
 from relations import make_relations
 
 
-def bool_matrix(rows):
-    return Matrix(make_boolean(), tuple(range(len(rows))),
-                  tuple(tuple(r) for r in rows))
-
-
-def minplus_matrix(rows, labels=None):
-    return Matrix(make_min_plus(), tuple(labels or range(len(rows))),
-                  tuple(tuple(r) for r in rows))
-
-
 def test_matrix_star_1x1():
-    M = minplus_matrix([[5]])
-    assert matrix_star(M).rows == ((0,),)
-    B = bool_matrix([[0]])
-    assert matrix_star(B).rows == ((1,),)
+    assert matrix_star(make_min_plus(), [[5]]) == [[0]]
+    assert matrix_star(make_boolean(), [[0]]) == [[1]]
 
 
 def test_matrix_star_three_cycle_boolean():
-    M = bool_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert matrix_star(M).rows == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
-    assert warshall_closure(M).rows == matrix_star(M).rows
+    M = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    B = make_boolean()
+    assert matrix_star(B, M) == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+    assert warshall_closure(M) == matrix_star(B, M)
 
 
 def test_matrix_star_two_edge_minplus():
-    M = minplus_matrix([[INF, 2, INF], [INF, INF, 3], [INF, INF, INF]],
-                       labels=("a", "b", "c"))
-    S = matrix_star(M)
-    assert S.at(0, 2) == 5
-    assert S.at(0, 0) == 0
-    assert S.rows == floyd_warshall(M).rows
+    M = [[INF, 2, INF], [INF, INF, 3], [INF, INF, INF]]
+    S = matrix_star(make_min_plus(), M)
+    assert S[0][2] == 5
+    assert S[0][0] == 0
+    assert S == floyd_warshall(M)
 
 
 def test_matrix_star_vs_warshall_random():
     rng = random.Random(42)
+    B = make_boolean()
     for _ in range(60):
         n = rng.randint(1, 6)
-        M = bool_matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
-        assert matrix_star(M).rows == warshall_closure(M).rows
+        M = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        assert matrix_star(B, M) == warshall_closure(M)
 
 
 def test_matrix_star_vs_floyd_warshall_random():
     rng = random.Random(43)
+    K = make_min_plus()
     for _ in range(60):
         n = rng.randint(1, 6)
-        rows = [[(rng.randint(0, 9) if rng.random() < 0.5 else INF)
-                 for _ in range(n)] for _ in range(n)]
-        M = minplus_matrix(rows)
-        S = matrix_star(M)
-        assert S.rows == floyd_warshall(M).rows
-        assert S.rows == mat_power_star(M).rows
+        M = [[(rng.randint(0, 9) if rng.random() < 0.5 else INF)
+              for _ in range(n)] for _ in range(n)]
+        S = matrix_star(K, M)
+        assert S == floyd_warshall(M)
+        assert S == mat_power_star(K, M)
 
 
 @pytest.mark.parametrize("make", [make_relations, make_max_plus], ids=lambda m: m.__name__)
@@ -92,17 +80,23 @@ def test_matrix_star_equals_power_sum_star(make):
     weights = [w for w in K.pool() if w != K.zero]
     for _ in range(300):
         n = rng.randint(1, 5)
-        M = Matrix(K, tuple(range(n)),
-                   tuple(tuple(K.zero if rng.random() < 0.5 else rng.choice(weights)
-                               for _ in range(n)) for _ in range(n)))
-        assert matrix_star(M).rows == mat_power_star(M).rows, M.rows
+        M = [[K.zero if rng.random() < 0.5 else rng.choice(weights) for _ in range(n)]
+             for _ in range(n)]
+        assert matrix_star(K, M) == mat_power_star(K, M), M
 
 
 def test_matrix_star_needs_star():
     K = make_boolean()
     object.__setattr__(K, "star", None)
     with pytest.raises(CapabilityError):
-        matrix_star(Matrix(K, (0,), ((1,),)))
+        matrix_star(K, [[1]])
+
+
+@pytest.mark.parametrize("M", [[], [[]], [[0, 1]], [[0, 1], [1]], [[0], [1]]],
+                         ids=["empty", "empty-row", "wide", "ragged", "tall"])
+def test_matrix_star_needs_a_square_matrix(M):
+    with pytest.raises(ValueError, match="matrix must be square and at least 1x1"):
+        matrix_star(make_boolean(), M)
 
 
 def test_homset_aggregation_equals_matrix_star():
@@ -114,8 +108,8 @@ def test_homset_aggregation_equals_matrix_star():
         table[(src, (name,))] = w
     f = from_pairs(C, K, table)
     agg = homset_matrix(C, star_recursive(f), K)
-    M = matrix_star(edge_weight_matrix(g, K))
-    assert agg.rows == M.rows
+    _, E = edge_weight_matrix(g, K)
+    assert agg == matrix_star(K, E)
 
 
 def test_homset_aggregation_rejects_truncated():
@@ -384,10 +378,9 @@ def test_cli_check_oracles_compares_matrix_star_on_cyclic_graphs(
     assert capsys.readouterr().err == "pathtool: note: homset comparison skipped, graph has a cycle\n"
 
     def wrong(M):
-        right = getattr(pathtool, oracle)(M)
-        rows = [list(r) for r in right.rows]
+        rows = getattr(pathtool, oracle)(M)
         rows[0][1] = 0 if rows[0][1] else 1  # a wrong entry in either algebra
-        return Matrix(right.algebra, right.labels, tuple(map(tuple, rows)))
+        return rows
 
     monkeypatch.setattr(cli, oracle, wrong)
     assert main(args) == 1
@@ -414,13 +407,14 @@ def test_cli_graph_runs_one_kahn_pass_per_graph(graph_file, tmp_path, monkeypatc
     assert [g.is_acyclic() for g in passes] == [True, False]
 
 
-def test_cli_cyclic_graph_at_max_length_zero_weights_only_the_vertices(tmp_path, capsys):
-    # no one-edge path is in the universe, so none is weighted
+def test_cli_cyclic_graph_refuses_max_length_below_one(tmp_path, capsys):
+    # a universe without one-edge paths would leave every edge weight unused
     p = tmp_path / "cycle.txt"
     p.write_text(CYCLIC_GRAPH)
-    assert main(["star", "--model", "graph", "--algebra", "minplus", "--max-length", "0",
-                 "--weights", str(p), "--check-oracles"]) == 0
-    assert capsys.readouterr().out == "(a)\t0\n(b)\t0\n(c)\t0\n"
+    for max_len in ("0", "-1"):
+        assert main(["star", "--model", "graph", "--algebra", "minplus", "--max-length",
+                     max_len, "--weights", str(p), "--check-oracles"]) == 2
+        assert capsys.readouterr() == ("", "pathtool: need max_len >= 1\n")
 
 
 def test_cli_poset_star(tmp_path, capsys):
