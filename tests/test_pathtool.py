@@ -446,6 +446,26 @@ def test_cli_matrix_requires_graph(tmp_path, capsys):
     assert "matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,text,extra,message", [
+    ("words", "", [], "cannot infer an alphabet from the weight file"),
+    ("shuffle", "", [], "cannot infer an alphabet from the weight file"),
+    ("guarded", "", [], "cannot infer tests from the weight file"),
+    ("pairs", "", [], "cannot infer a point set from the weight file"),
+    ("words", "abc 1\n", ["--max-length", "2"], "element 'abc' is outside the model universe"),
+    ("guarded", "a.p 1\n", [], "element 'a.p' is outside the model universe"),
+    ("pairs", "a,b,c 1\n", [], "element 'a,b,c': expected 'a,b'"),
+    ("poset", "a < b\nb a 1\n", [], "interval b,a not in the interval set"),
+    ("words", "a 1\n", ["--star", "matrix"], "--star matrix needs --model graph"),
+    ("words", "a 2\n", [], "weight 2 is outside the boolean carrier"),
+])
+def test_cli_model_building_refusals(model, text, extra, message, tmp_path, capsys):
+    p = tmp_path / "weights.txt"
+    p.write_text(text)
+    assert main(["star", "--model", model, "--algebra", "boolean", "--weights", str(p),
+                 *extra]) == 2
+    assert capsys.readouterr() == ("", f"pathtool: {message}\n")
+
+
 def test_cli_check_suite(capsys):
     assert main(["check", "--suite", "independence"]) == 0
     out = capsys.readouterr().out
