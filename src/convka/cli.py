@@ -57,17 +57,15 @@ def _err(msg: str) -> None:
 
 
 def _decode_element(model: str, tok: str):
-    """Weight-file element tokens, per model encoding."""
+    """Weight-file element tokens of the words, shuffle, guarded and pairs models."""
     if model in ("words", "shuffle"):
         return "" if tok == "eps" else tok
     if model == "guarded":
         return tuple(tok.split("."))
-    if model == "pairs":
-        parts = tok.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"element {tok!r}: expected 'a,b'")
-        return (parts[0], parts[1])
-    raise ParseError(f"element token {tok!r} not supported for model {model}")
+    parts = tok.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"element {tok!r}: expected 'a,b'")
+    return (parts[0], parts[1])
 
 
 def _build_model_and_weights(args, K):
@@ -125,13 +123,11 @@ def _build_model_and_weights(args, K):
         if not actions:
             actions = {"act"}
         C = models.guarded_string_catoid(tests, actions, max_len)
-    elif args.model == "pairs":
+    else:  # pairs; argparse's choices admit no other model
         points = {p for tok in weight_toks for p in tok.split(",")}
         if not points:
             raise ParseError("cannot infer a point set from the weight file")
         C = models.pair_groupoid(points)
-    else:
-        raise ParseError(f"unknown model {args.model}")
 
     table = {}
     for tok, wtok in weight_toks.items():
@@ -216,7 +212,7 @@ def _cross_check(args, K, C, f, graph, forms, fs, M) -> int:
                 K.star(K.one) == K.one and agg != M):
             _err("oracle disagreement: homset aggregation vs matrix star")
             return 1
-    if K.name == "boolean" and warshall_closure(M) != M:
+    if K.name == "boolean" and warshall_closure(E) != M:
         _err("oracle disagreement: matrix star vs Warshall closure")
         return 1
     if K.name == "minplus" and floyd_warshall(E) != M:

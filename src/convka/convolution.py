@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from .catoid import Catoid, MoebiusViolation
-from .report import FAIL, PASS, Report
+from .report import Report
 from .values import SIDES, CapabilityError, ValueAlgebra
 
 
@@ -100,7 +100,7 @@ def from_pairs(C, K, pairs, name="f") -> WeightFunction:
     raises the catoid's ValueError for it."""
     vals, index = [K.zero] * len(C.elements()), C.index()
     for x, w in dict(pairs).items():
-        vals[C._in_universe(lambda: index[x])] = w
+        vals[index[x]] = w
     return WeightFunction.by_id(C, K, name, vals=vals)
 
 
@@ -353,14 +353,13 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
     tests = {P: indicator(C, K, P) for P in subsets}
     one = id0(C, K)
     zero = zero_function(C, K)
-    rep.add("kat.test-count", PASS, checked=len(subsets),
-            note=f"2^{len(ids)}={len(subsets)} tests")
+    rep.add("kat.test-count", checked=len(subsets), note=f"2^{len(ids)}={len(subsets)} tests")
 
     bad = []
     for P, p in tests.items():
         if not is_test(p):
             bad.append((sorted(P),))
-    rep.add("kat.tests-are-tests", FAIL if bad else PASS, bad, checked=len(subsets))
+    rep.add("kat.tests-are-tests", bad, checked=len(subsets))
 
     bad = []
     for P, Q in itertools.product(subsets, repeat=2):
@@ -368,7 +367,7 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
             bad.append((sorted(P), sorted(Q), "join"))
         if not functions_equal(convolve(tests[P], tests[Q]), tests[P & Q]):
             bad.append((sorted(P), sorted(Q), "meet"))
-    rep.add("kat.embed-join-meet", FAIL if bad else PASS, bad, checked=2 * len(subsets) ** 2)
+    rep.add("kat.embed-join-meet", bad, checked=2 * len(subsets) ** 2)
 
     bad = []
     for P, p in tests.items():
@@ -377,7 +376,7 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
             bad.append((sorted(P),))
         if not is_test(q):
             bad.append((sorted(P), "complement-not-test"))
-    rep.add("kat.complementation", FAIL if bad else PASS, bad, checked=len(subsets))
+    rep.add("kat.complementation", bad, checked=len(subsets))
 
     # tests vanish off the identities and are closed under the operations
     # (checked above), so the lattice laws are decided on the identity set
@@ -397,7 +396,7 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
            not functions_equal(conv_add(p, one), one, ids) or \
            not functions_equal(convolve(p, zero), zero, ids):
             bad.append((sorted(P), "bounds"))
-    rep.add("kat.lattice-laws", FAIL if bad else PASS, bad, checked=5 * len(subsets) ** 2)
+    rep.add("kat.lattice-laws", bad, checked=5 * len(subsets) ** 2)
 
     bad = []
     for P, Q, R in itertools.product(subsets, repeat=3):
@@ -409,14 +408,14 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
         rhs = convolve(conv_add(tests[P], tests[Q]), conv_add(tests[P], tests[R]))
         if not functions_equal(lhs, rhs, ids):
             bad.append((sorted(P), sorted(Q), sorted(R), "join-over-meet"))
-    rep.add("kat.distributivity", FAIL if bad else PASS, bad, checked=2 * len(subsets) ** 3)
+    rep.add("kat.distributivity", bad, checked=2 * len(subsets) ** 3)
 
     bad = []
     for P, p in tests.items():
         st = star_recursive(p)
         if not functions_equal(st, one):
             bad.append((sorted(P),))
-    rep.add("kat.test-star-is-one", FAIL if bad else PASS, bad, checked=len(subsets))
+    rep.add("kat.test-star-is-one", bad, checked=len(subsets))
 
     bad = []
     elements = C.elements()
@@ -426,14 +425,13 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
         target = indicator(C, K, powerset_star(C, A))
         if not functions_equal(st, target):
             bad.append((sorted(C.format_element(a) for a in A),))
-    rep.add("kat.indicator-star-closure", FAIL if bad else PASS, bad, checked=samples)
+    rep.add("kat.indicator-star-closure", bad, checked=samples)
 
     in_bracket = [P for P in subsets if is_in_bracket(tests[P])]
     expected = [frozenset(), frozenset(ids)]
     ok = sorted(in_bracket, key=sorted) == sorted(expected, key=sorted)
-    rep.add("kat.bracket-tests-trivial", PASS if ok else FAIL,
-            [] if ok else [tuple(sorted(map(str, P)) for P in in_bracket)],
-            checked=len(subsets), note="K[C] tests = {0, id0}")
+    bad = [] if ok else [tuple(sorted(map(str, P)) for P in in_bracket)]
+    rep.add("kat.bracket-tests-trivial", bad, checked=len(subsets), note="K[C] tests = {0, id0}")
     return rep
 
 
@@ -461,9 +459,9 @@ def check_conway(C: Catoid, S: ValueAlgebra, rng, samples=100) -> Report:
             bad_ps.append((k, C.format_element(d[0]), d[1], d[2]))
     n = samples * len(C.elements())
     for side, bad in bad_unfold.items():
-        rep.add(f"conway.unfold-{side}", FAIL if bad else PASS, bad, checked=n)
-    rep.add("conway.sum-star", FAIL if bad_ss else PASS, bad_ss, checked=n)
-    rep.add("conway.prod-star-swap", FAIL if bad_ps else PASS, bad_ps, checked=n)
+        rep.add(f"conway.unfold-{side}", bad, checked=n)
+    rep.add("conway.sum-star", bad_ss, checked=n)
+    rep.add("conway.prod-star-swap", bad_ps, checked=n)
     return rep
 
 

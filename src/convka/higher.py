@@ -26,7 +26,7 @@ from .convolution import (
     zero_function,
 )
 from .modal import cod_hat, dom_hat, modal_laws
-from .report import FAIL, INFO, PASS, Report
+from .report import INFO, Report
 from .values import SIDES, CapabilityError, NValueAlgebra
 
 
@@ -76,11 +76,11 @@ def check_n_catoid(nc: NCatoid) -> Report:
     for i, d in enumerate(nc.dims):
         sub = check_catoid_axioms(d)
         for e in sub.entries:
-            rep.add(f"dim{i}.{e.law}", e.status, e.witnesses, e.checked, note=e.note)
+            rep.add(f"dim{i}.{e.law}", e.witnesses, e.checked, note=e.note, status=e.status)
 
     for i, j in itertools.permutations(range(nc.n), 2):
         bad = [x for x in U if any(a(b(x)) != b(a(x)) for a in faces[i] for b in faces[j])]
-        rep.add(f"ncat.face-commute[{i},{j}]", FAIL if bad else PASS, bad, checked=len(U))
+        rep.add(f"ncat.face-commute[{i},{j}]", bad, checked=len(U))
 
         ki, Pj = kernels[i], kernels[j].table
         ids = [(face, at, ki.image(at)) for face, at in (("s", ki.src), ("t", ki.tgt))]
@@ -90,8 +90,7 @@ def check_n_catoid(nc: NCatoid) -> Report:
                 for face, at, img in ids:  # s_i(x .j y) <= s_i(x) .j s_i(y), and for t_i
                     if img[m] & ~Pj[at[x]][at[y]]:
                         bad.append((U[x], U[y], face))
-        rep.add(f"ncat.lax-functorial[{i},{j}]", FAIL if bad else PASS, bad,
-                checked=len(U) ** 2)
+        rep.add(f"ncat.lax-functorial[{i},{j}]", bad, checked=len(U) ** 2)
 
     for i, j in itertools.combinations(range(nc.n), 2):
         ki, kj = kernels[i], kernels[j]
@@ -108,11 +107,10 @@ def check_n_catoid(nc: NCatoid) -> Report:
                     lhs = ki.compose_masks(wx, yz)
                     if lhs and lhs & ~kj.compose_masks(Pw[y], Px[z]):
                         bad.append((U[w], U[x], U[y], U[z]))
-        rep.add(f"ncat.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
-                checked=len(U) ** 4)
+        rep.add(f"ncat.interchange[{i}<{j}]", bad, checked=len(U) ** 4)
 
         bad = [x for x in U if any(b(a(x)) != a(x) for a in faces[i] for b in faces[j])]
-        rep.add(f"ncat.face-absorb[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U))
+        rep.add(f"ncat.face-absorb[{i}<{j}]", bad, checked=len(U))
 
         Pi = ki.table
         ids = [(face, at, kj.image(at)) for face, at in (("s", kj.src), ("t", kj.tgt))]
@@ -123,18 +121,18 @@ def check_n_catoid(nc: NCatoid) -> Report:
                     m = Pi[at[x]][at[y]]
                     if img[m] != m:
                         bad.append((U[x], U[y], face))
-        rep.add(f"ncat.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(U) ** 2)
+        rep.add(f"ncat.closure[{i}<{j}]", bad, checked=len(U) ** 2)
 
     # each identity of dimension i must be one of dimension i+1
     bad = [(i, e) for i in range(nc.n - 1) for e in nc.dims[i].identities()
            if not nc.dims[i + 1].is_identity(e)]
-    rep.add("ncat.identity-filtration", FAIL if bad else PASS, bad, checked=nc.n - 1)
+    rep.add("ncat.identity-filtration", bad, checked=nc.n - 1)
 
     for i, d in enumerate(nc.dims):
         loc = is_local(d).clean
         fun = is_functional(d).clean
-        rep.add(f"classify.dim{i}", INFO, checked=len(U) ** 2,
-                note=f"local={loc} functional={fun}")
+        rep.add(f"classify.dim{i}", checked=len(U) ** 2, note=f"local={loc} functional={fun}",
+                status=INFO)
     return rep
 
 
@@ -222,15 +220,14 @@ def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
     rep = Report(model=nc.name, algebra=alg.name)
     U = nc.elements()
 
-    ok = function_leq(bundle.id_(0), bundle.id_(1))
-    rep.add("ic.unit-leq", PASS if ok else FAIL, [] if ok else [("id0 !<= id1",)],
-            checked=len(U))
+    bad = [] if function_leq(bundle.id_(0), bundle.id_(1)) else [("id0 !<= id1",)]
+    rep.add("ic.unit-leq", bad, checked=len(U))
 
     bad = []
     for k in range(samples):
         if (d := _interchange_failure(bundle, 0, 1, rng)) is not None:
             bad.append((k, nc.dims[0].format_element(d[0]), d[1], d[2]))
-    rep.add("ic.interchange", FAIL if bad else PASS, bad, checked=samples * len(U))
+    rep.add("ic.interchange", bad, checked=samples * len(U))
     return rep
 
 
@@ -266,8 +263,7 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
             key = "-".join(w for w in law.split("-") if w not in ("dom", "cod"))
             bad.setdefault(key, []).extend(witnesses)
         for key, witnesses in sorted(bad.items()):
-            rep.add(f"nconv.modal-{key}[{i}]", FAIL if witnesses else PASS, witnesses,
-                    checked=len(fs))
+            rep.add(f"nconv.modal-{key}[{i}]", witnesses, checked=len(fs))
 
     for i, j in itertools.permutations(range(nc.n), 2):
         bad = []
@@ -276,17 +272,16 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
             for face, lift in lifts[i].items():
                 if not function_leq(faces[face](i, fg), bundle.mul(j, lift[a], lift[b])):
                     bad.append((k, face))
-        rep.add(f"nconv.d-lax[{i},{j}]", FAIL if bad else PASS, bad, checked=len(pairs))
+        rep.add(f"nconv.d-lax[{i},{j}]", bad, checked=len(pairs))
 
     for i, j in itertools.combinations(range(nc.n), 2):
         bad = [(k,) for k in range(max(4, samples // 2))
                if _interchange_failure(bundle, i, j, rng) is not None]
-        rep.add(f"nconv.interchange[{i}<{j}]", FAIL if bad else PASS, bad,
-                checked=max(4, samples // 2))
+        rep.add(f"nconv.interchange[{i}<{j}]", bad, checked=max(4, samples // 2))
 
         bad = [(k,) for k, df in enumerate(lifts[i]["dom"])
                if not functions_equal(bundle.dom_(j, df), df)]
-        rep.add(f"nconv.dom-absorb[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(fs))
+        rep.add(f"nconv.dom-absorb[{i}<{j}]", bad, checked=len(fs))
 
         bad = []
         for k, (a, b) in enumerate(pairs):
@@ -294,7 +289,7 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
                 prod = bundle.mul(i, lift[a], lift[b])
                 if not functions_equal(faces[face](j, prod), prod):
                     bad.append((k, face))
-        rep.add(f"nconv.closure[{i}<{j}]", FAIL if bad else PASS, bad, checked=len(pairs))
+        rep.add(f"nconv.closure[{i}<{j}]", bad, checked=len(pairs))
 
         bad = []
         vj = bundle.views[j]
@@ -303,7 +298,7 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
                 if not leq(df(x), vj.mul(df(x), df(x))):
                     bad.append((k, nc.dims[0].format_element(x)))
                     break
-        rep.add(f"nconv.dom-idem-leq[{i}<{j}]", FAIL if bad else PASS, bad,
+        rep.add(f"nconv.dom-idem-leq[{i}<{j}]", bad,
                 checked=len(fs) * len(U), note="D-_i(f)(x) <= D-_i(f)(x) .j D-_i(f)(x)")
 
     for i in range(nc.n):
@@ -317,7 +312,7 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
                 if lhs(x) != vi.mul(df(Ci.source(x)), g(x)):
                     bad.append((k, Ci.format_element(x)))
                     break
-        rep.add(f"nconv.dom-product[{i}]", FAIL if bad else PASS, bad, checked=len(pairs),
+        rep.add(f"nconv.dom-product[{i}]", bad, checked=len(pairs),
                 note="(D-(f)*g)(x) = D-(f)(s(x)).g(x)")
 
     if all(v.has_star for v in bundle.views):
@@ -330,6 +325,5 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
                     rhs = bundle.star(j, bundle.mul(i, *mirror(df, g)))
                     if not function_leq(bundle.mul(i, *mirror(df, g_star)), rhs):
                         bad.append((k, face))
-            rep.add(f"nconv.star-domain[{i}<{j}]", FAIL if bad else PASS, bad,
-                    checked=len(pairs))
+            rep.add(f"nconv.star-domain[{i}<{j}]", bad, checked=len(pairs))
     return rep

@@ -342,8 +342,8 @@ class PathCatoid(Catoid):
 class GuardedStringCatoid(Catoid):
     """Alternating test/action tuples t0 a1 t1 ... ak tk; identities are (t,).
 
-    max_len bounds the number of actions; different boundary tests do not
-    compose.
+    max_len >= 1 bounds the number of actions; different boundary tests do
+    not compose.
     """
 
     def __init__(self, tests, actions, max_len: int):
@@ -352,6 +352,8 @@ class GuardedStringCatoid(Catoid):
         self.actions = tuple(sorted(actions))
         if not self.tests or not self.actions:
             raise ValueError("need nonempty test and action sets")
+        if max_len < 1:
+            raise ValueError("need max_len >= 1")
         self.max_len = max_len
         self.name = f"guarded({len(self.tests)}t,{len(self.actions)}a,{max_len})"
 

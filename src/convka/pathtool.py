@@ -257,6 +257,8 @@ def parse_poset(text: str):
                 vertices.append(parts[0])
         else:
             raise ParseError(f"line {lineno}: expected 'x < y', 'x y w' or a vertex")
+    if not vertices and not weights:
+        raise ParseError("empty poset")
     try:
         spec = PosetSpec(vertices=tuple(vertices), covers=tuple(covers))
     except ValueError as exc:

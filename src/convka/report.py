@@ -56,11 +56,14 @@ class Report:
         self.algebra = algebra
         self.entries: list[LawResult] = []
 
-    def add(self, law, status, witnesses=None, checked=0, vacuous=0, note=""):
-        self.entries.append(
-            LawResult(law, status, list(witnesses or []), checked, vacuous, note,
-                      self.model, self.algebra)
-        )
+    def add(self, law, witnesses=(), checked=0, vacuous=0, note="", status=None):
+        """Record a law, failing exactly when it has witnesses; ``status`` is
+        only for lines that mean something else, such as INFO or copied lines."""
+        witnesses = list(witnesses)
+        if status is None:
+            status = FAIL if witnesses else PASS
+        self.entries.append(LawResult(law, status, witnesses, checked, vacuous, note,
+                                      self.model, self.algebra))
         return self.entries[-1]
 
     def law(self, name: str) -> LawResult:

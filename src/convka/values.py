@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Optional
 
-from .report import FAIL, PASS, Report
+from .report import Report
 
 
 class CapabilityError(Exception):
@@ -416,7 +416,7 @@ def _law_runner(rep, pool, rng, samples):
                 vacuous += 1
             elif (detail := pred(*t)) is not None:
                 bad.append(t + (detail,))
-        rep.add(name, FAIL if bad else PASS, witnesses=bad, checked=count, vacuous=vacuous)
+        rep.add(name, bad, checked=count, vacuous=vacuous)
 
     return law
 

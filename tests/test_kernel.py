@@ -8,6 +8,7 @@ those witness lists are compared with each product's members sorted.
 """
 
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -22,7 +23,15 @@ from convka.catoid import (
     is_functional,
     is_local,
 )
-from convka.convolution import convolve, from_pairs, star_dual, star_path, star_recursive
+from convka.convolution import (
+    WeightFunction,
+    convolve,
+    from_pairs,
+    functions_equal,
+    star_dual,
+    star_path,
+    star_recursive,
+)
 from convka.higher import NCatoid, check_n_catoid
 from convka.report import FAIL, PASS
 
@@ -296,3 +305,33 @@ def test_a_models_own_key_error_is_not_blamed_on_the_universe():
     C = TableCatoid("gap", ["e", "x"], {}, {"e": "e"}, {"e": "e", "x": "e"}, add_units=False)
     with pytest.raises(KeyError, match="'x'"):
         C.kernel()
+
+
+def test_weight_functions_refuse_elements_outside_the_universe(boolean):
+    C = models.free_monoid("ab", 2)
+    f = from_pairs(C, boolean, {"a": 1})
+    with pytest.raises(ValueError, match=r"words\(ab,2\): abc is a source, target or product"):
+        f("abc")
+    with pytest.raises(ValueError, match=r"words\(ab,2\): abc is a source, target or product"):
+        functions_equal(f, f, ["a", "abc"])
+
+
+_FACES = {"e": "e", "x": "e"}
+
+
+@pytest.mark.parametrize("build, twice", [
+    (lambda: models.interval_catoid(models.PosetSpec(("a", "b", "a"), (("a", "b"),))),
+     "intervals(a,b,a): [a,a]"),
+    (lambda: models.path_catoid(models.GraphSpec(("a", "b", "a"), (("x", "a", "b", 1),)), 2),
+     "paths(3v): (a)"),
+    (lambda: TableCatoid("twice", ["e", "x", "x"], {}, _FACES, _FACES), "twice: x"),
+], ids=["poset", "graph", "table"])
+def test_a_model_listing_an_element_twice_is_refused(build, twice, boolean):
+    # two ids for one element leave one of them without a value, and the star
+    # would read past the end of its value list
+    C = build()
+    message = re.escape(f"{twice} is listed twice in elements()")
+    with pytest.raises(ValueError, match=message):
+        C.elements()
+    with pytest.raises(ValueError, match=message):
+        star_recursive(WeightFunction(C, boolean, lambda x: 1))

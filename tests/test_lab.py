@@ -12,7 +12,7 @@ from convka.lab import (
     verify_independence,
     verify_quantale_star,
 )
-from convka.report import INFO, PASS, XFAIL
+from convka.report import FAIL, INFO, PASS, XFAIL
 from convka.values import CapabilityError, check_value_axioms, make_boolean, \
     make_min_plus
 
@@ -145,6 +145,17 @@ def test_star_triple_agree_counts_the_samples_it_compares(samples, compared, mon
 def test_campaign_all_is_clean():
     rep = run_campaign(CampaignConfig(suites=("all",), seed=11, samples=5))
     assert rep.clean, rep.failed_laws()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_campaign_line_fails_exactly_when_it_has_witnesses(seed):
+    # expected failures keep their witnesses, INFO lines classify, and a
+    # confirmed independence failure passes while showing its witness
+    rep = run_campaign(CampaignConfig(suites=("all",), seed=seed))
+    lines = [e for e in rep.entries if e.status not in (XFAIL, INFO)
+             and not (e.law.startswith("independence.") and ".confirm-closure-" in e.law)]
+    assert len(lines) > 250
+    assert [e.law for e in lines if (e.status == FAIL) != bool(e.witnesses)] == []
 
 
 def test_report_text_format():

@@ -387,6 +387,20 @@ def test_cli_check_oracles_compares_matrix_star_on_cyclic_graphs(
     assert "oracle disagreement: matrix star vs" in capsys.readouterr().err
 
 
+def test_cli_check_oracles_catch_a_wrong_boolean_matrix_star_on_a_cyclic_graph(
+        tmp_path, monkeypatch, capsys):
+    # an all-ones matrix is reflexive and transitively closed, so only the
+    # closure of the edges, not of the printed star, tells it is wrong
+    p = tmp_path / "cycle.txt"
+    p.write_text("a b x 1\nb a y 1\nc c z 0\n")
+    monkeypatch.setattr(cli, "matrix_star", lambda K, E: [[K.one] * len(E) for _ in E])
+    assert main(["star", "--model", "graph", "--algebra", "boolean", "--star", "matrix",
+                 "--check-oracles", "--max-length", "2", "--weights", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle disagreement: matrix star vs Warshall closure" in captured.err
+
+
 def test_cli_graph_runs_one_kahn_pass_per_graph(graph_file, tmp_path, monkeypatch, capsys):
     # the bound, the path catoid's completeness and the homset comparison all
     # ask whether the graph is acyclic; they share one pass per GraphSpec
@@ -415,6 +429,23 @@ def test_cli_cyclic_graph_refuses_max_length_below_one(tmp_path, capsys):
         assert main(["star", "--model", "graph", "--algebra", "minplus", "--max-length",
                      max_len, "--weights", str(p), "--check-oracles"]) == 2
         assert capsys.readouterr() == ("", "pathtool: need max_len >= 1\n")
+
+
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_cli_guarded_refuses_max_length_below_one(max_len, tmp_path, capsys):
+    # a universe of bare tests would leave every action out
+    p = tmp_path / "guarded.txt"
+    p.write_text("t0 1\n")
+    assert main(["star", "--model", "guarded", "--algebra", "boolean", "--max-length",
+                 max_len, "--weights", str(p)]) == 2
+    assert capsys.readouterr() == ("", "pathtool: need max_len >= 1\n")
+
+
+def test_cli_empty_poset_exits_2(tmp_path, capsys):
+    p = tmp_path / "poset.txt"
+    p.write_text("# no covers, vertices or weights\n")
+    assert main(["star", "--model", "poset", "--algebra", "minplus", "--weights", str(p)]) == 2
+    assert capsys.readouterr() == ("", "pathtool: empty poset\n")
 
 
 def test_cli_poset_star(tmp_path, capsys):
