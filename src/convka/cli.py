@@ -222,10 +222,8 @@ def _cross_check(args, K, C, f, graph, forms, fs, M) -> int:
 
 
 def cmd_check(args) -> int:
-    config = lab.CampaignConfig(suites=(args.suite,), seed=args.seed,
-                                samples=args.samples)
     try:
-        rep = lab.run_campaign(config)
+        rep = lab.run_campaign(args.suite, args.seed, args.samples)
     except ValueError as exc:
         _err(str(exc))
         return 2

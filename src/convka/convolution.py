@@ -36,25 +36,16 @@ from .values import SIDES, CapabilityError, ValueAlgebra
 class WeightFunction:
     """A total, memoised map from catoid elements to weights.
 
-    ``rule`` takes an element.  Values are kept by element id, where None
+    The value at id i is ``rule(i)``, or ``vals[i]`` where ``vals`` is given;
+    ``vals`` is kept, not copied.  Values are kept by element id, where None
     marks one not yet computed; ``at(i)`` reads and fills the value at id i.
     """
 
     __slots__ = ("catoid", "algebra", "name", "_rule", "_vals", "_index")
 
-    def __init__(self, catoid: Catoid, algebra: ValueAlgebra, rule, name="f"):
-        E = catoid.elements()
-        self._bind(catoid, algebra, name, lambda i: rule(E[i]), None)
-
-    @classmethod
-    def by_id(cls, catoid, algebra, name, rule=None, vals=None) -> "WeightFunction":
-        """The function whose value at id i is ``rule(i)``, or ``vals[i]``
-        where ``vals`` is given; ``vals`` is kept, not copied."""
-        wf = cls.__new__(cls)
-        wf._bind(catoid, algebra, name, rule, vals)
-        return wf
-
-    def _bind(self, catoid, algebra, name, rule, vals):
+    def __init__(self, catoid: Catoid, algebra: ValueAlgebra, name, rule=None, vals=None):
+        if rule is None and vals is None:
+            raise TypeError("WeightFunction needs a rule on ids or a values list")
         self.catoid, self.algebra, self.name, self._rule = catoid, algebra, name, rule
         self._index = catoid.index()
         self._vals = [None] * len(self._index) if vals is None else vals
@@ -72,7 +63,7 @@ class WeightFunction:
         """The same map read over another catoid and algebra on the same
         elements, in the same order, and weights, such as one dimension of an
         n-catoid; the view shares this function's rule and values."""
-        return WeightFunction.by_id(catoid, algebra, self.name, self._rule, self._vals)
+        return WeightFunction(catoid, algebra, self.name, self._rule, self._vals)
 
     def support(self) -> list:
         at, zero = self.at, self.algebra.zero
@@ -83,12 +74,12 @@ class WeightFunction:
 
 
 def zero_function(C, K) -> WeightFunction:
-    return WeightFunction.by_id(C, K, "0", vals=[K.zero] * len(C.elements()))
+    return WeightFunction(C, K, "0", vals=[K.zero] * len(C.elements()))
 
 
 def id0(C, K) -> WeightFunction:
     """Unit of convolution: the indicator of the identity set."""
-    return WeightFunction.by_id(C, K, "id0", vals=[K.one if e else K.zero for e in C.faces()[2]])
+    return WeightFunction(C, K, "id0", vals=[K.one if e else K.zero for e in C.faces()[2]])
 
 
 def indicator(C, K, members) -> WeightFunction:
@@ -101,7 +92,7 @@ def from_pairs(C, K, pairs, name="f") -> WeightFunction:
     vals, index = [K.zero] * len(C.elements()), C.index()
     for x, w in dict(pairs).items():
         vals[index[x]] = w
-    return WeightFunction.by_id(C, K, name, vals=vals)
+    return WeightFunction(C, K, name, vals=vals)
 
 
 def _check_same(f, g):
@@ -116,8 +107,8 @@ def conv_add(f, g) -> WeightFunction:
     """Pointwise sum."""
     _check_same(f, g)
     add, f_at, g_at = f.algebra.add, f.at, g.at
-    return WeightFunction.by_id(f.catoid, f.algebra, f"({f.name}+{g.name})",
-                                lambda i: add(f_at(i), g_at(i)))
+    return WeightFunction(f.catoid, f.algebra, f"({f.name}+{g.name})",
+                          lambda i: add(f_at(i), g_at(i)))
 
 
 def convolve(f, g) -> WeightFunction:
@@ -145,7 +136,7 @@ def convolve(f, g) -> WeightFunction:
                 break
         return acc
 
-    return WeightFunction.by_id(C, K, f"({f.name}*{g.name})", rule)
+    return WeightFunction(C, K, f"({f.name}*{g.name})", rule)
 
 
 def _star_engine(f, side: str) -> WeightFunction:
@@ -214,7 +205,7 @@ def _star_engine(f, side: str) -> WeightFunction:
             on_stack.add(need)
 
     prefix = {"left": "star", "right": "star'", "path": "star#"}[side]
-    wf = WeightFunction.by_id(C, K, f"{prefix}({f.name})", rule)
+    wf = WeightFunction(C, K, f"{prefix}({f.name})", rule)
     vals = wf._vals
     return wf
 
@@ -234,27 +225,35 @@ def star_unfolded(f) -> WeightFunction:
 
     Each decomposition x in x1...xi contributes
     f(s(x1))* . f(x1) . f(t(x1))* . f(x2) . ... . f(xi) . f(t(xi))*,
-    using that consecutive factors chain targets to sources.
+    using that consecutive factors chain targets to sources.  The sum runs
+    i = 1, 2, ... up to the first i without one: in a Moebius catoid they
+    exist exactly for 1 <= i <= length(x), since merging two adjacent
+    non-identity factors gives a non-identity.  So the oracle reads
+    ``decompose_n`` only, never ``Catoid.rows``, the star engine's input.
     """
     C, K = f.catoid, f.algebra
     if not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
+    E = C.elements()
 
-    def rule(x):
+    def rule(i):
+        x = E[i]
         if C.is_identity(x):
             return K.star(f(x))
         acc = K.zero
-        for i in range(1, C.length(x) + 1):
-            for parts in C.decompose_n(x, i):
+        for n in itertools.count(1):
+            chains = C.decompose_n(x, n)
+            if not chains:
+                return acc
+            for parts in chains:
                 term = K.star(f(C.source(parts[0])))
                 for p in parts:
                     term = K.mul(term, f(p))
                     term = K.mul(term, K.star(f(C.target(p))))
                 acc = K.add(acc, term)
-        return acc
 
-    return WeightFunction(C, K, rule, name=f"star~({f.name})")
+    return WeightFunction(C, K, f"star~({f.name})", rule)
 
 
 def is_in_bracket(f) -> bool:
@@ -280,9 +279,9 @@ def functions_equal(f, g, universe=None) -> bool:
     return first_difference(f, g, universe) is None
 
 
-def function_leq(f, g, universe=None) -> bool:
+def function_leq(f, g) -> bool:
     f_at, g_at, leq = f.at, g.at, f.algebra.leq
-    return all(leq(f_at(i), g_at(i)) for i in _ids(f, universe))
+    return all(leq(f_at(i), g_at(i)) for i in range(len(f._vals)))
 
 
 def first_difference(f, g, universe=None):
@@ -469,4 +468,4 @@ def random_function(C, K, rng, bracket=False) -> WeightFunction:
     """Seeded random weight function; identities are forced to 1 in bracket mode."""
     pool = K.pool()
     vals = [K.one if bracket and e else rng.choice(pool) for e in C.faces()[2]]
-    return WeightFunction.by_id(C, K, "f", vals=vals)
+    return WeightFunction(C, K, "f", vals=vals)

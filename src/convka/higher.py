@@ -76,7 +76,7 @@ def check_n_catoid(nc: NCatoid) -> Report:
     for i, d in enumerate(nc.dims):
         sub = check_catoid_axioms(d)
         for e in sub.entries:
-            rep.add(f"dim{i}.{e.law}", e.witnesses, e.checked, note=e.note, status=e.status)
+            rep.add(f"dim{i}.{e.law}", e.witnesses, e.checked)
 
     for i, j in itertools.permutations(range(nc.n), 2):
         bad = [x for x in U if any(a(b(x)) != b(a(x)) for a in faces[i] for b in faces[j])]
@@ -257,8 +257,7 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
                                 partial(bundle.dom_, i), partial(bundle.cod_, i),
                                 bundle.id_(i))
         lifts.append(lift)
-        ok = all(functions_equal(d[0], fs[0]) for d in lift.values())
-        bad = {"strict": [] if ok else [("D(0) != 0",)]}
+        bad = {}
         for law, witnesses in laws.items():  # dom-expand and cod-expand into expand
             key = "-".join(w for w in law.split("-") if w not in ("dom", "cod"))
             bad.setdefault(key, []).extend(witnesses)

@@ -10,7 +10,6 @@ explicit diff line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import models
 from .catoid import (
@@ -289,15 +288,8 @@ def verify_quantale_star(C: Catoid, Q: ValueAlgebra, rng, samples=50) -> Report:
 # campaign driver
 
 
-@dataclass
-class CampaignConfig:
-    suites: tuple = ("all",)
-    seed: int = 7
-    samples: int = 25
-
-
-def _rng(config, cell: str) -> random.Random:
-    return random.Random(f"{config.seed}:{cell}")
+def _rng(seed, cell: str) -> random.Random:
+    return random.Random(f"{seed}:{cell}")
 
 
 def _expect_failures(rep: Report, laws, note: str) -> Report:
@@ -324,7 +316,7 @@ def _model_catalog():
     }
 
 
-def _suite_catoid(config) -> Report:
+def _suite_catoid(seed, samples) -> Report:
     rep = Report()
     for name, C in _model_catalog().items():
         rep.merge(check_catoid_axioms(C))
@@ -351,9 +343,9 @@ def _suite_catoid(config) -> Report:
     return rep
 
 
-def _kleene_cells(config):
+def _kleene_cells(seed):
     yield "words", models.free_monoid("ab", 4), make_min_plus()
-    yield "paths", models.path_catoid(models.random_dag(8, seed=config.seed), 8), make_min_plus()
+    yield "paths", models.path_catoid(models.random_dag(8, seed=seed), 8), make_min_plus()
     yield "guarded", models.guarded_string_catoid(["t0", "t1"], ["p", "q"], 3), make_boolean()
 
 
@@ -388,69 +380,65 @@ def check_kleene_convolution(C, K, rng, samples) -> Report:
     return rep
 
 
-def _suite_kleene(config) -> Report:
+def _suite_kleene(seed, samples) -> Report:
     rep = Report()
-    for cell, C, K in _kleene_cells(config):
-        rep.merge(check_kleene_convolution(C, K, _rng(config, "kleene:" + cell),
-                                           config.samples))
+    for cell, C, K in _kleene_cells(seed):
+        rep.merge(check_kleene_convolution(C, K, _rng(seed, "kleene:" + cell), samples))
     return rep
 
 
-def _suite_kat(config) -> Report:
+def _suite_kat(seed, samples) -> Report:
     C = models.guarded_string_catoid(["t0", "t1"], ["p", "q"], 2)
-    return check_kat(C, make_boolean(), _rng(config, "kat"), samples=config.samples)
+    return check_kat(C, make_boolean(), _rng(seed, "kat"), samples=samples)
 
 
-def _suite_modal(config) -> Report:
+def _suite_modal(seed, samples) -> Report:
     rep = Report()
     paths = models.path_catoid(models.diamond_dag(), 4)
-    rep.merge(check_modal(paths, make_boolean(), "hat", _rng(config, "modal:hat"),
-                          samples=min(12, config.samples)))
+    rep.merge(check_modal(paths, make_boolean(), "hat", _rng(seed, "modal:hat"),
+                          samples=min(12, samples)))
     words = models.free_monoid("ab", 3)
-    rep.merge(check_modal(words, make_boolean(), "bracket", _rng(config, "modal:bracket"),
-                          samples=min(12, config.samples)))
+    rep.merge(check_modal(words, make_boolean(), "bracket", _rng(seed, "modal:bracket"),
+                          samples=min(12, samples)))
     # the control tests a value table, not the sample budget: 12 samples
     # raise both local failures on each of seeds 1-300, fewer can miss them
     control = check_modal(models.path_catoid(models.two_edge_path_graph(), 4),
                           negative_control_dioid(), "hat",
-                          _rng(config, "modal:control"), samples=12)
+                          _rng(seed, "modal:control"), samples=12)
     _expect_failures(control, {"modal.dom-local", "modal.cod-local"},
                      "value table cannot extend to a modal semiring")
     rep.merge(control)
     return rep
 
 
-def _suite_interchange(config) -> Report:
+def _suite_interchange(seed, samples) -> Report:
     tc = models.shuffle_concat_2catoid("ab", 4)
     rep = check_n_catoid(tc)
     bundle = NConvolution(tc, make_boolean_nd(2))
-    rep.merge(check_interchange(bundle, _rng(config, "interchange"), samples=config.samples))
+    rep.merge(check_interchange(bundle, _rng(seed, "interchange"), samples=samples))
     return rep
 
 
-def _suite_nka(config) -> Report:
+def _suite_nka(seed, samples) -> Report:
     sq = models.pasting_square_2category()
     rep = check_n_catoid(sq)
     bundle = NConvolution(sq, make_boolean_nd(2))
-    rep.merge(check_n_axioms(bundle, _rng(config, "nka"), samples=config.samples))
+    rep.merge(check_n_axioms(bundle, _rng(seed, "nka"), samples=samples))
     return rep
 
 
-def _suite_conway(config) -> Report:
+def _suite_conway(seed, samples) -> Report:
     C = models.free_monoid("ab", 4)
-    return check_conway(C, make_nat_inf_conway(), _rng(config, "conway"),
-                        samples=config.samples)
+    return check_conway(C, make_nat_inf_conway(), _rng(seed, "conway"), samples=samples)
 
 
-def _suite_quantale(config) -> Report:
+def _suite_quantale(seed, samples) -> Report:
     rep = Report()
     rep.merge(verify_quantale_star(models.free_monoid("ab", 4), make_boolean(),
-                                   _rng(config, "quantale:words"),
-                                   samples=config.samples))
+                                   _rng(seed, "quantale:words"), samples=samples))
     rep.merge(verify_quantale_star(models.interval_catoid(models.example_poset()),
                                    three_chain_quantale(),
-                                   _rng(config, "quantale:intervals"),
-                                   samples=config.samples))
+                                   _rng(seed, "quantale:intervals"), samples=samples))
     return rep
 
 
@@ -462,26 +450,19 @@ _SUITE_FN = {
     "interchange": _suite_interchange,
     "nka": _suite_nka,
     "conway": _suite_conway,
-    "independence": lambda config: verify_independence(),
+    "independence": lambda seed, samples: verify_independence(),
     "quantale": _suite_quantale,
 }
 SUITES = (*_SUITE_FN, "all")
 
 
-def run_campaign(config: CampaignConfig) -> Report:
-    """Run the configured suites; deterministic for a fixed seed and config."""
-    if config.samples < 1:
-        raise ValueError(f"samples must be at least 1, got {config.samples}")
-    names = []
-    for s in config.suites:
-        if s not in SUITES:
-            raise ValueError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
-        names.extend(_SUITE_FN if s == "all" else [s])
-    seen = set()
+def run_campaign(suite: str, seed: int, samples: int) -> Report:
+    """Run one suite, or every suite for "all"; deterministic for fixed arguments."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     rep = Report()
-    for name in names:
-        if name in seen:
-            continue
-        seen.add(name)
-        rep.merge(_SUITE_FN[name](config))
+    for name in _SUITE_FN if suite == "all" else [suite]:
+        rep.merge(_SUITE_FN[name](seed, samples))
     return rep

@@ -45,7 +45,7 @@ def _hat(f, take_source: bool) -> WeightFunction:
     for y, e in enumerate(anchor):
         vals[e] = K.add(vals[e], lift(at(y)))
     name = ("D-" if take_source else "D+") + f"({f.name})"
-    return WeightFunction.by_id(C, K, name, vals=vals)
+    return WeightFunction(C, K, name, vals=vals)
 
 
 def dom_hat(f) -> WeightFunction:
@@ -57,32 +57,24 @@ def cod_hat(f) -> WeightFunction:
     return _hat(f, False)
 
 
-def _bracket(f, op: str) -> WeightFunction:
+def bracket(f) -> WeightFunction:
+    """Closed-form domain and codomain on K[C]: id0 unless f is the zero map."""
     if not is_in_bracket(f):
-        raise CapabilityError(f"{op} needs a weight function in K[C]")
+        raise CapabilityError("bracket needs a weight function in K[C]")
     C, K, at = f.catoid, f.algebra, f.at
     # stops at the first nonzero value, where f.support() would evaluate all
     nonzero = any(at(i) != K.zero for i in range(len(C.elements())))
     return id0(C, K) if nonzero else zero_function(C, K)
 
 
-def dom_bracket(f) -> WeightFunction:
-    """Closed-form domain on K[C]: id0 unless f is the zero map."""
-    return _bracket(f, "dom_bracket")
-
-
-def cod_bracket(f) -> WeightFunction:
-    """Closed-form codomain on K[C]: the same closed form as the domain."""
-    return _bracket(f, "cod_bracket")
-
-
 def modal_laws(fs, pairs, mul, add, dom, cod, unit):
     """The modal laws on sample functions ``fs``, for ``check_modal`` and for
     each dimension of ``higher.check_n_axioms``.
 
-    Each sample's D- (``dom``) and D+ (``cod``) is lifted once.  Expansion,
-    subidentity and compatibility are checked per sample i, witnessed by
-    (i,); locality and additivity per index pair (i, j) in ``pairs``,
+    Each sample's D- (``dom``) and D+ (``cod``) is lifted once.  Strictness,
+    D(0) = 0 for both faces, is checked on the zero sample ``fs[0]``.
+    Expansion, subidentity and compatibility are checked per sample i,
+    witnessed by (i,); locality and additivity per index pair (i, j) in ``pairs``,
     witnessed by (i, j, element, lhs, rhs) and (i, j).  Each law is stated
     for dom, and cod reads it in the opposite product.  ``unit`` is the
     convolution unit, over the catoid that formats witness elements.  Returns
@@ -92,8 +84,10 @@ def modal_laws(fs, pairs, mul, add, dom, cod, unit):
     ops = {"dom": (dom, cod), "cod": (cod, dom)}  # each face, then the other one
     lifts = {face: [op(f) for f in fs] for face, (op, _) in ops.items()}
     laws = {law: [] for law in (
-        "dom-expand", "cod-expand", "dom-subid", "cod-subid", "compat-dom", "compat-cod",
-        "dom-local", "cod-local", "dom-additive", "cod-additive")}
+        "strict", "dom-expand", "cod-expand", "dom-subid", "cod-subid", "compat-dom",
+        "compat-cod", "dom-local", "cod-local", "dom-additive", "cod-additive")}
+    if not all(functions_equal(lift[0], fs[0]) for lift in lifts.values()):
+        laws["strict"].append(("D(0) != 0",))
     for i, f in enumerate(fs):
         for _, face, mirror in SIDES:
             df, other = lifts[face][i], ops[face][1]
@@ -138,24 +132,20 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
         valency = max((Counter(map(C.source, U)) | Counter(map(C.target, U))).values(),
                       default=0)
         rep.add("modal.finite-valency", checked=len(U), note=f"max-valency={valency}")
-        D_minus = dom_hat
-        D_plus = cod_hat
+        D_minus, D_plus = dom_hat, cod_hat
         sample = lambda: random_function(C, K, rng)
     else:
-        D_minus = dom_bracket
-        D_plus = cod_bracket
+        D_minus = D_plus = bracket
         sample = lambda: random_function(C, K, rng, bracket=True)
 
-    zero = zero_function(C, K)
     unit = id0(C, K)
-    fs = [zero] + [sample() for _ in range(samples)]
+    fs = [zero_function(C, K)] + [sample() for _ in range(samples)]
     if variant == "bracket":
         fs.append(id0(C, K))
     pairs = itertools.product(range(len(fs)), repeat=2)
     lifts, laws = modal_laws(fs, pairs, convolve, conv_add, D_minus, D_plus, unit)
 
-    ok = all(functions_equal(lift[0], zero) for lift in lifts.values())
-    rep.add("modal.strictness", [] if ok else [("D(0) != 0",)], checked=2)
+    rep.add("modal.strictness", laws.pop("strict"), checked=2)
     for law, bad in sorted(laws.items()):
         n = len(fs) ** 2 if law.endswith(("local", "additive")) else len(fs)
         rep.add(f"modal.{law}", bad, checked=n)

@@ -103,9 +103,15 @@ def test_algebra_mismatch_rejected(words3, boolean, minplus):
         conv_add(zero_function(words3, boolean), zero_function(words3, minplus))
 
 
+def test_weight_function_needs_a_rule_on_ids_or_values(words3, boolean):
+    # an element rule passed where the name goes fails at once, not at the first read
+    for args in ((lambda x: 1,), ("f",)):
+        with pytest.raises(TypeError, match="needs a rule on ids or a values list"):
+            WeightFunction(words3, boolean, *args)
+
+
 def test_from_pairs_refuses_elements_outside_the_universe(natinf):
-    with pytest.raises(ValueError, match=r"words\(ab,2\): abc is a source, target or "
-                                         r"product member but not in elements\(\)"):
+    with pytest.raises(ValueError, match=r"words\(ab,2\): abc is not in elements\(\)"):
         from_pairs(models.free_monoid("ab", 2), natinf, {"abc": 1, "a": 2})
 
 
@@ -391,12 +397,12 @@ def test_additive_tops():
 def test_sums_stop_at_the_additive_top(words3, boolean):
     seen = []
 
-    def rule(x):
-        seen.append(x)
+    def rule(i):
+        seen.append(words3.elements()[i])
         return 1
 
     ones = from_pairs(words3, boolean, {x: 1 for x in words3.elements()})
-    g = WeightFunction(words3, boolean, rule)
+    g = WeightFunction(words3, boolean, "g", rule)
     # (eps, ab) comes first and already gives 1, so g is read once
     assert convolve(ones, g)("ab") == 1 and seen == ["ab"]
     # the dual star of aba sums star(eps).1, star(a).1 and star(ab).1; the

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from convka import lab, models
 from convka.convolution import functions_equal, id0, star_dual, star_recursive, zero_function
 from convka.lab import (
-    CampaignConfig,
     appendix_b_model,
+    check_kleene_convolution,
     conv_powers_sum,
     negative_control_dioid,
     run_campaign,
@@ -98,19 +100,18 @@ def test_negative_control_dioid_is_not_modal():
 
 
 def test_campaign_determinism():
-    config = CampaignConfig(suites=("kleene",), seed=3, samples=4)
-    a = run_campaign(config).to_text()
-    b = run_campaign(config).to_text()
+    a = run_campaign("kleene", 3, 4).to_text()
+    b = run_campaign("kleene", 3, 4).to_text()
     assert a == b
 
 
 def test_campaign_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
-        run_campaign(CampaignConfig(suites=("bogus",)))
+        run_campaign("bogus", 7, 25)
 
 
 def test_campaign_negative_controls_are_xfail():
-    rep = run_campaign(CampaignConfig(suites=("catoid", "modal"), seed=5, samples=4))
+    rep = run_campaign("catoid", 5, 4).merge(run_campaign("modal", 5, 4))
     assert rep.clean, rep.failed_laws()
     xfails = {(e.law, e.model) for e in rep.entries if e.status == XFAIL}
     assert ("moebius.identities-indecomposable", "pairs(a,b)") in xfails
@@ -123,7 +124,7 @@ def test_modal_negative_control_fails_whatever_the_sample_budget(samples):
     # the control checks a value table, so a small --samples must not let
     # its expected local failures slip through
     for seed in range(1, 9):
-        rep = run_campaign(CampaignConfig(suites=("modal",), seed=seed, samples=samples))
+        rep = run_campaign("modal", seed, samples)
         assert rep.clean, (seed, rep.failed_laws())
         xfails = {e.law for e in rep.entries if e.status == XFAIL}
         assert {"modal.dom-local", "modal.cod-local"} <= xfails, seed
@@ -135,15 +136,33 @@ def test_star_triple_agree_counts_the_samples_it_compares(samples, compared, mon
     # never on more samples than drawn; checked= must count only those
     stars = []
     monkeypatch.setattr(lab, "star_dual", lambda f: stars.append(f) or star_dual(f))
-    rep = run_campaign(CampaignConfig(suites=("kleene",), seed=1, samples=samples))
+    rep = run_campaign("kleene", 1, samples)
     sizes = {"words(ab,4)": 31, "paths(8v)": 25, "guarded(2t,2a,3)": 170}
     counts = {e.model: e.checked for e in rep.entries if e.law == "conv.star-triple-agree"}
     assert counts == {model: n * compared for model, n in sizes.items()}
     assert len(stars) == 3 * compared
 
 
+def test_unfolded_star_does_not_shrink_with_a_faulty_rows(monkeypatch):
+    # a rows that keeps only the two trivial splits of words of length >= 3
+    # makes the recursive stars sum only the one-factor term there; the
+    # unfolded oracle, which does not read rows, must disagree with them
+    rows = models.FreeMonoid.rows
+
+    def trivial_splits(self, i):
+        lefts, rights = rows(self, i)
+        if len(self.elements()[i]) < 3:
+            return lefts, rights
+        return [lefts[0], lefts[-1]], [rights[0], rights[-1]]
+
+    monkeypatch.setattr(models.FreeMonoid, "rows", trivial_splits)
+    rep = check_kleene_convolution(models.free_monoid("ab", 4), make_min_plus(),
+                                   random.Random("7:kleene:words"), 25)
+    assert rep.law("conv.star-triple-agree").status == FAIL
+
+
 def test_campaign_all_is_clean():
-    rep = run_campaign(CampaignConfig(suites=("all",), seed=11, samples=5))
+    rep = run_campaign("all", 11, 5)
     assert rep.clean, rep.failed_laws()
 
 
@@ -151,7 +170,7 @@ def test_campaign_all_is_clean():
 def test_every_campaign_line_fails_exactly_when_it_has_witnesses(seed):
     # expected failures keep their witnesses, INFO lines classify, and a
     # confirmed independence failure passes while showing its witness
-    rep = run_campaign(CampaignConfig(suites=("all",), seed=seed))
+    rep = run_campaign("all", seed, 25)
     lines = [e for e in rep.entries if e.status not in (XFAIL, INFO)
              and not (e.law.startswith("independence.") and ".confirm-closure-" in e.law)]
     assert len(lines) > 250
@@ -159,7 +178,7 @@ def test_every_campaign_line_fails_exactly_when_it_has_witnesses(seed):
 
 
 def test_report_text_format():
-    rep = run_campaign(CampaignConfig(suites=("independence",)))
+    rep = run_campaign("independence", 7, 25)
     for line in rep.to_text().splitlines():
         parts = line.split("\t")
         assert len(parts) == 6
