@@ -234,8 +234,9 @@ class Catoid:
                 L[y] = best  # need is y or a factor finished before y: set
 
     def kernel(self) -> "Kernel":
-        """The integer product table the law checkers run on, built on first
-        use and kept; the star forms and ``check_moebius`` never build it."""
+        """The integer product table the law checkers and the modal hat run
+        on, built on first use and kept; the star forms and ``check_moebius``
+        never build it."""
         if self._kernel is None:
             self._kernel = Kernel(self)
         return self._kernel
@@ -339,6 +340,14 @@ class Kernel:
     def right_defined(self) -> list:
         """For each id y, the mask of the ids z with y . z nonempty."""
         return [sum(1 << z for z, m in enumerate(row) if m) for row in self.table]
+
+    @functools.cached_property
+    def non_local(self) -> list:
+        """The id pairs (x, y) with t(x) = s(y) and x . y empty, in id order:
+        the witnesses against locality, which the modal hat needs."""
+        n, src, tgt, table = self.n, self.src, self.tgt, self.table
+        return [(x, y) for x, y in itertools.product(range(n), repeat=2)
+                if tgt[x] == src[y] and not table[x][y]]
 
     def compose_masks(self, m1, m2) -> int:
         """The union of a . b over the ids a in m1 and b in m2."""
@@ -473,11 +482,9 @@ def check_moebius(C: Catoid, universe=None) -> Report:
 
 def is_local(C: Catoid) -> Report:
     K = C.kernel()
-    n, E = K.n, K.elements
-    bad = [(E[x], E[y]) for x, y in itertools.product(range(n), repeat=2)
-           if K.tgt[x] == K.src[y] and not K.table[x][y]]
+    E = K.elements
     rep = Report(model=C.name)
-    rep.add("catoid.local", bad, checked=n ** 2)
+    rep.add("catoid.local", [(E[x], E[y]) for x, y in K.non_local], checked=K.n ** 2)
     return rep
 
 

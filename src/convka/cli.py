@@ -91,7 +91,7 @@ def _build_model_and_weights(args, K):
             table[e] = K.one
         for name, src, dst, w in graph.edges:
             table[(src, (name,))] = w
-        f = from_pairs(C, K, table, name="w")
+        f = from_pairs(C, K, table)
         return C, f, graph
 
     if args.model == "poset":
@@ -102,7 +102,7 @@ def _build_model_and_weights(args, K):
             if (a, b) not in C:
                 raise ParseError(f"interval {a},{b} not in the interval set")
             table[(a, b)] = validate_weight(K, parse_weight_token(tok))
-        f = from_pairs(C, K, table, name="w")
+        f = from_pairs(C, K, table)
         return C, f, None
 
     weight_toks = parse_weights(text)
@@ -135,7 +135,7 @@ def _build_model_and_weights(args, K):
         if x not in C:
             raise ParseError(f"element {tok!r} is outside the model universe")
         table[x] = validate_weight(K, parse_weight_token(wtok))
-    return C, from_pairs(C, K, table, name="w"), None
+    return C, from_pairs(C, K, table), None
 
 
 def _matrix_rows(labels, M):

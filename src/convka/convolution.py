@@ -41,12 +41,12 @@ class WeightFunction:
     marks one not yet computed; ``at(i)`` reads and fills the value at id i.
     """
 
-    __slots__ = ("catoid", "algebra", "name", "_rule", "_vals", "_index")
+    __slots__ = ("catoid", "algebra", "_rule", "_vals", "_index")
 
-    def __init__(self, catoid: Catoid, algebra: ValueAlgebra, name, rule=None, vals=None):
+    def __init__(self, catoid: Catoid, algebra: ValueAlgebra, *, rule=None, vals=None):
         if rule is None and vals is None:
             raise TypeError("WeightFunction needs a rule on ids or a values list")
-        self.catoid, self.algebra, self.name, self._rule = catoid, algebra, name, rule
+        self.catoid, self.algebra, self._rule = catoid, algebra, rule
         self._index = catoid.index()
         self._vals = [None] * len(self._index) if vals is None else vals
 
@@ -63,36 +63,36 @@ class WeightFunction:
         """The same map read over another catoid and algebra on the same
         elements, in the same order, and weights, such as one dimension of an
         n-catoid; the view shares this function's rule and values."""
-        return WeightFunction(catoid, algebra, self.name, self._rule, self._vals)
+        return WeightFunction(catoid, algebra, rule=self._rule, vals=self._vals)
 
     def support(self) -> list:
         at, zero = self.at, self.algebra.zero
         return [x for i, x in enumerate(self.catoid.elements()) if at(i) != zero]
 
     def __repr__(self):
-        return f"<WeightFunction {self.name}>"
+        return f"<WeightFunction {self.catoid.name} -> {self.algebra.name}>"
 
 
 def zero_function(C, K) -> WeightFunction:
-    return WeightFunction(C, K, "0", vals=[K.zero] * len(C.elements()))
+    return WeightFunction(C, K, vals=[K.zero] * len(C.elements()))
 
 
 def id0(C, K) -> WeightFunction:
     """Unit of convolution: the indicator of the identity set."""
-    return WeightFunction(C, K, "id0", vals=[K.one if e else K.zero for e in C.faces()[2]])
+    return WeightFunction(C, K, vals=[K.one if e else K.zero for e in C.faces()[2]])
 
 
 def indicator(C, K, members) -> WeightFunction:
-    return from_pairs(C, K, ((x, K.one) for x in members), name="chi")
+    return from_pairs(C, K, ((x, K.one) for x in members))
 
 
-def from_pairs(C, K, pairs, name="f") -> WeightFunction:
+def from_pairs(C, K, pairs) -> WeightFunction:
     """The weights in ``pairs``, zero elsewhere; an element off the universe
     raises the catoid's ValueError for it."""
     vals, index = [K.zero] * len(C.elements()), C.index()
     for x, w in dict(pairs).items():
         vals[index[x]] = w
-    return WeightFunction(C, K, name, vals=vals)
+    return WeightFunction(C, K, vals=vals)
 
 
 def _check_same(f, g):
@@ -107,8 +107,7 @@ def conv_add(f, g) -> WeightFunction:
     """Pointwise sum."""
     _check_same(f, g)
     add, f_at, g_at = f.algebra.add, f.at, g.at
-    return WeightFunction(f.catoid, f.algebra, f"({f.name}+{g.name})",
-                          lambda i: add(f_at(i), g_at(i)))
+    return WeightFunction(f.catoid, f.algebra, rule=lambda i: add(f_at(i), g_at(i)))
 
 
 def convolve(f, g) -> WeightFunction:
@@ -136,7 +135,7 @@ def convolve(f, g) -> WeightFunction:
                 break
         return acc
 
-    return WeightFunction(C, K, f"({f.name}*{g.name})", rule)
+    return WeightFunction(C, K, rule=rule)
 
 
 def _star_engine(f, side: str) -> WeightFunction:
@@ -204,8 +203,7 @@ def _star_engine(f, side: str) -> WeightFunction:
             stack.append(open_frame(need))
             on_stack.add(need)
 
-    prefix = {"left": "star", "right": "star'", "path": "star#"}[side]
-    wf = WeightFunction(C, K, f"{prefix}({f.name})", rule)
+    wf = WeightFunction(C, K, rule=rule)
     vals = wf._vals
     return wf
 
@@ -253,7 +251,7 @@ def star_unfolded(f) -> WeightFunction:
                     term = K.mul(term, K.star(f(C.target(p))))
                 acc = K.add(acc, term)
 
-    return WeightFunction(C, K, f"star~({f.name})", rule)
+    return WeightFunction(C, K, rule=rule)
 
 
 def is_in_bracket(f) -> bool:
@@ -468,4 +466,4 @@ def random_function(C, K, rng, bracket=False) -> WeightFunction:
     """Seeded random weight function; identities are forced to 1 in bracket mode."""
     pool = K.pool()
     vals = [K.one if bracket and e else rng.choice(pool) for e in C.faces()[2]]
-    return WeightFunction(C, K, "f", vals=vals)
+    return WeightFunction(C, K, vals=vals)

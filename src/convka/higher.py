@@ -145,9 +145,10 @@ class NConvolution:
 
     One bundle serves interchange (n = 2) and higher convolution algebras.
     Each operation reads its arguments over its dimension through
-    ``WeightFunction.over``.  A dimension's locality is checked on its first
-    ``dom_``/``cod_`` call and the hat checks completeness and modal maps, so
-    a truncated model still gets convolution, units and stars.
+    ``WeightFunction.over``.  Each ``dom_``/``cod_`` call lifts by the hat,
+    which refuses a dimension whose algebra lacks modal maps or whose model
+    is truncated or not local, so a truncated model still gets convolution,
+    units and stars.
     """
 
     def __init__(self, nc: NCatoid, alg: NValueAlgebra):
@@ -161,18 +162,12 @@ class NConvolution:
         self.nc = nc
         self.alg = alg
         self.views = tuple(alg.view(i) for i in range(alg.n))
-        self._local_dims = set()
 
     def _over(self, i, f):
         return f.over(self.nc.dims[i], self.views[i])
 
     def _lift(self, hat, i, f):
-        """hat of f over dimension i; the dimension's locality is checked on
-        its first lift, and the hat checks completeness and modal maps."""
-        if i not in self._local_dims:
-            if not is_local(self.nc.dims[i]).clean:
-                raise CapabilityError(f"dimension {i}: model is not local")
-            self._local_dims.add(i)
+        """hat of f over dimension i; a refusal of the hat names the dimension."""
         try:
             return hat(self._over(i, f))
         except CapabilityError as exc:

@@ -3,10 +3,11 @@
 Two liftings of a modal value algebra to weight functions:
 
   hat      D-(f)(e) = sum of dom(f(y)) over all y with s(y) = e, zero off the
-           identities.  Sound only on finite-valency models, i.e. when the
-           enumerated universe is the whole catoid; bounded (truncated)
-           models are rejected rather than silently summed, since a
-           truncated sum would change the operator's value.
+           identities.  Sound only on local finite-valency models, i.e. when
+           the enumerated universe is the whole catoid; the hat refuses, in
+           this order, an algebra without modal maps, a bounded (truncated)
+           model, whose truncated sum would change the operator's value, and
+           a non-local one.
   bracket  the closed form on K[C]: id0 for f != 0, zero for f = 0.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .catoid import Catoid, is_local
+from .catoid import Catoid
 from .convolution import (
     WeightFunction,
     conv_add,
@@ -39,13 +40,14 @@ def _hat(f, take_source: bool) -> WeightFunction:
     if not C.is_complete:
         raise CapabilityError(
             f"{C.name}: cannot certify finite valency, universe is truncated")
+    if C.kernel().non_local:
+        raise CapabilityError(f"{C.name}: model is not local")
     src, tgt, _ = C.faces()
     anchor, lift = (src, K.dom) if take_source else (tgt, K.cod)
     vals, at = [K.zero] * len(anchor), f.at
     for y, e in enumerate(anchor):
         vals[e] = K.add(vals[e], lift(at(y)))
-    name = ("D-" if take_source else "D+") + f"({f.name})"
-    return WeightFunction(C, K, name, vals=vals)
+    return WeightFunction(C, K, vals=vals)
 
 
 def dom_hat(f) -> WeightFunction:
@@ -113,20 +115,15 @@ def modal_laws(fs, pairs, mul, add, dom, cod, unit):
 def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Report:
     """All modal axioms, pointwise, for sampled functions.
 
-    variant "hat" lifts the value algebra's dom/cod by finite-valency sums
-    (needs a local complete model); variant "bracket" uses the closed form on
-    K[C] functions.
+    variant "hat" lifts the value algebra's dom/cod by finite-valency sums,
+    whose refusals of a truncated or non-local model surface on the first
+    lift; variant "bracket" uses the closed form on K[C] functions.
     """
     if variant not in ("hat", "bracket"):
         raise ValueError("variant must be 'hat' or 'bracket'")
     rep = Report(model=C.name, algebra=K.name)
 
     if variant == "hat":
-        if not C.is_complete:
-            raise CapabilityError(
-                f"{C.name}: cannot certify finite valency, universe is truncated")
-        if not is_local(C).clean:
-            raise CapabilityError(f"{C.name}: hat variant needs a local catoid")
         # valency: the most elements sharing one source, or one target
         U = C.elements()
         valency = max((Counter(map(C.source, U)) | Counter(map(C.target, U))).values(),

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 
-from .catoid import Catoid
+from .catoid import Catoid, TableCatoid
+from .higher import NCatoid
 
 
 @dataclass(frozen=True)
@@ -451,8 +453,6 @@ def two_edge_path_graph() -> GraphSpec:
 def random_dag(n=8, density=0.35, seed=11) -> GraphSpec:
     """Seeded random DAG on n vertices with weights 1..9; edges only go
     forward, so acyclic."""
-    import random
-
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(n))
     edges = []
@@ -470,8 +470,6 @@ def random_dag(n=8, density=0.35, seed=11) -> GraphSpec:
 
 def shuffle_concat_2catoid(alphabet, max_len):
     """Words with concatenation as dimension 0 and shuffle as dimension 1."""
-    from .higher import NCatoid
-
     dim0 = FreeMonoid(alphabet, max_len)
     dim1 = ShuffleCatoid(alphabet, max_len)
     return NCatoid(f"shuffle-concat({''.join(dim0.alphabet)},{max_len})", (dim0, dim1))
@@ -487,9 +485,6 @@ def pasting_square_2category():
     (p1*be);(al*q2), which makes interchange non-trivial.  Finite, local,
     functional and Moebius in both dimensions.
     """
-    from .catoid import TableCatoid
-    from .higher import NCatoid
-
     cells0 = ["u", "v", "w"]
     cells1 = ["p1", "q1", "p2", "q2", "p1p2", "p1q2", "q1p2", "q1q2"]
     cells2 = ["al", "be", "al*p2", "al*q2", "p1*be", "q1*be", "al0be"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .catoid import Catoid
+from .models import GraphSpec, PosetSpec
 from .values import INF, NEG_INF, CapabilityError, ValueAlgebra
 
 
@@ -201,8 +202,6 @@ def validate_weight(K: ValueAlgebra, w):
 
 def parse_graph(text: str):
     """Graph file: optional ``vertex v`` lines; edges ``src dst name weight``."""
-    from .models import GraphSpec
-
     vertices = []
     edges = []
     names = set()
@@ -235,8 +234,6 @@ def parse_graph(text: str):
 
 def parse_poset(text: str):
     """Poset file: cover lines ``x < y``; weight lines ``x y w`` for intervals."""
-    from .models import PosetSpec
-
     covers = []
     vertices = []
     weights = {}

@@ -48,6 +48,14 @@ class _SharedAddition:
     def is_finite(self) -> bool:
         return self.carrier is not None
 
+    @cached_property
+    def idempotent_add(self) -> bool:
+        """a + a = a for every weight a in ``pool()``, decided once per algebra
+        like ``zero_absorbs``; False when the algebra has no pool."""
+        if self.carrier is None and self.sample_pool is None:
+            return False
+        return all(self.add(a, a) == a for a in self.pool())
+
     def leq(self, a, b) -> bool:
         if not self.idempotent_add:
             raise CapabilityError(f"{self.name}: no order, addition is not idempotent")
@@ -76,7 +84,6 @@ class ValueAlgebra(_SharedAddition):
     mul: Callable[[Any, Any], Any]
     zero: Any
     one: Any
-    idempotent_add: bool = False
     star: Optional[Callable[[Any], Any]] = None
     dom: Optional[Callable[[Any], Any]] = None
     cod: Optional[Callable[[Any], Any]] = None
@@ -140,7 +147,6 @@ class NValueAlgebra(_SharedAddition):
     add: Callable[[Any, Any], Any]
     zero: Any
     dims: tuple[DimOps, ...]
-    idempotent_add: bool = True
     carrier: Optional[tuple] = None
     sample_pool: Optional[tuple] = None
 
@@ -157,7 +163,6 @@ class NValueAlgebra(_SharedAddition):
             mul=d.mul,
             zero=self.zero,
             one=d.one,
-            idempotent_add=self.idempotent_add,
             star=d.star,
             dom=d.dom,
             cod=d.cod,
@@ -178,7 +183,6 @@ def make_boolean() -> ValueAlgebra:
         mul=min,
         zero=0,
         one=1,
-        idempotent_add=True,
         star=lambda a: 1,
         dom=lambda a: a,
         cod=lambda a: a,
@@ -203,8 +207,8 @@ def _tropical(name, best, zero, pool, **modal) -> ValueAlgebra:
             return zero
         return a + b
 
-    return ValueAlgebra(name=name, add=add, mul=mul, zero=zero, one=0, idempotent_add=True,
-                        star=lambda a: 0, sample_pool=pool, **modal)
+    return ValueAlgebra(name=name, add=add, mul=mul, zero=zero, one=0, star=lambda a: 0,
+                        sample_pool=pool, **modal)
 
 
 def make_min_plus() -> ValueAlgebra:
@@ -248,7 +252,6 @@ def make_nat_inf_conway() -> ValueAlgebra:
         mul=mul,
         zero=0,
         one=1,
-        idempotent_add=False,
         star=star,
         sample_pool=tuple(range(6)) + (INF,),
     )
@@ -359,8 +362,7 @@ def load_finite_algebra(text: str):
             raise TableFormatError(f"unit one{k}: expected one carrier element, got {unit}")
         dims.append(DimOps(mul=ops["mul" + k], one=unit[0], dom=ops.get("dom" + d),
                            cod=ops.get("cod" + d), star=ops.get("star" + d)))
-    A = NValueAlgebra(name="table", add=add, zero=zero, dims=tuple(dims),
-                      idempotent_add=all(add(a, a) == a for a in carrier), carrier=tuple(carrier))
+    A = NValueAlgebra(name="table", add=add, zero=zero, dims=tuple(dims), carrier=tuple(carrier))
     return replace(A.view(0), name="table") if muls[0][0] < 0 else A
 
 

@@ -41,7 +41,6 @@ def make_relations() -> ValueAlgebra:
         mul=lambda r, s: mul[(r, s)],
         zero=0,
         one=IDENTITY,
-        idempotent_add=True,
         star={r: _closure(r) for r in carrier}.__getitem__,
         dom={r: _mask((i, i) for i, _ in _pairs(r)) for r in carrier}.__getitem__,
         cod={r: _mask((j, j) for _, j in _pairs(r)) for r in carrier}.__getitem__,

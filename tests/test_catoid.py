@@ -16,6 +16,7 @@ from convka.catoid import (
     is_functional,
     is_local,
 )
+from convka.convolution import from_pairs, star_recursive
 from convka.report import fmt_value
 
 
@@ -261,6 +262,24 @@ def test_require_moebius_message():
     pg = models.pair_groupoid(["a", "b"])
     with pytest.raises(MoebiusViolation, match=r"condition \(2\)"):
         pg.require_moebius()
+
+
+def test_self_absorption_fails_moebius_condition_three(boolean):
+    # x . y = {x} with y != e = t(x): only condition (3) fails
+    U = ["e", "x", "y"]
+    C = TableCatoid("absorb", U, {("x", "y"): ["x"]}, dict.fromkeys(U, "e"),
+                    dict.fromkeys(U, "e"))
+    rep = check_moebius(C)
+    assert rep.failed_laws() == {"moebius.no-self-absorption"}
+    law = rep.law("moebius.no-self-absorption")
+    assert law.witnesses == [("x", "y")] and law.checked == 9
+    message = r"^absorb: model fails Moebius condition \(3\): x in x\.y with y != t\(x\)$"
+    with pytest.raises(MoebiusViolation, match=message):
+        C.require_moebius()
+    with pytest.raises(MoebiusViolation, match=message):
+        star_recursive(from_pairs(C, boolean, {"x": 1}))("x")
+    with pytest.raises(MoebiusViolation, match=r"^absorb: cyclic decomposition at x$"):
+        C.length("x")
 
 
 def test_local_functional(diamond_paths, example_intervals):

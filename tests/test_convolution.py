@@ -104,10 +104,13 @@ def test_algebra_mismatch_rejected(words3, boolean, minplus):
 
 
 def test_weight_function_needs_a_rule_on_ids_or_values(words3, boolean):
-    # an element rule passed where the name goes fails at once, not at the first read
-    for args in ((lambda x: 1,), ("f",)):
-        with pytest.raises(TypeError, match="needs a rule on ids or a values list"):
+    # a rule and values are keywords: a positional rule, or a name before one,
+    # fails at once, not at the first read
+    for args in ((lambda x: 1,), ("f", lambda i: 1)):
+        with pytest.raises(TypeError, match="positional argument"):
             WeightFunction(words3, boolean, *args)
+    with pytest.raises(TypeError, match="needs a rule on ids or a values list"):
+        WeightFunction(words3, boolean)
 
 
 def test_from_pairs_refuses_elements_outside_the_universe(natinf):
@@ -402,7 +405,7 @@ def test_sums_stop_at_the_additive_top(words3, boolean):
         return 1
 
     ones = from_pairs(words3, boolean, {x: 1 for x in words3.elements()})
-    g = WeightFunction(words3, boolean, "g", rule)
+    g = WeightFunction(words3, boolean, rule=rule)
     # (eps, ab) comes first and already gives 1, so g is read once
     assert convolve(ones, g)("ab") == 1 and seen == ["ab"]
     # the dual star of aba sums star(eps).1, star(a).1 and star(ab).1; the

@@ -134,6 +134,26 @@ def test_n_bundle_rejects_truncated_models(bool2, rng):
         bundle.dom_(0, f)
 
 
+def test_n_bundle_refuses_lifts_as_the_hat_does(bool2, rng):
+    # a truncated dimension reads the hat's truncation refusal, though the
+    # words are not local either
+    bundle = NConvolution(models.shuffle_concat_2catoid("ab", 3), bool2)
+    with pytest.raises(CapabilityError, match=r"^dimension 0: words\(ab,3\): cannot certify "
+                       r"finite valency, universe is truncated$"):
+        bundle.dom_(0, bundle.random_function(rng))
+    # a complete non-local dimension reads the hat's locality refusal; a
+    # dimension of identities only is local
+    U = ["e", "x", "y"]
+    dim0 = TableCatoid("nonlocal", U, {}, dict.fromkeys(U, "e"), dict.fromkeys(U, "e"))
+    dim1 = TableCatoid("points", U, {}, {u: u for u in U}, {u: u for u in U})
+    bundle = NConvolution(NCatoid("nonlocal2", (dim0, dim1)), bool2)
+    f = bundle.random_function(rng)
+    for lift in (bundle.dom_, bundle.cod_):
+        with pytest.raises(CapabilityError, match=r"^dimension 0: nonlocal: model is not local$"):
+            lift(0, f)
+    assert functions_equal(bundle.dom_(1, f), f, U)
+
+
 def test_n_bundle_prefixes_hat_errors_with_the_dimension(square, rng):
     # the square is local in both dimensions, so the hat's own check fails
     dims = tuple(DimOps(mul=min, one=1, star=lambda a: 1) for _ in range(2))

@@ -334,4 +334,4 @@ def test_a_model_listing_an_element_twice_is_refused(build, twice, boolean):
     with pytest.raises(ValueError, match=message):
         C.elements()
     with pytest.raises(ValueError, match=message):
-        star_recursive(WeightFunction(C, boolean, "f", lambda i: 1))
+        star_recursive(WeightFunction(C, boolean, rule=lambda i: 1))

@@ -14,7 +14,8 @@ from convka.lab import (
     verify_independence,
     verify_quantale_star,
 )
-from convka.report import FAIL, INFO, PASS, XFAIL
+from convka.cli import main
+from convka.report import FAIL, INFO, PASS, XFAIL, Report
 from convka.values import CapabilityError, check_value_axioms, make_boolean, \
     make_min_plus
 
@@ -108,6 +109,22 @@ def test_campaign_determinism():
 def test_campaign_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_campaign("bogus", 7, 25)
+
+
+def test_a_negative_control_that_stops_failing_fails_the_run(monkeypatch, capsys):
+    # a functionality checker that always passes: the shuffle control, which
+    # expects catoid.functional to fail, turns into a failure of the run
+    def passing(C):
+        rep = Report(model=C.name)
+        rep.add("catoid.functional", checked=len(C.elements()) ** 2)
+        return rep
+
+    monkeypatch.setattr(lab, "is_functional", passing)
+    assert main(["check", "--suite", "catoid", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "# 119 laws, 1 failing, 5 expected failures\n"
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL\tcatoid.functional\tshuffle(ab,4)\t-\texpected failure did not occur\t961"]
 
 
 def test_campaign_negative_controls_are_xfail():

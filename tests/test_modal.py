@@ -1,6 +1,7 @@
 import pytest
 
 from convka import models
+from convka.catoid import TableCatoid, check_moebius
 from convka.convolution import (
     functions_equal,
     id0,
@@ -17,6 +18,13 @@ from convka.modal import (
 from convka.lab import negative_control_dioid
 from convka.values import CapabilityError, make_boolean, make_min_plus
 from relations import make_relations
+
+
+@pytest.fixture
+def non_local():
+    """Complete and Moebius, but x . y is empty although t(x) = e = s(y)."""
+    U = ["e", "x", "y"]
+    return TableCatoid("nonlocal", U, {}, dict.fromkeys(U, "e"), dict.fromkeys(U, "e"))
 
 
 @pytest.fixture
@@ -43,6 +51,25 @@ def test_valency_rejected_on_truncated_models(words3, boolean):
         dom_hat(f)
     with pytest.raises(CapabilityError, match="truncated"):
         cod_hat(f)
+
+
+def test_hat_refuses_non_local_models(non_local, boolean, rng):
+    assert non_local.is_complete and check_moebius(non_local).clean
+    f = indicator(non_local, boolean, ["x"])
+    for hat in (dom_hat, cod_hat):
+        with pytest.raises(CapabilityError, match=r"^nonlocal: model is not local$"):
+            hat(f)
+    with pytest.raises(CapabilityError, match=r"^nonlocal: model is not local$"):
+        check_modal(non_local, boolean, "hat", rng, samples=2)
+
+
+def test_hat_refusals_come_in_order(words3, boolean, natinf):
+    # words(ab,3) is truncated and not local; natinf has no modal maps
+    with pytest.raises(CapabilityError, match=r"^natinf: no modal structure$"):
+        dom_hat(indicator(words3, natinf, ["a"]))
+    with pytest.raises(CapabilityError, match=r"^words\(ab,3\): cannot certify finite "
+                       r"valency, universe is truncated$"):
+        cod_hat(indicator(words3, boolean, ["a"]))
 
 
 def test_dom_hat_is_source_image(one_edge_paths, boolean):

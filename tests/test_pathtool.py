@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from convka import cli, models, pathtool
 from convka.cli import ALGEBRAS, MODELS, STAR_MODES, main
-from convka.convolution import from_pairs, star_recursive
+from convka.convolution import from_pairs, star_recursive, zero_function
 from convka.pathtool import (
     ParseError,
     edge_weight_matrix,
@@ -300,6 +300,32 @@ def test_cli_check_oracles_graph_natinf(graph_file, star, capsys):
 
 EDGE_WEIGHTS = {"boolean": ("0", "1"), "minplus": ("0", "1", "2", "5", "inf"),
                 "maxplus": ("0", "-1", "-3", "-inf"), "natinf": ("0", "1", "2", "3", "inf")}
+
+
+def test_cli_check_oracles_fails_when_a_star_form_disagrees(graph_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "star_dual", lambda f: zero_function(f.catoid, f.algebra))
+    assert main(["star", "--model", "graph", "--algebra", "minplus", "--star", "recursive",
+                 "--weights", graph_file, "--check-oracles"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "pathtool: oracle disagreement: recursive vs dual\n")
+
+
+def test_cli_check_oracles_fails_on_a_wrong_homset_aggregation(graph_file, monkeypatch, capsys):
+    calls = []
+
+    def perturbed(C, f, K):
+        M = homset_matrix(C, f, K)
+        calls.append(f)
+        if len(calls) == 1:  # the star's aggregation; the second call aggregates f
+            M[0][0] += 1  # the identity at a: 0 becomes 1
+        return M
+
+    monkeypatch.setattr(cli, "homset_matrix", perturbed)
+    assert main(["star", "--model", "graph", "--algebra", "minplus", "--star", "recursive",
+                 "--weights", graph_file, "--check-oracles"]) == 1
+    out, err = capsys.readouterr()
+    assert len(calls) == 2
+    assert (out, err) == ("", "pathtool: oracle disagreement: homset aggregation vs matrix star\n")
 
 
 @pytest.mark.parametrize("algebra", sorted(EDGE_WEIGHTS))

@@ -10,7 +10,10 @@ from convka.values import (
     INF,
     NEG_INF,
     CapabilityError,
+    DimOps,
+    NValueAlgebra,
     TableFormatError,
+    ValueAlgebra,
     check_value_axioms,
     load_finite_algebra,
     make_boolean,
@@ -107,7 +110,7 @@ def test_order_classes_refuse_non_idempotent_addition(natinf):
         check_value_axioms(natinf, "kleene", rng=random.Random(1))
     with pytest.raises(CapabilityError, match="class 'modal' needs has_modal"):
         check_value_axioms(natinf, "modal", rng=random.Random(1))
-    counted = dataclasses.replace(make_boolean_nd(2), idempotent_add=False)
+    counted = dataclasses.replace(make_boolean_nd(2), add=lambda a, b: a ^ b)
     for cls in ("interchange", "n_semiring", "n_kleene"):
         with pytest.raises(CapabilityError, match=f"class '{cls}' needs idempotent_add"):
             check_value_axioms(counted, cls)
@@ -115,6 +118,21 @@ def test_order_classes_refuse_non_idempotent_addition(natinf):
         "dioid.add-idem"}
     for cls in ("semiring", "conway"):
         assert check_value_axioms(natinf, cls, rng=random.Random(1)).clean
+
+
+def test_idempotent_addition_is_decided_over_the_pool():
+    # addition mod 3 on two dimensions: 1 + 1 = 2, so there is no order
+    dim = DimOps(mul=lambda a, b: a * b % 3, one=1)
+    mod3 = NValueAlgebra(name="mod3-2d", add=lambda a, b: (a + b) % 3, zero=0,
+                         dims=(dim, dim), carrier=(0, 1, 2))
+    assert not mod3.idempotent_add
+    with pytest.raises(CapabilityError, match="class 'interchange' needs idempotent_add"):
+        check_value_axioms(mod3, "interchange")
+    # a copy with another addition decides idempotence for itself
+    minplus = make_min_plus()
+    summed = dataclasses.replace(minplus, add=make_nat_inf_conway().add)
+    assert minplus.idempotent_add and not summed.idempotent_add
+    assert not ValueAlgebra(name="bare", add=max, mul=max, zero=0, one=1).idempotent_add
 
 
 def test_nat_inf_star_oracle():
