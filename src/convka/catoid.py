@@ -7,11 +7,11 @@ element is exact because every factor of an in-bound element is in-bound.
 Such models set ``is_complete = False``; models whose universe is the whole
 catoid set it to True.
 
-Models are immutable after construction.  The decomposition, row and length
-caches are memo tables for pure functions, so concurrent readers are safe.
+Models are immutable after construction.  The decomposition, row, chain and
+length caches are memo tables for pure functions, so concurrent readers are safe.
 Lengths, the Moebius conditions on decompositions, convolution and the star
-read decompositions as id rows (``Catoid.rows``); outside ``rows`` only the
-oracles call ``decompose2``.
+engine read id rows (``Catoid.rows``), the unfolded oracle id chains
+(``Catoid.chains``); elsewhere only the oracles call ``decompose2``.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class Catoid:
         self._index = None
         self._faces = None
         self._rows = {}
+        self._chains = {}
         self._d2_cache = None
         self._dn_cache = {}
         self._lengths = None
@@ -141,6 +142,23 @@ class Catoid:
             pairs, index = self.decompose2(self.elements()[i]), self.index()
             row = self._rows[i] = [index[y] for y, _ in pairs], [index[z] for _, z in pairs]
         return row
+
+    def chains(self, i) -> list:
+        """``decompose_n`` of element i for n = 1, 2, ... up to the first empty
+        list, each chain as (source id of its first factor, ((factor id, its
+        target id), ...)); empty exactly for identities, endless on a
+        non-Moebius model.  Memoised; reads neither ``rows`` nor ``faces()``."""
+        out = self._chains.get(i)
+        if out is None:
+            x, index, out = self.elements()[i], self.index(), []
+            for n in itertools.count(1):
+                parts = self.decompose_n(x, n)
+                if not parts:
+                    break
+                out += [(index[self.source(p[0])], tuple((index[y], index[self.target(y)])
+                                                         for y in p)) for p in parts]
+            self._chains[i] = out
+        return out
 
     def is_identity(self, x) -> bool:
         return self.source(x) == x

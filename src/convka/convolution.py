@@ -226,30 +226,27 @@ def star_unfolded(f) -> WeightFunction:
     using that consecutive factors chain targets to sources.  The sum runs
     i = 1, 2, ... up to the first i without one: in a Moebius catoid they
     exist exactly for 1 <= i <= length(x), since merging two adjacent
-    non-identity factors gives a non-identity.  So the oracle reads
-    ``decompose_n`` only, never ``Catoid.rows``, the star engine's input.
+    non-identity factors gives a non-identity.  The chains are read as ids
+    from ``Catoid.chains``, built from ``decompose_n`` and kept per model, so
+    the oracle never reads ``Catoid.rows``, the star engine's input.
     """
     C, K = f.catoid, f.algebra
     if not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    E = C.elements()
+    add, mul, star, at = K.add, K.mul, K.star, f.at
 
     def rule(i):
-        x = E[i]
-        if C.is_identity(x):
-            return K.star(f(x))
+        chains = C.chains(i)
+        if not chains:  # an identity
+            return star(at(i))
         acc = K.zero
-        for n in itertools.count(1):
-            chains = C.decompose_n(x, n)
-            if not chains:
-                return acc
-            for parts in chains:
-                term = K.star(f(C.source(parts[0])))
-                for p in parts:
-                    term = K.mul(term, f(p))
-                    term = K.mul(term, K.star(f(C.target(p))))
-                acc = K.add(acc, term)
+        for s, factors in chains:
+            term = star(at(s))
+            for p, t in factors:
+                term = mul(mul(term, at(p)), star(at(t)))
+            acc = add(acc, term)
+        return acc
 
     return WeightFunction(C, K, rule=rule)
 

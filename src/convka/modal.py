@@ -33,8 +33,8 @@ from .report import Report
 from .values import SIDES, CapabilityError, ValueAlgebra
 
 
-def _hat(f, take_source: bool) -> WeightFunction:
-    C, K = f.catoid, f.algebra
+def _refuse_hat(C: Catoid, K: ValueAlgebra):
+    """Raise the hat's refusal of functions C -> K, if it has one."""
     if not K.has_modal:
         raise CapabilityError(f"{K.name}: no modal structure")
     if not C.is_complete:
@@ -42,6 +42,11 @@ def _hat(f, take_source: bool) -> WeightFunction:
             f"{C.name}: cannot certify finite valency, universe is truncated")
     if C.kernel().non_local:
         raise CapabilityError(f"{C.name}: model is not local")
+
+
+def _hat(f, take_source: bool) -> WeightFunction:
+    C, K = f.catoid, f.algebra
+    _refuse_hat(C, K)
     src, tgt, _ = C.faces()
     anchor, lift = (src, K.dom) if take_source else (tgt, K.cod)
     vals, at = [K.zero] * len(anchor), f.at
@@ -116,14 +121,15 @@ def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Re
     """All modal axioms, pointwise, for sampled functions.
 
     variant "hat" lifts the value algebra's dom/cod by finite-valency sums,
-    whose refusals of a truncated or non-local model surface on the first
-    lift; variant "bracket" uses the closed form on K[C] functions.
+    and meets the hat's refusals before it draws a sample; variant "bracket"
+    uses the closed form on K[C] functions.
     """
     if variant not in ("hat", "bracket"):
         raise ValueError("variant must be 'hat' or 'bracket'")
     rep = Report(model=C.name, algebra=K.name)
 
     if variant == "hat":
+        _refuse_hat(C, K)
         # valency: the most elements sharing one source, or one target
         U = C.elements()
         valency = max((Counter(map(C.source, U)) | Counter(map(C.target, U))).values(),

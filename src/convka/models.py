@@ -147,14 +147,11 @@ class FreeMonoid(Catoid):
         return [(x[:i], x[i:]) for i in range(len(x) + 1)]
 
     def rows(self, i):
-        """A closed form, unmemoised (a memo holds 0.6 MB on words(ab,10)):
-        over one letter a^j has id j.  Lists, since tuples built from
-        generators on every call grew the process's resident memory."""
+        """Over one letter a closed form with no memo, since a^j has id j;
+        over more letters ``Catoid.rows``, which keeps each decoded row."""
         if len(self.alphabet) == 1:
             return range(i + 1), range(i, -1, -1)
-        x, index = self.elements()[i], self.index()
-        cuts = range(len(x) + 1)
-        return [index[x[:k]] for k in cuts], [index[x[k:]] for k in cuts]
+        return Catoid.rows(self, i)
 
 
 def _interleavings(u, v):
@@ -176,7 +173,8 @@ def _interleavings(u, v):
 
 
 class ShuffleCatoid(FreeMonoid):
-    """Words under the shuffle multioperation; not functional for len >= 1."""
+    """Words under the shuffle multioperation, not functional over two or more
+    letters; over one letter it is concatenation, so the words' ``rows`` serves."""
 
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)
@@ -197,8 +195,6 @@ class ShuffleCatoid(FreeMonoid):
                 z = "".join(x[i] for i in range(len(x)) if i not in chosen)
                 pairs.add((y, z))
         return sorted(pairs, key=lambda p: ((len(p[0]), p[0]), (len(p[1]), p[1])))
-
-    rows = Catoid.rows
 
 
 # ---------------------------------------------------------------------------

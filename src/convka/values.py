@@ -155,20 +155,18 @@ class NValueAlgebra(_SharedAddition):
         return len(self.dims)
 
     def view(self, i: int) -> ValueAlgebra:
-        """Dimension i as an ordinary value algebra over the shared addition."""
-        d = self.dims[i]
-        return ValueAlgebra(
-            name=f"{self.name}[{i}]",
-            add=self.add,
-            mul=d.mul,
-            zero=self.zero,
-            one=d.one,
-            star=d.star,
-            dom=d.dom,
-            cod=d.cod,
-            carrier=self.carrier,
-            sample_pool=self.sample_pool,
-        )
+        """Dimension i as an ordinary value algebra over the shared addition;
+        the same object on every call, so its derived properties such as
+        ``idempotent_add`` are decided once per dimension."""
+        return self._views[i]
+
+    @cached_property
+    def _views(self) -> tuple:
+        return tuple(ValueAlgebra(name=f"{self.name}[{i}]", add=self.add, mul=d.mul,
+                                  zero=self.zero, one=d.one, star=d.star, dom=d.dom,
+                                  cod=d.cod, carrier=self.carrier,
+                                  sample_pool=self.sample_pool)
+                     for i, d in enumerate(self.dims))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -370,6 +371,62 @@ def test_rows_decode_to_decompose2():
 @given(random_catoids())
 def test_rows_decode_to_decompose2_on_random_catoids(C):
     assert decoded_rows(C) == [list(C.decompose2(x)) for x in C.elements()], C.name
+
+
+def test_word_rows_are_kept_per_model():
+    # over two or more letters the words read Catoid.rows, which keeps each row
+    C = models.free_monoid("ab", 4)
+    assert C.rows(9) is C.rows(9)
+    C.require_moebius()
+    assert sorted(C._rows) == list(range(len(C.elements())))
+
+
+def unfolded_chains(C, x):
+    """Oracle: ``decompose_n(x, n)`` for n = 1, 2, ... up to the first empty list."""
+    out = []
+    for n in itertools.count(1):
+        parts = C.decompose_n(x, n)
+        if not parts:
+            return out
+        out += parts
+
+
+def decoded_chains(C, i):
+    """``C.chains(i)`` decoded to factor tuples; each source and target id
+    must name the face of its factor."""
+    E, out = C.elements(), []
+    for s, factors in C.chains(i):
+        assert E[s] == C.source(E[factors[0][0]]), C.name
+        assert all(E[t] == C.target(E[p]) for p, t in factors), C.name
+        out.append(tuple(E[p] for p, _ in factors))
+    return out
+
+
+def assert_chains_decode_to_decompose_n(C):
+    for i, x in enumerate(C.elements()):
+        assert decoded_chains(C, i) == unfolded_chains(C, x), (C.name, C.format_element(x))
+        assert (C.chains(i) == []) == C.is_identity(x)
+        assert C.chains(i) is C.chains(i)
+
+
+def test_chains_decode_to_decompose_n():
+    # the pair groupoid is not Moebius: its identities have chains of every length
+    for C in CONVOLUTION_MODELS[:-1] + (models.free_monoid("a", 6),
+                                        models.shuffle_catoid("a", 3),
+                                        *models.pasting_square_2category().dims):
+        assert C.moebius_report().clean, C.name
+        assert_chains_decode_to_decompose_n(C)
+    # on shuffle a tuple appears once per chain: a.b.a reaches aba as a
+    # followed by ab and as a followed by ba
+    C = models.shuffle_catoid("ab", 3)
+    twice = Counter(decoded_chains(C, C.index()["aba"]))
+    assert sorted(p for p, k in twice.items() if k > 1) == [("a", "a", "b"), ("a", "b", "a")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_catoids())
+def test_chains_decode_to_decompose_n_on_random_catoids(C):
+    assert_chains_decode_to_decompose_n(C)
 
 
 @settings(max_examples=150, deadline=None)

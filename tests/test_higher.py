@@ -42,6 +42,11 @@ def test_interchange_convolution_boolean(bool2, rng):
     assert rep.clean, rep.failed_laws()
 
 
+def test_bundle_reads_the_algebras_views(bool2):
+    bundle = NConvolution(models.shuffle_concat_2catoid("ab", 2), bool2)
+    assert [bundle.views[i] is bool2.view(i) for i in range(2)] == [True, True]
+
+
 def test_interchange_units_coincide(bool2):
     tc = models.shuffle_concat_2catoid("ab", 3)
     bundle = NConvolution(tc, bool2)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from convka import models
@@ -70,6 +72,20 @@ def test_hat_refusals_come_in_order(words3, boolean, natinf):
     with pytest.raises(CapabilityError, match=r"^words\(ab,3\): cannot certify finite "
                        r"valency, universe is truncated$"):
         cod_hat(indicator(words3, boolean, ["a"]))
+
+
+@pytest.mark.parametrize("model, algebra, message", [
+    ("words3", "boolean", r"^words\(ab,3\): cannot certify finite valency, universe is truncated$"),
+    ("non_local", "boolean", r"^nonlocal: model is not local$"),
+    ("diamond_paths", "natinf", r"^natinf: no modal structure$"),
+])
+def test_check_modal_hat_refuses_before_drawing_a_sample(model, algebra, message, request):
+    C, K = request.getfixturevalue(model), request.getfixturevalue(algebra)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(CapabilityError, match=message):
+        check_modal(C, K, "hat", rng, samples=30)
+    assert rng.getstate() == state
 
 
 def test_dom_hat_is_source_image(one_edge_paths, boolean):

@@ -7,7 +7,8 @@ import pytest
 
 from convka import models
 from convka.catoid import check_catoid_axioms, check_moebius
-from convka.convolution import convolve, random_function, star_dual, star_recursive
+from convka.convolution import convolve, random_function, star_dual, star_recursive, \
+    star_unfolded
 from convka.higher import check_n_catoid
 from convka.values import make_min_plus
 
@@ -219,7 +220,7 @@ def test_corrupted_interchange_detected():
 
 
 def test_models_are_freed_by_reference_counting():
-    """A model's rows memo, kernel and the weight functions over it form no
+    """A model's rows and chains memos, kernel and the weight functions over it form no
     reference cycle, so dropping the model frees it with the collector off."""
 
     def exercise(C):
@@ -229,6 +230,9 @@ def test_models_are_freed_by_reference_counting():
         for g in (star_recursive(f), star_dual(f), convolve(f, f)):
             for x in C.elements():
                 g(x)
+        unfolded = star_unfolded(f)  # its chains grow exponentially with length
+        for x in C.elements()[:12]:
+            unfolded(x)
         return weakref.ref(C), weakref.ref(C.kernel())
 
     was_enabled = gc.isenabled()

@@ -308,6 +308,16 @@ def test_boolean_nd_is_n_kleene():
     assert rep.clean, rep.failed_laws()
 
 
+def test_views_are_built_once_per_dimension():
+    # one object per dimension, so its idempotent_add, zero_absorbs and
+    # add_top are decided once however often the view is asked for
+    A = make_boolean_nd(3)
+    assert [A.view(i) is A.view(i) for i in range(A.n)] == [True] * 3
+    assert len({id(A.view(i)) for i in range(A.n)}) == 3
+    assert [A.view(i).name for i in range(A.n)] == ["boolean3d[0]", "boolean3d[1]",
+                                                    "boolean3d[2]"]
+
+
 def test_appendix_model1_failure_pattern_frozen():
     rep = check_value_axioms(appendix_b_model(1), "n_semiring")
     assert rep.failed_laws() == {
