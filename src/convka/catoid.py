@@ -7,10 +7,11 @@ element is exact because every factor of an in-bound element is in-bound.
 Such models set ``is_complete = False``; models whose universe is the whole
 catoid set it to True.
 
-Models are immutable after construction.  The decomposition, row, chain and
-length caches are memo tables for pure functions, so concurrent readers are safe.
-Lengths, the Moebius conditions on decompositions, convolution and the star
-engine read id rows (``Catoid.rows``), the unfolded oracle id chains
+Models are immutable after construction.  The decomposition, row, column,
+chain and length caches are memo tables for pure functions, so concurrent
+readers are safe.  Lengths, the Moebius conditions on decompositions,
+convolution and the star engine read id rows (``Catoid.rows``), the dual star
+the same pairs by right id (``Catoid.cols``), the unfolded oracle id chains
 (``Catoid.chains``); elsewhere only the oracles call ``decompose2``.
 """
 
@@ -63,17 +64,21 @@ class Catoid:
     Subclasses must implement ``compose``, ``source``, ``target``,
     ``_build_elements`` and ``sort_key``; they may override ``decompose2``
     with a closed form (equivalence with the generic inversion is a test),
-    and ``rows`` with one that decodes to it.
+    and ``rows`` with one that decodes to it.  A model whose every row
+    already runs by right id from the largest down sets ``rows_by_right``,
+    and ``cols`` then returns the row itself.
     """
 
     name = "catoid"
     is_complete = False
+    rows_by_right = False
 
     def __init__(self):
         self._elements = None
         self._index = None
         self._faces = None
         self._rows = {}
+        self._cols = {}
         self._chains = {}
         self._d2_cache = None
         self._dn_cache = {}
@@ -136,20 +141,39 @@ class Catoid:
 
     def rows(self, i) -> tuple:
         """``decompose2`` of element i as (left ids, right ids), in the same
-        order; memoised per instance."""
+        order; memoised per instance.  Ids number the universe in sort-key
+        order and ``decompose2`` sorts by the factors' sort keys, so the
+        left ids never decrease: the pairs whose left id lies below a bound
+        form a prefix."""
         row = self._rows.get(i)
         if row is None:
             pairs, index = self.decompose2(self.elements()[i]), self.index()
             row = self._rows[i] = [index[y] for y, _ in pairs], [index[z] for _, z in pairs]
         return row
 
+    def cols(self, i) -> tuple:
+        """``rows(i)``'s pairs as (left ids, right ids), ordered by right id
+        from the largest down and then by left id, so the pairs whose right
+        id lies below a bound form a suffix.  Under ``rows_by_right`` this is
+        the row itself, with nothing kept; otherwise each row is sorted once
+        and memoised per instance."""
+        if self.rows_by_right:
+            return self.rows(i)
+        col = self._cols.get(i)
+        if col is None:
+            pairs = sorted(zip(*self.rows(i)), key=lambda p: (-p[1], p[0]))
+            col = self._cols[i] = [y for y, _ in pairs], [z for _, z in pairs]
+        return col
+
     def chains(self, i) -> list:
         """``decompose_n`` of element i for n = 1, 2, ... up to the first empty
         list, each chain as (source id of its first factor, ((factor id, its
-        target id), ...)); empty exactly for identities, endless on a
-        non-Moebius model.  Memoised; reads neither ``rows`` nor ``faces()``."""
+        target id), ...)); empty exactly for identities.  The list would be
+        endless on a non-Moebius model, which ``require_moebius`` refuses
+        first.  Memoised; the chains read neither ``rows`` nor ``faces()``."""
         out = self._chains.get(i)
         if out is None:
+            self.require_moebius()
             x, index, out = self.elements()[i], self.index(), []
             for n in itertools.count(1):
                 parts = self.decompose_n(x, n)

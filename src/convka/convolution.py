@@ -10,23 +10,32 @@ One engine computes the recursive star in three forms:
 It evaluates on demand from an explicit stack, so element length is not bounded
 by Python's recursion limit.  Terms with f-factor 0 are skipped only when the
 algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve skips them
-under the same condition.  Dually, a sum that reaches the algebra's additive
-top (``ValueAlgebra.add_top``) stops there, since no further term can change
-it; the engine then never opens the star frames of the remaining terms.  A
-cycle in the decomposition structure (non-Moebius model) raises
-MoebiusViolation.
+under the same condition.  When in addition f is given by its values, with
+no rule, as every function built from weights is, the engine finds f's last
+nonzero id once per star and reads only the factors below it: the prefix of
+``Catoid.rows`` in the left and path forms, whose left ids never decrease,
+and the suffix of ``Catoid.cols`` in the dual form, whose right ids fall.
+The terms past it have f-factor 0, so the cut is exact.  Dually, a sum that
+reaches the algebra's additive top (``ValueAlgebra.add_top``) stops there,
+since no further term can change it; the engine then never opens the star
+frames of the remaining terms.  A cycle in the decomposition structure
+(non-Moebius model) raises MoebiusViolation.
 star_unfolded, the direct sum over all n-fold non-identity decompositions,
 stays separate as the trusted oracle and sums every term.
 
 Weight functions memoise their values in lists indexed by element id, safe
 to share between readers since the rules are pure.  Convolve, the engine and
-the comparisons run on ids and ``Catoid.rows``, reading a factor's list
-directly and calling ``at`` only on a miss; ``f(x)`` looks x's id up.
+the comparisons run on ids and ``Catoid.rows`` (the dual star on
+``Catoid.cols``), reading a factor's list directly and calling ``at`` only on
+a miss; ``f(x)`` looks x's id up.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from bisect import bisect_left, bisect_right
 
 from .catoid import Catoid, MoebiusViolation
 from .report import Report
@@ -144,8 +153,11 @@ def _star_engine(f, side: str) -> WeightFunction:
     Demand-driven and iterative on ids: a stack holds a frame per element
     reached without a value, with the nonzero terms of its row as (star
     element needed, f-factor) pairs in order, a resume index and the sum.
-    The dual recursion reads each row with its two sides exchanged.  A frame
-    whose sum reaches the additive top is finished at once.
+    The dual recursion reads each column (``Catoid.cols``) with its two sides
+    exchanged.  Where zero absorbs and f has no rule, a frame reads only
+    the factors below ``cut``, one past f's last nonzero id, found by one
+    bisection.  A frame whose sum reaches the additive top is
+    finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -154,17 +166,28 @@ def _star_engine(f, side: str) -> WeightFunction:
     elif not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    add, mul, zero, top, rows = K.add, K.mul, K.zero, K.add_top, C.rows
+    add, mul, zero, top, rows, cols = K.add, K.mul, K.zero, K.add_top, C.rows, C.cols
     src, tgt, is_identity = C.faces()
     left, keep_zero, fv, f_at = side != "right", not K.zero_absorbs, f._vals, f.at
     base = src if left else tgt
+    cut = len(fv)  # one past f's last nonzero id: every f-factor from cut on is 0
+    if not keep_zero and f._rule is None:  # without a rule every value is given
+        cut -= len(list(itertools.takewhile(functools.partial(operator.eq, zero),
+                                            reversed(fv))))
 
     at_identity = (lambda e: K.one) if side == "path" else (lambda e: K.star(f_at(e)))
 
     def open_frame(x):
         # a term whose f-factor is 0 is dropped where zero absorbs: it would add 0
-        b, (ys, zs) = base[x], rows(x)
-        factors, needs = (ys, zs) if left else (zs, ys)
+        b = base[x]
+        if left:  # left ids never decrease: the factors below cut are a prefix
+            factors, needs = rows(x)
+            k = bisect_left(factors, cut)
+            factors, needs = factors[:k], needs[:k]
+        else:  # right ids fall: the factors below cut are a suffix
+            needs, factors = cols(x)
+            k = bisect_right(factors, -cut, key=operator.neg)
+            factors, needs = factors[k:], needs[k:]
         terms = [(n, w) for y, n in zip(factors, needs)
                  if y != b and ((w := f_at(y) if fv[y] is None else fv[y]) != zero
                                 or keep_zero)]

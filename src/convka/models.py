@@ -109,7 +109,10 @@ class GraphSpec:
 
 class FreeMonoid(Catoid):
     """Words up to max_len over single-character letters under concatenation;
-    single identity eps."""
+    single identity eps.  A word's suffixes shrink as its prefixes grow, so
+    each row runs by right id from the largest down."""
+
+    rows_by_right = True
 
     def __init__(self, alphabet, max_len: int):
         super().__init__()
@@ -174,11 +177,14 @@ def _interleavings(u, v):
 
 class ShuffleCatoid(FreeMonoid):
     """Words under the shuffle multioperation, not functional over two or more
-    letters; over one letter it is concatenation, so the words' ``rows`` serves."""
+    letters; over one letter it is concatenation, so the words' ``rows`` and
+    ``cols`` serve.  Over more letters a row's right ids do not fall in
+    order, and ``Catoid.cols`` sorts them."""
 
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)
         self.name = f"shuffle({''.join(self.alphabet)},{max_len})"
+        self.rows_by_right = len(self.alphabet) == 1
 
     def compose(self, y, z):
         if len(y) + len(z) > self.max_len:
@@ -265,8 +271,10 @@ class PathCatoid(Catoid):
 
     Elements are (source vertex, edge-name tuple) with at most max_len >= 1
     edges.  Complete exactly when the graph is acyclic and the bound covers
-    its longest path.
+    its longest path.  A row's right factors shrink, so its right ids fall.
     """
+
+    rows_by_right = True
 
     def __init__(self, graph: GraphSpec, max_len: int):
         super().__init__()
@@ -341,8 +349,10 @@ class GuardedStringCatoid(Catoid):
     """Alternating test/action tuples t0 a1 t1 ... ak tk; identities are (t,).
 
     max_len >= 1 bounds the number of actions; different boundary tests do
-    not compose.
+    not compose.  A row's right factors shrink, so its right ids fall.
     """
+
+    rows_by_right = True
 
     def __init__(self, tests, actions, max_len: int):
         super().__init__()

@@ -1,4 +1,5 @@
 import itertools
+import signal
 from collections import Counter
 from dataclasses import replace
 
@@ -102,6 +103,21 @@ def test_indicator_convolution_is_set_composition(words3, boolean, rng):
 def test_algebra_mismatch_rejected(words3, boolean, minplus):
     with pytest.raises(CapabilityError, match="mismatch"):
         conv_add(zero_function(words3, boolean), zero_function(words3, minplus))
+
+
+def test_convolution_refuses_functions_over_two_catoids(boolean):
+    # two models with the same elements are still two catoids
+    f, g = (zero_function(models.free_monoid("ab", 2), boolean) for _ in range(2))
+    with pytest.raises(CapabilityError) as err:
+        convolve(f, g)
+    assert str(err.value) == "weight functions live over different catoids"
+
+
+def test_unfolded_star_refuses_an_algebra_without_star(words3):
+    K = ValueAlgebra(name="bare", add=max, mul=max, zero=0, one=1)
+    with pytest.raises(CapabilityError) as err:
+        star_unfolded(zero_function(words3, K))
+    assert str(err.value) == "bare: no star operation"
 
 
 def test_weight_function_needs_a_rule_on_ids_or_values(words3, boolean):
@@ -381,6 +397,86 @@ def test_word_rows_are_kept_per_model():
     assert sorted(C._rows) == list(range(len(C.elements())))
 
 
+ORDER_MODELS = CONVOLUTION_MODELS + (models.shuffle_catoid("ab", 4), models.free_monoid("a", 9),
+                                     models.shuffle_catoid("a", 4),
+                                     *models.pasting_square_2category().dims)
+
+
+def assert_rows_and_cols_in_order(C):
+    """The orders the star's bound reads: a row's left ids never decrease,
+    and ``cols`` lists the row's pairs by right id from the largest down,
+    then by left id."""
+    for i in range(len(C.elements())):
+        row = list(zip(*C.rows(i)))
+        lefts = [y for y, _ in row]
+        assert lefts == sorted(lefts), (C.name, C.format_element(C.elements()[i]))
+        assert list(zip(*C.cols(i))) == sorted(row, key=lambda p: (-p[1], p[0])), \
+            (C.name, C.format_element(C.elements()[i]))
+
+
+def test_rows_and_cols_keep_the_orders_the_star_bound_reads():
+    for C in ORDER_MODELS:
+        assert_rows_and_cols_in_order(C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_catoids())
+def test_rows_and_cols_keep_their_orders_on_random_catoids(C):
+    assert_rows_and_cols_in_order(C)
+
+
+def test_word_cols_are_the_rows():
+    # a word's suffixes shrink as its prefixes grow, so its row is already in
+    # column order and cols keeps nothing; one-letter rows are kept nowhere
+    for C in (models.free_monoid("ab", 4), models.free_monoid("a", 9),
+              models.shuffle_catoid("a", 4)):
+        for i in range(len(C.elements())):
+            assert C.cols(i) == C.rows(i)
+        assert C._cols == {}, C.name
+        assert C._rows == {} or len(C.alphabet) > 1, C.name
+    # over two letters a shuffle row is sorted once and kept
+    C = models.shuffle_catoid("ab", 3)
+    assert C.cols(9) is C.cols(9) and list(C._cols) == [9]
+
+
+class ReadLog(list):
+    """A values list that records every id read through ``__getitem__``."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def logged(f):
+    return WeightFunction(f.catoid, f.algebra, vals=ReadLog(f._vals))
+
+
+def test_star_of_a_sparse_function_reads_no_weight_past_its_last_nonzero():
+    # only eps, a and aaa (ids 0, 1, 3) weigh anything but 0, so every term
+    # past aaa is 0 and no star form reads its weight
+    C, K = models.free_monoid("a", 300), make_min_plus()
+    f = from_pairs(C, K, {"a": 2, "aaa": 5})
+    g = from_pairs(C, K, {"": K.one, "a": 2, "aaa": 5})
+    for star, h in ((star_recursive, logged(f)), (star_dual, logged(f)), (star_path, logged(g))):
+        s = star(h)
+        h._vals.read.clear()
+        assert s("a" * 300) == 2 * 300 - 300 // 3, star.__name__
+        assert max(h._vals.read) == 3, star.__name__
+    # over two shuffled letters the dual reads the tail of the sorted columns
+    C = models.shuffle_catoid("ab", 4)
+    f = from_pairs(C, K, {"a": 1, "b": 3})
+    h = logged(f)
+    s, oracle = star_dual(h), star_unfolded(f)
+    h._vals.read.clear()
+    for x in C.elements():
+        assert s(x) == oracle(x), C.format_element(x)
+    assert max(h._vals.read) == C.index()["b"]
+
+
 def unfolded_chains(C, x):
     """Oracle: ``decompose_n(x, n)`` for n = 1, 2, ... up to the first empty list."""
     out = []
@@ -427,6 +523,27 @@ def test_chains_decode_to_decompose_n():
 @given(random_catoids())
 def test_chains_decode_to_decompose_n_on_random_catoids(C):
     assert_chains_decode_to_decompose_n(C)
+
+
+def test_chains_refuse_a_non_moebius_model():
+    # a pair groupoid's elements decompose into chains of every length, so
+    # listing them would never end: chains refuses at once instead
+    C = models.pair_groupoid(["a", "b", "c"])
+
+    def stop(signum, frame):
+        raise AssertionError("chains did not refuse within a second")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        for x in (("a", "a"), ("a", "b")):
+            with pytest.raises(MoebiusViolation,
+                               match=r"^pairs\(a,b,c\): model fails Moebius condition \(2\)"):
+                C.chains(C.index()[x])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert C._chains == {}
 
 
 @settings(max_examples=150, deadline=None)

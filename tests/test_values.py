@@ -273,6 +273,19 @@ def test_quantale_star_three_chain():
     assert rep.clean, rep.failed_laws()
 
 
+def test_refusals_without_a_pool_an_order_or_a_carrier(minplus, natinf):
+    bare = ValueAlgebra(name="bare", add=max, mul=max, zero=0, one=1)
+    with pytest.raises(CapabilityError) as err:
+        bare.pool()
+    assert str(err.value) == "bare: no carrier and no sample pool"
+    with pytest.raises(CapabilityError) as err:
+        natinf.leq(1, 2)
+    assert str(err.value) == "natinf: no order, addition is not idempotent"
+    with pytest.raises(CapabilityError) as err:
+        minplus.with_quantale_star()
+    assert str(err.value) == "minplus: quantale star needs a finite carrier"
+
+
 def test_quantale_star_requires_finite_idempotent(minplus, natinf):
     with pytest.raises(CapabilityError):
         quantale_star(minplus, 3)
