@@ -7,8 +7,10 @@ One engine computes the recursive star in three forms:
   star_dual        the mirrored sum of f*(y).f(z), z != t(x), ending in f(t(x))*
   star_path        the specialisation to K[C] (identities mapped to 1)
 
-It evaluates on demand from an explicit stack, so element length is not bounded
-by Python's recursion limit.  Terms with f-factor 0 are skipped only when the
+It evaluates on demand: each element reached gets a generator frame, which
+yields the ids of the star values it lacks, and one loop advances the top
+frame of a stack, so frames never nest and element length is not bounded by
+Python's recursion limit.  Terms with f-factor 0 are skipped only when the
 algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve skips them
 under the same condition.  When in addition f is given by its values, with
 no rule, as every function built from weights is, the engine finds f's last
@@ -150,14 +152,18 @@ def convolve(f, g) -> WeightFunction:
 def _star_engine(f, side: str) -> WeightFunction:
     """f* by the left ("left"), dual ("right") or K[C] ("path") recursion.
 
-    Demand-driven and iterative on ids: a stack holds a frame per element
-    reached without a value, with the nonzero terms of its row as (star
-    element needed, f-factor) pairs in order, a resume index and the sum.
-    The dual recursion reads each column (``Catoid.cols``) with its two sides
-    exchanged.  Where zero absorbs and f has no rule, a frame reads only
-    the factors below ``cut``, one past f's last nonzero id, found by one
-    bisection.  A frame whose sum reaches the additive top is
-    finished at once.
+    Demand-driven and iterative on ids: each element reached without a value
+    gets a generator frame, which walks its row in order, yields the id of
+    any non-identity star value it still lacks and stores its value once the
+    sum is done; the generator's own state is its place in the row, so no
+    term list or resume index is kept.  ``rule`` keeps the frames on a stack
+    and advances the top one with ``next(frame, None)``, so frames never
+    nest.  The boundary star f(s(x))* or f(t(x))* is read from the star's
+    own value at that identity.  The dual recursion reads each column
+    (``Catoid.cols``) with its two sides exchanged.  Where zero absorbs and f
+    has no rule, a frame reads only the factors below ``cut``, one past f's
+    last nonzero id, found by one bisection.  A frame whose sum reaches the
+    additive top is finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -175,56 +181,54 @@ def _star_engine(f, side: str) -> WeightFunction:
         cut -= len(list(itertools.takewhile(functools.partial(operator.eq, zero),
                                             reversed(fv))))
 
-    at_identity = (lambda e: K.one) if side == "path" else (lambda e: K.star(f_at(e)))
+    def at(i):  # the star's value at id i; a frame fills it for a non-identity
+        if vals[i] is None:
+            vals[i] = K.one if side == "path" else K.star(f_at(i))
+        return vals[i]
 
-    def open_frame(x):
-        # a term whose f-factor is 0 is dropped where zero absorbs: it would add 0
+    def frame(x):
         b = base[x]
         if left:  # left ids never decrease: the factors below cut are a prefix
             factors, needs = rows(x)
-            k = bisect_left(factors, cut)
-            factors, needs = factors[:k], needs[:k]
+            terms = zip(factors[:bisect_left(factors, cut)], needs)
         else:  # right ids fall: the factors below cut are a suffix
             needs, factors = cols(x)
             k = bisect_right(factors, -cut, key=operator.neg)
-            factors, needs = factors[k:], needs[k:]
-        terms = [(n, w) for y, n in zip(factors, needs)
-                 if y != b and ((w := f_at(y) if fv[y] is None else fv[y]) != zero
-                                or keep_zero)]
-        return [x, terms, 0, zero]
+            terms = zip(factors[k:], needs[k:])
+        acc = zero
+        for y, need in terms:
+            if y == b:
+                continue
+            w = f_at(y) if fv[y] is None else fv[y]
+            if w == zero and not keep_zero:  # where zero absorbs, the term would add 0
+                continue
+            v = vals[need]
+            if v is None:
+                if not is_identity[need]:
+                    yield need  # rule fills vals[need] before it resumes this frame
+                v = at(need)
+            acc = add(acc, mul(w, v) if left else mul(v, w))
+            if acc == top:  # the remaining terms would add nothing
+                break
+        if side != "path":  # the boundary star f(s(x))* or f(t(x))*
+            acc = mul(at(b), acc) if left else mul(acc, at(b))
+        vals[x] = acc
 
     def rule(x):
         if is_identity[x]:
-            return at_identity(x)
-        stack, on_stack = [open_frame(x)], {x}
-        while True:
-            frame = stack[-1]
-            x, terms, i, acc = frame
-            while i < len(terms) and acc != top:
-                need, w = terms[i]
-                v = vals[need]
-                if v is None:
-                    if not is_identity[need]:
-                        break
-                    v = vals[need] = at_identity(need)
-                acc = add(acc, mul(w, v) if left else mul(v, w))
-                i += 1
-            else:
+            return at(x)
+        stack, opened = [frame(x)], {x}
+        while stack:
+            need = next(stack[-1], None)
+            if need is None:
                 stack.pop()
-                on_stack.discard(x)
-                if side != "path":
-                    e = K.star(f_at(base[x]))
-                    acc = mul(e, acc) if left else mul(acc, e)
-                if not stack:
-                    return acc
-                vals[x] = acc
-                continue
-            if need in on_stack:
+            elif need in opened:  # opened without a value: its frame is still on the stack
                 raise MoebiusViolation(f"{C.name}: star recursion cycles at "
                                        f"{C.format_element(C.elements()[need])}")
-            frame[2:] = i, acc
-            stack.append(open_frame(need))
-            on_stack.add(need)
+            else:
+                stack.append(frame(need))
+                opened.add(need)
+        return vals[x]
 
     wf = WeightFunction(C, K, rule=rule)
     vals = wf._vals

@@ -10,6 +10,7 @@ All algebra objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -174,11 +175,14 @@ class NValueAlgebra(_SharedAddition):
 
 
 def make_boolean() -> ValueAlgebra:
-    """The two-element Kleene algebra: add=max, mul=min, star constant 1."""
+    """The two-element Kleene algebra: add=max, mul=min, star constant 1.
+
+    On the carrier {0, 1} max and min are bitwise or and and, which cost
+    less than two-argument max and min and keep 0 and 1 ints."""
     return ValueAlgebra(
         name="boolean",
-        add=max,
-        mul=min,
+        add=operator.or_,
+        mul=operator.and_,
         zero=0,
         one=1,
         star=lambda a: 1,
@@ -188,17 +192,18 @@ def make_boolean() -> ValueAlgebra:
     )
 
 
-def _tropical(name, best, zero, pool, **modal) -> ValueAlgebra:
+def _tropical(name, better, zero, pool, **modal) -> ValueAlgebra:
     """The tropical Kleene algebra over integers with ``zero`` adjoined: add
-    keeps the ``best`` of two weights and has ``zero`` as its unit, mul is +
-    and ``zero`` absorbs it, one is 0 and the star is constant 0."""
+    keeps a if ``better(a, b)``, else b, and has ``zero`` as its unit, mul is
+    + and ``zero`` absorbs it, one is 0 and the star is constant 0.  A
+    comparison operator costs less than two-argument min or max."""
 
     def add(a, b):
         if a is zero:
             return b
         if b is zero:
             return a
-        return best(a, b)
+        return a if better(a, b) else b
 
     def mul(a, b):
         if a is zero or b is zero:
@@ -215,12 +220,12 @@ def make_min_plus() -> ValueAlgebra:
     def dom(a):
         return INF if a is INF else 0
 
-    return _tropical("minplus", min, INF, tuple(range(10)) + (INF,), dom=dom, cod=dom)
+    return _tropical("minplus", operator.lt, INF, tuple(range(10)) + (INF,), dom=dom, cod=dom)
 
 
 def make_max_plus() -> ValueAlgebra:
     """Max-plus Kleene algebra on the non-positive integers with -inf adjoined."""
-    return _tropical("maxplus", max, NEG_INF, tuple(range(-9, 1)) + (NEG_INF,))
+    return _tropical("maxplus", operator.gt, NEG_INF, tuple(range(-9, 1)) + (NEG_INF,))
 
 
 def make_nat_inf_conway() -> ValueAlgebra:

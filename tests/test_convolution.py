@@ -1,5 +1,6 @@
 import itertools
 import signal
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -599,6 +600,26 @@ def test_star_on_long_unary_word(unary1200):
     # a^5 (11) never beats aaa.a.a (9)
     for n in range(1201):
         assert left("a" * n) == right("a" * n) == 2 * n - n // 3
+
+
+def test_long_stars_nest_no_python_frames(unary1200):
+    # the driver advances one generator frame at a time, so a^1200 fits under
+    # a recursion limit 50 frames above the caller; nested frames, by recursion
+    # or by yield-from chains, would need more than 1200
+    K = make_min_plus()
+    f = from_pairs(unary1200, K, {"a": 2, "aaa": 5})
+    g = from_pairs(unary1200, K, {"": K.one, "a": 2, "aaa": 5})
+    stars = (star_recursive(f), star_dual(f), star_path(g))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        values = [star("a" * 1200) for star in stars]
+    finally:
+        sys.setrecursionlimit(old)
+    assert values == [2000] * 3
 
 
 def test_cli_star_on_long_unary_word(tmp_path, capsys):

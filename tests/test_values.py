@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,39 @@ def test_boolean_basics(boolean):
     assert boolean.mul(1, 0) == 0
     assert boolean.dom(1) == 1 and boolean.cod(0) == 0
     assert boolean.is_finite and boolean.idempotent_add
+
+
+def _tropical_reference(best, inf):
+    def add(a, b):
+        return b if a is inf else a if b is inf else best(a, b)
+
+    def mul(a, b):
+        return inf if a is inf or b is inf else a + b
+
+    return add, mul
+
+
+def _natinf_add(a, b):
+    return INF if a is INF or b is INF else a + b
+
+
+def _natinf_mul(a, b):
+    return 0 if a == 0 or b == 0 else INF if a is INF or b is INF else a * b
+
+
+def test_stock_operations_match_references_on_every_pair():
+    # each result is the reference's int, never a bool, or its infinity itself
+    cases = ((make_boolean(), max, min, 1),
+             (make_min_plus(), *_tropical_reference(min, INF), 0),
+             (make_max_plus(), *_tropical_reference(max, NEG_INF), 0),
+             (make_nat_inf_conway(), _natinf_add, _natinf_mul, INF))
+    for K, add, mul, top in cases:
+        for a, b in itertools.product(K.pool(), repeat=2):
+            for op, ref in ((K.add, add), (K.mul, mul)):
+                got, want = op(a, b), ref(a, b)
+                assert got == want and (type(got) is int or got is want), (K.name, a, b, got)
+        assert K.add_top == top and type(K.add_top) is type(top), K.name
+        assert K.zero_absorbs, K.name
 
 
 def test_boolean_is_kleene_algebra(boolean):
@@ -210,6 +245,20 @@ def test_table_format_errors():
                             "mul:\n0 0\n0 1\none: 1")
     with pytest.raises(TableFormatError, match="dom1: no multiplication table for dimension 1"):
         load_finite_algebra("carrier: x y z\norder: x < y < z\n" + tables + "dom1: x y y\n")
+
+
+def test_table_format_refusal_messages():
+    head, tables = "carrier: x y\norder: x < y\n", "mul:\nx x\nx y\none: y\n"
+    refusals = {
+        "x y\n" + head + tables: "line 1: unexpected data 'x y'",
+        "carrier: x y x\norder: x < y\n" + tables: "duplicate carrier element",
+        head + "mul:\nx x\none: y\n": "table mul: expected 2 rows, got 1",
+        "carrier: x y\nadd:\ny y\ny y\n" + tables: "add table has no additive unit",
+        head + "mul1:\nx x\nx y\none1: y\n": "multiplication tables must be numbered 0..n-1",
+    }
+    for text, message in refusals.items():
+        with pytest.raises(TableFormatError, match=f"^{re.escape(message)}$"):
+            load_finite_algebra(text)
 
 
 def test_table_blocks_take_rows_after_the_key_and_alias_dimension_zero():
