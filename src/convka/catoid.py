@@ -7,12 +7,12 @@ element is exact because every factor of an in-bound element is in-bound.
 Such models set ``is_complete = False``; models whose universe is the whole
 catoid set it to True.
 
-Models are immutable after construction.  The decomposition, row, column,
-chain and length caches are memo tables for pure functions, so concurrent
-readers are safe.  Lengths, the Moebius conditions on decompositions,
-convolution and the star engine read id rows (``Catoid.rows``), the dual star
-the same pairs by right id (``Catoid.cols``), the unfolded oracle id chains
+Models are immutable after construction.  The decomposition, row, chain
+and length caches are memo tables for pure functions, so concurrent readers
+are safe.  Lengths, the Moebius conditions on decompositions, convolution and
+the star engine read id rows (``Catoid.rows``), the unfolded oracle id chains
 (``Catoid.chains``); elsewhere only the oracles call ``decompose2``.
+Lengths and the star engine run their generator frames through ``settle``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,23 @@ class Index(dict):
         raise ValueError(f"{self.name}: {fmt_value(x)} is not in elements()")
 
 
+def settle(frame, x, cycle):
+    """Run the generator ``frame(x)`` to its end on a stack, not in nested
+    Python frames: a frame yields an id whose value it lacks, and that id's
+    frame fills it before the yielding frame resumes.  Yielding the id of a
+    frame still open raises ``cycle(id)``."""
+    stack, opened = [frame(x)], {x}
+    while stack:
+        need = next(stack[-1], None)
+        if need is None:
+            stack.pop()
+        elif need in opened:  # opened without a value: its frame is still on the stack
+            raise cycle(need)
+        else:
+            stack.append(frame(need))
+            opened.add(need)
+
+
 class Catoid:
     """Base contract: compose, source, target, element enumeration.
 
@@ -65,8 +82,8 @@ class Catoid:
     ``_build_elements`` and ``sort_key``; they may override ``decompose2``
     with a closed form (equivalence with the generic inversion is a test),
     and ``rows`` with one that decodes to it.  A model whose every row
-    already runs by right id from the largest down sets ``rows_by_right``,
-    and ``cols`` then returns the row itself.
+    runs by right id from the largest down sets ``rows_by_right``, so that
+    the pairs whose right id lies below a bound form a suffix.
     """
 
     name = "catoid"
@@ -78,7 +95,6 @@ class Catoid:
         self._index = None
         self._faces = None
         self._rows = {}
-        self._cols = {}
         self._chains = {}
         self._d2_cache = None
         self._dn_cache = {}
@@ -151,36 +167,26 @@ class Catoid:
             row = self._rows[i] = [index[y] for y, _ in pairs], [index[z] for _, z in pairs]
         return row
 
-    def cols(self, i) -> tuple:
-        """``rows(i)``'s pairs as (left ids, right ids), ordered by right id
-        from the largest down and then by left id, so the pairs whose right
-        id lies below a bound form a suffix.  Under ``rows_by_right`` this is
-        the row itself, with nothing kept; otherwise each row is sorted once
-        and memoised per instance."""
-        if self.rows_by_right:
-            return self.rows(i)
-        col = self._cols.get(i)
-        if col is None:
-            pairs = sorted(zip(*self.rows(i)), key=lambda p: (-p[1], p[0]))
-            col = self._cols[i] = [y for y, _ in pairs], [z for _, z in pairs]
-        return col
-
     def chains(self, i) -> list:
         """``decompose_n`` of element i for n = 1, 2, ... up to the first empty
         list, each chain as (source id of its first factor, ((factor id, its
         target id), ...)); empty exactly for identities.  The list would be
         endless on a non-Moebius model, which ``require_moebius`` refuses
-        first.  Memoised; the chains read neither ``rows`` nor ``faces()``."""
+        first, or one that absorbs on the left, where a chain of more than
+        |U| factors (its prefix products repeat) raises.  Memoised; the
+        chains read neither ``rows`` nor ``faces()``."""
         out = self._chains.get(i)
         if out is None:
             self.require_moebius()
-            x, index, out = self.elements()[i], self.index(), []
-            for n in itertools.count(1):
-                parts = self.decompose_n(x, n)
+            U, index, out = self.elements(), self.index(), []
+            for n in range(1, len(U) + 2):
+                parts = self.decompose_n(U[i], n)
                 if not parts:
                     break
                 out += [(index[self.source(p[0])], tuple((index[y], index[self.target(y)])
                                                          for y in p)) for p in parts]
+            else:
+                raise self.violation("unbounded decomposition chains", i)
             self._chains[i] = out
         return out
 
@@ -238,42 +244,35 @@ class Catoid:
         return out
 
     def length(self, x) -> int:
-        """Maximal degree of decomposition into non-identity factors.
-
-        Iterative depth-first dynamic programming over ``rows``, one length
-        per id (0 exactly for identities); a frame is [id, left ids, right ids,
-        resume index, best so far], so each row is read once.  Reaching an id
-        still open means it decomposes through itself, impossible if Moebius.
-        """
+        """Maximal degree of decomposition into non-identity factors, by
+        dynamic programming over ``rows`` with one length per id (0 exactly
+        for identities), each row read once by a frame that ``settle`` runs.
+        An id still open when reached decomposes through itself, which a
+        Moebius catoid forbids."""
         L = self._lengths
         if L is None:
             L = self._lengths = [0 if e else None for e in self.faces()[2]]
-        need = top = self.index()[x]
-        stack, open_ = [], set()
-        while True:
-            if L[need] is None:
-                if need in open_:
-                    raise MoebiusViolation(f"{self.name}: cyclic decomposition at "
-                                           f"{self.format_element(self.elements()[need])}")
-                stack.append([need, *self.rows(need), 0, 1])
-                open_.add(need)
-            if not stack:
-                return L[top]
-            frame = stack[-1]
-            y, lefts, rights, k, best = frame
-            for k in range(k, len(lefts)):
-                lu, lv = L[lefts[k]], L[rights[k]]
-                if lu == 0 or lv == 0:  # an identity factor
+
+        def frame(y):
+            best = 1
+            for u, v in zip(*self.rows(y)):
+                if L[u] == 0 or L[v] == 0:  # an identity factor
                     continue
-                if lu is None or lv is None:
-                    need = lefts[k] if lu is None else rights[k]
-                    frame[3:] = k, best
-                    break
-                best = max(best, lu + lv)
-            else:
-                stack.pop()
-                open_.discard(y)
-                L[y] = best  # need is y or a factor finished before y: set
+                if L[u] is None:
+                    yield u
+                if L[v] is None:
+                    yield v
+                best = max(best, L[u] + L[v])
+            L[y] = best
+
+        i = self.index()[x]
+        if L[i] is None:
+            settle(frame, i, functools.partial(self.violation, "cyclic decomposition"))
+        return L[i]
+
+    def violation(self, what, i) -> MoebiusViolation:
+        """The MoebiusViolation that names ``what`` found at element id i."""
+        return MoebiusViolation(f"{self.name}: {what} at {self.format_element(self.elements()[i])}")
 
     def kernel(self) -> "Kernel":
         """The integer product table the law checkers and the modal hat run

@@ -8,15 +8,16 @@ One engine computes the recursive star in three forms:
   star_path        the specialisation to K[C] (identities mapped to 1)
 
 It evaluates on demand: each element reached gets a generator frame, which
-yields the ids of the star values it lacks, and one loop advances the top
-frame of a stack, so frames never nest and element length is not bounded by
-Python's recursion limit.  Terms with f-factor 0 are skipped only when the
-algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve skips them
-under the same condition.  When in addition f is given by its values, with
+yields the ids of the star values it lacks, and ``catoid.settle`` advances
+the top frame of a stack, so frames never nest and element length is not
+bounded by Python's recursion limit.  Terms with f-factor 0 are skipped only
+when the algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve
+skips them under the same condition.  When in addition f is given by its values, with
 no rule, as every function built from weights is, the engine finds f's last
 nonzero id once per star and reads only the factors below it: the prefix of
 ``Catoid.rows`` in the left and path forms, whose left ids never decrease,
-and the suffix of ``Catoid.cols`` in the dual form, whose right ids fall.
+and in the dual form the suffix of the row where the model's rows run by
+right id (``rows_by_right``), else the row's pairs with right id below it.
 The terms past it have f-factor 0, so the cut is exact.  Dually, a sum that
 reaches the algebra's additive top (``ValueAlgebra.add_top``) stops there,
 since no further term can change it; the engine then never opens the star
@@ -27,9 +28,8 @@ stays separate as the trusted oracle and sums every term.
 
 Weight functions memoise their values in lists indexed by element id, safe
 to share between readers since the rules are pure.  Convolve, the engine and
-the comparisons run on ids and ``Catoid.rows`` (the dual star on
-``Catoid.cols``), reading a factor's list directly and calling ``at`` only on
-a miss; ``f(x)`` looks x's id up.
+the comparisons run on ids and ``Catoid.rows``, reading a factor's list
+directly and calling ``at`` only on a miss; ``f(x)`` looks x's id up.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ import itertools
 import operator
 from bisect import bisect_left, bisect_right
 
-from .catoid import Catoid, MoebiusViolation
+from .catoid import Catoid, settle
 from .report import Report
-from .values import SIDES, CapabilityError, ValueAlgebra
+from .values import SIDES, CapabilityError, ValueAlgebra, power_join
 
 
 class WeightFunction:
@@ -156,14 +156,14 @@ def _star_engine(f, side: str) -> WeightFunction:
     gets a generator frame, which walks its row in order, yields the id of
     any non-identity star value it still lacks and stores its value once the
     sum is done; the generator's own state is its place in the row, so no
-    term list or resume index is kept.  ``rule`` keeps the frames on a stack
-    and advances the top one with ``next(frame, None)``, so frames never
-    nest.  The boundary star f(s(x))* or f(t(x))* is read from the star's
-    own value at that identity.  The dual recursion reads each column
-    (``Catoid.cols``) with its two sides exchanged.  Where zero absorbs and f
-    has no rule, a frame reads only the factors below ``cut``, one past f's
-    last nonzero id, found by one bisection.  A frame whose sum reaches the
-    additive top is finished at once.
+    term list or resume index is kept.  ``rule`` hands the frames to
+    ``catoid.settle``, so frames never nest.  The boundary star f(s(x))* or
+    f(t(x))* is read from the star's own value at that identity.  The dual
+    recursion reads each row with its two sides exchanged.  Where zero
+    absorbs and f has no rule, a frame reads only the factors below ``cut``,
+    one past f's last nonzero id: one bisection finds them, but for a filter
+    in the dual form where rows do not run by right id.  A frame whose sum
+    reaches the additive top is finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -172,7 +172,7 @@ def _star_engine(f, side: str) -> WeightFunction:
     elif not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    add, mul, zero, top, rows, cols = K.add, K.mul, K.zero, K.add_top, C.rows, C.cols
+    add, mul, zero, top, rows = K.add, K.mul, K.zero, K.add_top, C.rows
     src, tgt, is_identity = C.faces()
     left, keep_zero, fv, f_at = side != "right", not K.zero_absorbs, f._vals, f.at
     base = src if left else tgt
@@ -188,13 +188,14 @@ def _star_engine(f, side: str) -> WeightFunction:
 
     def frame(x):
         b = base[x]
+        lefts, rights = rows(x)
         if left:  # left ids never decrease: the factors below cut are a prefix
-            factors, needs = rows(x)
-            terms = zip(factors[:bisect_left(factors, cut)], needs)
-        else:  # right ids fall: the factors below cut are a suffix
-            needs, factors = cols(x)
-            k = bisect_right(factors, -cut, key=operator.neg)
-            terms = zip(factors[k:], needs[k:])
+            terms = zip(lefts[:bisect_left(lefts, cut)], rights)
+        elif C.rows_by_right:  # right ids fall: the factors below cut are a suffix
+            k = bisect_right(rights, -cut, key=operator.neg)
+            terms = zip(rights[k:], lefts[k:])
+        else:
+            terms = ((y, z) for y, z in zip(rights, lefts) if y < cut)
         acc = zero
         for y, need in terms:
             if y == b:
@@ -214,20 +215,12 @@ def _star_engine(f, side: str) -> WeightFunction:
             acc = mul(at(b), acc) if left else mul(acc, at(b))
         vals[x] = acc
 
+    cycle = functools.partial(C.violation, "star recursion cycles")
+
     def rule(x):
         if is_identity[x]:
             return at(x)
-        stack, opened = [frame(x)], {x}
-        while stack:
-            need = next(stack[-1], None)
-            if need is None:
-                stack.pop()
-            elif need in opened:  # opened without a value: its frame is still on the stack
-                raise MoebiusViolation(f"{C.name}: star recursion cycles at "
-                                       f"{C.format_element(C.elements()[need])}")
-            else:
-                stack.append(frame(need))
-                opened.add(need)
+        settle(frame, x, cycle)
         return vals[x]
 
     wf = WeightFunction(C, K, rule=rule)
@@ -335,21 +328,14 @@ def test_complement(p) -> WeightFunction:
 
 
 def powerset_star(C: Catoid, members) -> frozenset:
-    """Set star in the powerset algebra: identities plus all products of members.
+    """Set star in the powerset algebra: the join of the powers of members.
 
-    Independent of the convolution star; computed by closure iteration.
+    Independent of the convolution star; growing subsets of U stop growing
+    within |U| steps.
     """
     A = frozenset(members) & frozenset(C.elements())
-    out = set(C.identities()) | set(A)
-    while True:
-        grow = set()
-        for a, b in itertools.product(A, out):
-            for w in C.compose(a, b):
-                if w not in out:
-                    grow.add(w)
-        if not grow:
-            return frozenset(out)
-        out |= grow
+    return power_join(frozenset(C.identities()), functools.partial(set_compose, C, A),
+                      operator.or_, operator.eq, len(C.elements()) + 1)
 
 
 def set_compose(C: Catoid, A, B) -> frozenset:

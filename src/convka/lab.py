@@ -53,6 +53,7 @@ from .values import (
     make_boolean_nd,
     make_min_plus,
     make_nat_inf_conway,
+    power_join,
 )
 
 # Two 2-fold modal semirings witnessing (in)dependence of the closure axioms.
@@ -219,24 +220,13 @@ def verify_independence() -> Report:
 
 
 def conv_powers_sum(f):
-    """Partial sums of convolution powers until pointwise stabilisation.
-
-    sum(i<=n) f^i is monotone; once one step adds nothing the limit is
-    reached, since every later power stays below the stable sum.
-    """
+    """The join of the convolution powers of f, summed until pointwise
+    stabilisation; each of the |U| values climbs at most |carrier| steps."""
     C, K = f.catoid, f.algebra
     if not K.is_finite or not K.idempotent_add:
         raise CapabilityError(f"{K.name}: power-join star needs a finite quantale")
-    U = C.elements()
-    acc = id0(C, K)
-    power = id0(C, K)
-    for _ in range(len(K.carrier) * len(U) + 1):
-        power = convolve(f, power)
-        nxt = conv_add(acc, power)
-        if functions_equal(nxt, acc):
-            return acc
-        acc = nxt
-    raise CapabilityError("power joins did not stabilise within the iteration cap")
+    return power_join(id0(C, K), lambda g: convolve(f, g), conv_add, functions_equal,
+                      len(K.carrier) * len(C.elements()) + 1)
 
 
 def verify_quantale_star(C: Catoid, Q: ValueAlgebra, rng, samples=50) -> Report:

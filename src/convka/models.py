@@ -177,9 +177,8 @@ def _interleavings(u, v):
 
 class ShuffleCatoid(FreeMonoid):
     """Words under the shuffle multioperation, not functional over two or more
-    letters; over one letter it is concatenation, so the words' ``rows`` and
-    ``cols`` serve.  Over more letters a row's right ids do not fall in
-    order, and ``Catoid.cols`` sorts them."""
+    letters; over one letter it is concatenation, so the words' ``rows``
+    serve and run by right id.  Over more letters they do not."""
 
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)

@@ -14,11 +14,12 @@ by tests and by --check-oracles.
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 
 from .catoid import Catoid
 from .models import GraphSpec, PosetSpec
-from .values import INF, NEG_INF, CapabilityError, ValueAlgebra
+from .values import INF, NEG_INF, CapabilityError, ValueAlgebra, power_join
 
 
 def matrix_star(K: ValueAlgebra, M: list) -> list:
@@ -81,15 +82,14 @@ def mat_power_star(K: ValueAlgebra, M: list) -> list:
     if not K.idempotent_add:
         raise CapabilityError("power-sum star needs an idempotent algebra")
     n = len(M)
-    acc = power = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
-    for _ in range(n * n + 2):
-        power = [[reduce(K.add, (K.mul(row[k], M[k][j]) for k in range(n)), K.zero)
-                  for j in range(n)] for row in power]
-        nxt = [[K.add(a, b) for a, b in zip(r, s)] for r, s in zip(acc, power)]
-        if nxt == acc:
-            return acc
-        acc = nxt
-    raise CapabilityError("matrix powers did not stabilise")
+
+    def times(P):  # P . M
+        return [[reduce(K.add, (K.mul(row[k], M[k][j]) for k in range(n)), K.zero)
+                 for j in range(n)] for row in P]
+
+    return power_join([[K.one if i == j else K.zero for j in range(n)] for i in range(n)],
+                      times, lambda P, Q: [list(map(K.add, r, s)) for r, s in zip(P, Q)],
+                      operator.eq, n * n + 2)
 
 
 def warshall_closure(M: list) -> list:

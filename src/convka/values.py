@@ -372,23 +372,27 @@ def load_finite_algebra(text: str):
 # ---------------------------------------------------------------------------
 # quantale star
 
-def quantale_star(A: ValueAlgebra, a):
-    """Join of all powers of a, by accumulating partial sums to a fixed point.
-
-    Sound because once sum(i<=n) a^i stabilises, every later power is below
-    it; monotone chains in a finite carrier stabilise within |carrier| steps.
-    """
-    if not A.is_finite or not A.idempotent_add:
-        raise CapabilityError(f"{A.name}: quantale star needs a finite idempotent algebra")
-    acc = A.one  # a^0
-    power = A.one
-    for _ in range(len(A.carrier) + 1):
-        power = A.mul(power, a)
-        nxt = A.add(acc, power)
-        if nxt == acc:
+def power_join(one, times, join, equal, cap):
+    """The join of all powers, one + a + a^2 + ..., summed until a step adds
+    nothing, where ``times`` maps each power to the next: in an idempotent
+    algebra every later power then lies below the sum too.  Raises after
+    ``cap`` steps without a fixed point."""
+    acc = power = one
+    for _ in range(cap):
+        power = times(power)
+        nxt = join(acc, power)
+        if equal(nxt, acc):
             return acc
         acc = nxt
-    raise CapabilityError(f"{A.name}: power joins did not stabilise")  # unreachable on finite data
+    raise CapabilityError(f"power joins did not stabilise within {cap} steps")
+
+
+def quantale_star(A: ValueAlgebra, a):
+    """Join of all powers of a; monotone chains in a finite carrier stabilise
+    within |carrier| steps."""
+    if not A.is_finite or not A.idempotent_add:
+        raise CapabilityError(f"{A.name}: quantale star needs a finite idempotent algebra")
+    return power_join(A.one, lambda p: A.mul(p, a), A.add, operator.eq, len(A.carrier) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -15,8 +16,9 @@ from convka.catoid import (
     check_saturated_chain,
     is_functional,
     is_local,
+    settle,
 )
-from convka.convolution import from_pairs, star_recursive
+from convka.convolution import from_pairs, star_recursive, star_unfolded
 from convka.report import fmt_value
 
 
@@ -280,6 +282,44 @@ def test_self_absorption_fails_moebius_condition_three(boolean):
         star_recursive(from_pairs(C, boolean, {"x": 1}))("x")
     with pytest.raises(MoebiusViolation, match=r"^absorb: cyclic decomposition at x$"):
         C.length("x")
+
+
+def test_left_absorption_is_refused_by_every_recursion(boolean):
+    # w . x = {x} with w != e = s(x) passes require_moebius, which tests only
+    # absorption on the right, yet x decomposes through itself
+    U = ["e", "w", "x"]
+    C = TableCatoid("leftabs", U, {("w", "x"): ["x"]}, dict.fromkeys(U, "e"),
+                    dict.fromkeys(U, "e"))
+    C.require_moebius()
+    f = from_pairs(C, boolean, {"w": 1, "x": 1})
+    with pytest.raises(MoebiusViolation, match=r"^leftabs: unbounded decomposition chains at x$"):
+        star_unfolded(f)("x")
+    with pytest.raises(MoebiusViolation, match=r"^leftabs: star recursion cycles at x$"):
+        star_recursive(f)("x")
+    with pytest.raises(MoebiusViolation, match=r"^leftabs: cyclic decomposition at x$"):
+        C.length("x")
+
+
+def test_settle_raises_the_cycle_exception_on_an_open_frame():
+    def frame(i):
+        yield i
+
+    with pytest.raises(LookupError, match=r"^open 4$"):
+        settle(frame, 4, lambda i: LookupError(f"open {i}"))
+
+
+def test_long_lengths_nest_no_python_frames():
+    C = models.free_monoid("a", 1200)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        n = C.length("a" * 1200)
+    finally:
+        sys.setrecursionlimit(old)
+    assert n == 1200
 
 
 def test_local_functional(diamond_paths, example_intervals):

@@ -403,41 +403,31 @@ ORDER_MODELS = CONVOLUTION_MODELS + (models.shuffle_catoid("ab", 4), models.free
                                      *models.pasting_square_2category().dims)
 
 
-def assert_rows_and_cols_in_order(C):
+def assert_rows_in_order(C):
     """The orders the star's bound reads: a row's left ids never decrease,
-    and ``cols`` lists the row's pairs by right id from the largest down,
-    then by left id."""
+    and where the model sets ``rows_by_right`` its right ids strictly fall."""
     for i in range(len(C.elements())):
-        row = list(zip(*C.rows(i)))
-        lefts = [y for y, _ in row]
+        lefts, rights = map(list, C.rows(i))
         assert lefts == sorted(lefts), (C.name, C.format_element(C.elements()[i]))
-        assert list(zip(*C.cols(i))) == sorted(row, key=lambda p: (-p[1], p[0])), \
-            (C.name, C.format_element(C.elements()[i]))
+        if C.rows_by_right:
+            assert all(u > v for u, v in zip(rights, rights[1:])), \
+                (C.name, C.format_element(C.elements()[i]))
 
 
-def test_rows_and_cols_keep_the_orders_the_star_bound_reads():
+def test_rows_keep_the_orders_the_star_bound_reads():
+    by_right = [C.name for C in ORDER_MODELS if C.rows_by_right]
+    assert by_right == ["words(ab,3)", "guarded(2t,1a,2)", "paths(4v)", "words(a,9)",
+                        "shuffle(a,4)"]
     for C in ORDER_MODELS:
-        assert_rows_and_cols_in_order(C)
+        assert_rows_in_order(C)
+    # one-letter rows are a closed form, kept nowhere
+    assert [C._rows for C in ORDER_MODELS if getattr(C, "alphabet", ()) == ("a",)] == [{}, {}]
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_catoids())
-def test_rows_and_cols_keep_their_orders_on_random_catoids(C):
-    assert_rows_and_cols_in_order(C)
-
-
-def test_word_cols_are_the_rows():
-    # a word's suffixes shrink as its prefixes grow, so its row is already in
-    # column order and cols keeps nothing; one-letter rows are kept nowhere
-    for C in (models.free_monoid("ab", 4), models.free_monoid("a", 9),
-              models.shuffle_catoid("a", 4)):
-        for i in range(len(C.elements())):
-            assert C.cols(i) == C.rows(i)
-        assert C._cols == {}, C.name
-        assert C._rows == {} or len(C.alphabet) > 1, C.name
-    # over two letters a shuffle row is sorted once and kept
-    C = models.shuffle_catoid("ab", 3)
-    assert C.cols(9) is C.cols(9) and list(C._cols) == [9]
+def test_rows_keep_their_orders_on_random_catoids(C):
+    assert_rows_in_order(C)
 
 
 class ReadLog(list):

@@ -33,6 +33,8 @@ def bool2():
 def test_ncatoid_requires_shared_universe():
     with pytest.raises(ValueError, match="share"):
         NCatoid("bad", (models.free_monoid("ab", 2), models.free_monoid("ab", 3)))
+    with pytest.raises(ValueError, match=r"^need at least two dimensions$"):
+        NCatoid("x", (models.free_monoid("ab", 2),))
 
 
 def test_interchange_convolution_boolean(bool2, rng):

@@ -196,6 +196,8 @@ def test_every_campaign_line_fails_exactly_when_it_has_witnesses(seed):
 
 def test_report_text_format():
     rep = run_campaign("independence", 7, 25)
+    with pytest.raises(KeyError, match=r"^'nope'$"):
+        Report().law("nope")
     for line in rep.to_text().splitlines():
         parts = line.split("\t")
         assert len(parts) == 6

@@ -64,6 +64,8 @@ def test_pair_groupoid():
     two = models.pair_groupoid(["a", "b"])
     assert set(two.identities()) == {("a", "a"), ("b", "b")}
     assert not check_moebius(two).clean
+    with pytest.raises(ValueError, match=r"^need a nonempty point set$"):
+        models.pair_groupoid([])
 
 
 def test_path_catoid(diamond_paths):
@@ -119,6 +121,8 @@ def test_guarded_strings():
     assert C.compose(x, z) == frozenset()  # boundary tests differ
     assert C.length(("t0", "p", "t1", "q", "t2")) == 2
     assert C.source(x) == ("t0",) and C.target(x) == ("t1",)
+    with pytest.raises(ValueError, match=r"^need nonempty test and action sets$"):
+        models.guarded_string_catoid([], ["p"], 1)
 
 
 def test_poset_spec_validation():

@@ -110,6 +110,9 @@ def test_homset_aggregation_equals_matrix_star():
     agg = homset_matrix(C, star_recursive(f), K)
     _, E = edge_weight_matrix(g, K)
     assert agg == matrix_star(K, E)
+    unweighted = models.GraphSpec(("a", "b"), (("x", "a", "b", 1), ("y", "a", "b", None)))
+    with pytest.raises(ValueError, match=r"^edge y has no weight$"):
+        edge_weight_matrix(unweighted, K)
 
 
 def test_homset_aggregation_rejects_truncated():
@@ -133,6 +136,8 @@ def test_parse_graph():
         parse_graph("a b x 2\nb c x 3\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_graph("a b\n")
+    with pytest.raises(ParseError, match=r"^line 1: vertex takes one name$"):
+        parse_graph("vertex a b\n")
 
 
 def test_parse_graph_reads_weight_tokens_like_the_other_parsers():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 import random
 import re
 from pathlib import Path
@@ -23,6 +24,7 @@ from convka.values import (
     make_max_plus,
     make_min_plus,
     make_nat_inf_conway,
+    power_join,
     quantale_star,
 )
 from convka.lab import appendix_b_model, negative_control_dioid, three_chain_quantale
@@ -333,6 +335,12 @@ def test_refusals_without_a_pool_an_order_or_a_carrier(minplus, natinf):
     with pytest.raises(CapabilityError) as err:
         minplus.with_quantale_star()
     assert str(err.value) == "minplus: quantale star needs a finite carrier"
+
+
+def test_power_join_raises_one_message_past_its_cap():
+    # the sums 0, 1, 3, 6 never repeat, so three steps find no fixed point
+    with pytest.raises(CapabilityError, match=r"^power joins did not stabilise within 3 steps$"):
+        power_join(0, lambda p: p + 1, operator.add, operator.eq, 3)
 
 
 def test_quantale_star_requires_finite_idempotent(minplus, natinf):
