@@ -7,10 +7,14 @@ element is exact because every factor of an in-bound element is in-bound.
 Such models set ``is_complete = False``; models whose universe is the whole
 catoid set it to True.
 
-Models are immutable after construction.  The decomposition, row, chain
-and length caches are memo tables for pure functions, so concurrent readers
-are safe.  Lengths, the Moebius conditions on decompositions, convolution and
-the star engine read id rows (``Catoid.rows``), the unfolded oracle id chains
+Models are immutable after construction.  A model states its compose, faces
+and elements; ``Catoid`` derives everything else from them on first use, as
+cached properties (``derived``): ids, faces, the decomposition, row, chain
+and length memos, the Moebius report, the kernel and whether rows run by
+right id.
+These are pure functions of the model, so concurrent readers are safe.
+Lengths, the Moebius conditions on decompositions, convolution and the star
+engine read id rows (``Catoid.rows``), the unfolded oracle id chains
 (``Catoid.chains``); elsewhere only the oracles call ``decompose2``.
 Lengths and the star engine run their generator frames through ``settle``.
 """
@@ -45,17 +49,36 @@ class Memo(dict):
 
 
 class Index(dict):
-    """The element ids of the catoid ``name``; a missing key raises the one
-    ValueError for an element outside ``elements()``."""
+    """The ids of ``elements``, a catoid's universe, by position; a missing
+    key raises the catoid ``name``'s one ValueError for an element outside it."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "elements")
 
     def __init__(self, name, elements):
         super().__init__(zip(elements, itertools.count()))
-        self.name = name
+        self.name, self.elements = name, elements
 
     def __missing__(self, x):
         raise ValueError(f"{self.name}: {fmt_value(x)} is not in elements()")
+
+
+class derived:
+    """A cached property kept by ``setattr``.  ``functools.cached_property``
+    reads ``__dict__``, after which CPython 3.11's method-call caches skip
+    the instance: ``check_moebius``'s compose scan then ran a sixth slower."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        setattr(obj, self.name, value)  # the instance attribute now shadows this
+        return value
 
 
 def settle(frame, x, cycle):
@@ -76,70 +99,73 @@ def settle(frame, x, cycle):
 
 
 class Catoid:
-    """Base contract: compose, source, target, element enumeration.
-
-    Subclasses must implement ``compose``, ``source``, ``target``,
-    ``_build_elements`` and ``sort_key``; they may override ``decompose2``
+    """Base contract: a model defines ``compose``, ``source``, ``target``,
+    ``_build_elements`` and ``sort_key``; it may override ``decompose2``
     with a closed form (equivalence with the generic inversion is a test),
-    and ``rows`` with one that decodes to it.  A model whose every row
-    runs by right id from the largest down sets ``rows_by_right``, so that
-    the pairs whose right id lies below a bound form a suffix.
+    and ``rows`` with one that decodes to it.  This class derives the rest
+    on first use and keeps it: ids, faces, rows, chains, lengths, the
+    Moebius report, the kernel and the row orientation ``rows_by_right``,
+    so a model calls no initialiser of it.
     """
 
     name = "catoid"
     is_complete = False
-    rows_by_right = False
-
-    def __init__(self):
-        self._elements = None
-        self._index = None
-        self._faces = None
-        self._rows = {}
-        self._chains = {}
-        self._d2_cache = None
-        self._dn_cache = {}
-        self._lengths = None
-        self._moebius_report = None
-        self._kernel = None
-
-    # -- model surface ------------------------------------------------------
-
-    def compose(self, y, z) -> frozenset:
-        raise NotImplementedError
-
-    def source(self, x):
-        raise NotImplementedError
-
-    def target(self, x):
-        raise NotImplementedError
-
-    def _build_elements(self) -> list:
-        raise NotImplementedError
-
-    def sort_key(self, x):
-        raise NotImplementedError
 
     def format_element(self, x) -> str:
         return fmt_value(x)
 
-    # -- derived structure --------------------------------------------------
+    # -- derived structure, each built on first use -------------------------
+
+    @derived
+    def _index(self) -> Index:
+        U = sorted(self._build_elements(), key=self.sort_key)
+        index = Index(self.name, U)
+        if len(index) < len(U):
+            twice = next(x for i, x in enumerate(U) if index[x] != i)
+            raise ValueError(f"{self.name}: {self.format_element(twice)} is listed "
+                             "twice in elements()")
+        return index
+
+    @derived
+    def _faces(self) -> tuple:
+        U, index = self.elements(), self.index()
+        src = [index[self.source(x)] for x in U]
+        tgt = [index[self.target(x)] for x in U]
+        return src, tgt, [s == i for i, s in enumerate(src)]
+
+    @derived
+    def _d2(self) -> list:
+        """``decompose2`` by id, in product order: the factors' sort-key order."""
+        U, index = self.elements(), self.index()
+        table = [[] for _ in U]
+        for y, z in itertools.product(U, repeat=2):
+            for w in self.compose(y, z):
+                table[index[w]].append((y, z))
+        return table
+
+    # per-id memos of ``rows`` and ``chains``, per-(x, n) of ``decompose_n``
+    _rows = derived(lambda self: {})
+    _chains = derived(lambda self: {})
+    _dn = derived(lambda self: {})
+    _lengths = derived(lambda self: [0 if e else None for e in self.faces()[2]])
+    _moebius_report = derived(lambda self: check_moebius(self))
+    _kernel = derived(lambda self: Kernel(self))
+
+    @derived
+    def rows_by_right(self) -> bool:
+        """Whether every row runs by right id from the largest down, so that
+        the pairs whose right id lies below a bound form a suffix; read off
+        the rows once per model."""
+        return all(all(map(operator.gt, r, r[1:]))
+                   for _, r in map(self.rows, range(len(self.elements()))))
 
     def elements(self) -> list:
         """The universe in sort-key order; an element listed twice is refused."""
-        if self._elements is None:
-            U = sorted(self._build_elements(), key=self.sort_key)
-            index = Index(self.name, U)
-            if len(index) < len(U):
-                twice = next(x for i, x in enumerate(U) if index[x] != i)
-                raise ValueError(f"{self.name}: {self.format_element(twice)} is listed "
-                                 "twice in elements()")
-            self._elements, self._index = U, index
-        return self._elements
+        return self._index.elements
 
     def index(self) -> Index:
         """Each element's id, its position in ``elements()``; the kernel and
         the convolution layer run on ids."""
-        self.elements()
         return self._index
 
     def __contains__(self, x):
@@ -148,11 +174,6 @@ class Catoid:
     def faces(self) -> tuple:
         """(source ids, target ids, identity flags), one entry per id, built
         once; callers must not mutate the lists."""
-        if self._faces is None:
-            U, index = self.elements(), self.index()
-            src = [index[self.source(x)] for x in U]
-            tgt = [index[self.target(x)] for x in U]
-            self._faces = src, tgt, [s == i for i, s in enumerate(src)]
         return self._faces
 
     def rows(self, i) -> tuple:
@@ -207,15 +228,7 @@ class Catoid:
         return them without sorting.  No closed form memoises: outside the
         oracles the catoid layer reads decompositions only through ``rows``.
         """
-        index = self.index()
-        if self._d2_cache is None:  # product order is the factors' sort-key order
-            U = self.elements()
-            table = [[] for _ in U]
-            for y, z in itertools.product(U, repeat=2):
-                for w in self.compose(y, z):
-                    table[index[w]].append((y, z))
-            self._d2_cache = table
-        return self._d2_cache[index[x]]
+        return self._d2[self.index()[x]]
 
     def decompose_n(self, x, n: int) -> list:
         """The n-fold non-identity decompositions of x, one entry per chain.
@@ -226,8 +239,8 @@ class Catoid:
         every tuple appears once.  Sorted stably by the factors' sort keys.
         """
         key = (x, n)
-        if key in self._dn_cache:
-            return self._dn_cache[key]
+        if key in self._dn:
+            return self._dn[key]
         if n == 0:
             out = [()] if self.is_identity(x) else []
         elif n == 1:
@@ -240,7 +253,7 @@ class Catoid:
                 for rest in self.decompose_n(z, n - 1):
                     found.append((y,) + rest)
             out = sorted(found, key=lambda t: tuple(self.sort_key(p) for p in t))
-        self._dn_cache[key] = out
+        self._dn[key] = out
         return out
 
     def length(self, x) -> int:
@@ -250,8 +263,6 @@ class Catoid:
         An id still open when reached decomposes through itself, which a
         Moebius catoid forbids."""
         L = self._lengths
-        if L is None:
-            L = self._lengths = [0 if e else None for e in self.faces()[2]]
 
         def frame(y):
             best = 1
@@ -278,13 +289,9 @@ class Catoid:
         """The integer product table the law checkers and the modal hat run
         on, built on first use and kept; the star forms and ``check_moebius``
         never build it."""
-        if self._kernel is None:
-            self._kernel = Kernel(self)
         return self._kernel
 
     def moebius_report(self) -> Report:
-        if self._moebius_report is None:
-            self._moebius_report = check_moebius(self)
         return self._moebius_report
 
     def require_moebius(self):
@@ -310,7 +317,6 @@ class TableCatoid(Catoid):
 
     def __init__(self, name, elements, compose_table, source_map, target_map,
                  add_units=True):
-        super().__init__()
         self.name = name
         self._given = list(elements)
         self._src = dict(source_map)
@@ -496,6 +502,19 @@ def check_catoid_axioms(C: Catoid) -> Report:
 def check_moebius(C: Catoid, universe=None) -> Report:
     """The three Moebius conditions: finite 2-decomposability, indecomposable
     identities, and x in x.y forcing y = t(x).
+
+    Absorption on the left, x in w.x with w != s(x), needs no check of its
+    own on an associative catoid, since it fails condition (2) or (3).
+    Composability makes w a non-identity.  The set powers of {w} reach an
+    idempotent set E = E.E, and x in E.x, since x in w.x.  If E holds an
+    identity e, then e is in w.v for some v, as E is a power of {w} and w
+    is not e; v is no identity, or w.v would be {w}: e decomposes into
+    non-identities, failing (2).  Else split any u in E as u in u'.y with
+    u', y in E, and split u' alike: the finitely many u repeat, so some u
+    lies in u.y with y in a product of E's, which is E, so that y is no
+    identity and y != t(u): (3) fails.  A table that is not associative can
+    absorb on the left and pass; each recursion then raises on the cycle
+    it meets.
 
     ``universe`` stays, though nothing in the package sets it:
     ``bench/tracing.py`` wraps this function and calls ``fn(C, universe)``

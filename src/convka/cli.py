@@ -169,10 +169,7 @@ def cmd_star(args) -> int:
             code = _cross_check(args, K, C, f, graph, forms, fs, M)
             if code:
                 return code
-    except MoebiusViolation as exc:
-        _err(str(exc))
-        return 3
-    except CapabilityError as exc:
+    except (MoebiusViolation, CapabilityError) as exc:
         _err(str(exc))
         return 3
 

@@ -17,7 +17,8 @@ no rule, as every function built from weights is, the engine finds f's last
 nonzero id once per star and reads only the factors below it: the prefix of
 ``Catoid.rows`` in the left and path forms, whose left ids never decrease,
 and in the dual form the suffix of the row where the model's rows run by
-right id (``rows_by_right``), else the row's pairs with right id below it.
+right id (``Catoid.rows_by_right``, read off the rows once per model), else
+the row's pairs with right id below it.
 The terms past it have f-factor 0, so the cut is exact.  Dually, a sum that
 reaches the algebra's additive top (``ValueAlgebra.add_top``) stops there,
 since no further term can change it; the engine then never opens the star
@@ -162,8 +163,9 @@ def _star_engine(f, side: str) -> WeightFunction:
     recursion reads each row with its two sides exchanged.  Where zero
     absorbs and f has no rule, a frame reads only the factors below ``cut``,
     one past f's last nonzero id: one bisection finds them, but for a filter
-    in the dual form where rows do not run by right id.  A frame whose sum
-    reaches the additive top is finished at once.
+    in the dual form where rows do not run by right id, which the dual star
+    reads once from ``C.rows_by_right``.  A frame whose sum reaches the
+    additive top is finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -175,6 +177,7 @@ def _star_engine(f, side: str) -> WeightFunction:
     add, mul, zero, top, rows = K.add, K.mul, K.zero, K.add_top, C.rows
     src, tgt, is_identity = C.faces()
     left, keep_zero, fv, f_at = side != "right", not K.zero_absorbs, f._vals, f.at
+    by_right = not left and C.rows_by_right
     base = src if left else tgt
     cut = len(fv)  # one past f's last nonzero id: every f-factor from cut on is 0
     if not keep_zero and f._rule is None:  # without a rule every value is given
@@ -191,7 +194,7 @@ def _star_engine(f, side: str) -> WeightFunction:
         lefts, rights = rows(x)
         if left:  # left ids never decrease: the factors below cut are a prefix
             terms = zip(lefts[:bisect_left(lefts, cut)], rights)
-        elif C.rows_by_right:  # right ids fall: the factors below cut are a suffix
+        elif by_right:  # right ids fall: the factors below cut are a suffix
             k = bisect_right(rights, -cut, key=operator.neg)
             terms = zip(rights[k:], lefts[k:])
         else:

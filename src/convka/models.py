@@ -112,10 +112,7 @@ class FreeMonoid(Catoid):
     single identity eps.  A word's suffixes shrink as its prefixes grow, so
     each row runs by right id from the largest down."""
 
-    rows_by_right = True
-
     def __init__(self, alphabet, max_len: int):
-        super().__init__()
         if not alphabet or max_len < 1:
             raise ValueError("need a nonempty alphabet and max_len >= 1")
         self.alphabet = tuple(sorted(alphabet))
@@ -183,7 +180,6 @@ class ShuffleCatoid(FreeMonoid):
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)
         self.name = f"shuffle({''.join(self.alphabet)},{max_len})"
-        self.rows_by_right = len(self.alphabet) == 1
 
     def compose(self, y, z):
         if len(y) + len(z) > self.max_len:
@@ -212,7 +208,6 @@ class IntervalCatoid(Catoid):
     is_complete = True
 
     def __init__(self, poset: PosetSpec):
-        super().__init__()
         self.vertices = poset.vertices
         self.leq = poset.leq_table()
         self.name = f"intervals({','.join(poset.vertices)})"
@@ -250,7 +245,6 @@ class PairGroupoid(IntervalCatoid):
     """
 
     def __init__(self, points):
-        Catoid.__init__(self)
         self.vertices = tuple(sorted(points))
         if not self.vertices:
             raise ValueError("need a nonempty point set")
@@ -273,10 +267,7 @@ class PathCatoid(Catoid):
     its longest path.  A row's right factors shrink, so its right ids fall.
     """
 
-    rows_by_right = True
-
     def __init__(self, graph: GraphSpec, max_len: int):
-        super().__init__()
         if max_len < 1:
             raise ValueError("need max_len >= 1")
         self.graph = graph
@@ -351,10 +342,7 @@ class GuardedStringCatoid(Catoid):
     not compose.  A row's right factors shrink, so its right ids fall.
     """
 
-    rows_by_right = True
-
     def __init__(self, tests, actions, max_len: int):
-        super().__init__()
         self.tests = tuple(sorted(tests))
         self.actions = tuple(sorted(actions))
         if not self.tests or not self.actions:

@@ -26,9 +26,6 @@ def fmt_value(v) -> str:
         return "{" + ",".join(sorted(fmt_value(x) for x in v)) + "}"
     if isinstance(v, (tuple, list)):
         return "(" + ",".join(fmt_value(x) for x in v) + ")"
-    if isinstance(v, dict):
-        items = sorted((str(k), fmt_value(x)) for k, x in v.items())
-        return "{" + ",".join(f"{k}={x}" for k, x in items) + "}"
     return repr(v)
 
 
@@ -42,10 +39,6 @@ class LawResult:
     note: str = ""
     model: str = "-"
     algebra: str = "-"
-
-    @property
-    def witness(self):
-        return self.witnesses[0] if self.witnesses else None
 
 
 class Report:
@@ -91,7 +84,7 @@ class Report:
         """One line per law: STATUS, law id, model, algebra, witness or dash, count."""
         lines = []
         for e in self.entries:
-            w = fmt_value(e.witness) if e.witnesses else "-"
+            w = fmt_value(e.witnesses[0]) if e.witnesses else "-"
             if e.note:
                 w = w + " " + e.note if e.witnesses else e.note
             if e.vacuous:
@@ -100,9 +93,6 @@ class Report:
                 "\t".join([e.status.upper(), e.law, e.model, e.algebra, w, str(e.checked)])
             )
         return "\n".join(lines)
-
-    def __str__(self):
-        return self.to_text()
 
     def __repr__(self):
         n = len(self.entries)

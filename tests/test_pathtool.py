@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import io
 import os
@@ -27,7 +28,8 @@ from convka.pathtool import (
     validate_weight,
     warshall_closure,
 )
-from convka.values import CapabilityError, INF, make_boolean, make_max_plus, make_min_plus
+from convka.values import (CapabilityError, INF, make_boolean, make_max_plus, make_min_plus,
+                           make_nat_inf_conway)
 from relations import make_relations
 
 
@@ -90,6 +92,9 @@ def test_matrix_star_needs_star():
     object.__setattr__(K, "star", None)
     with pytest.raises(CapabilityError):
         matrix_star(K, [[1]])
+    # the power-sum oracle needs an idempotent addition, which natinf lacks
+    with pytest.raises(CapabilityError, match="^power-sum star needs an idempotent algebra$"):
+        mat_power_star(make_nat_inf_conway(), [[1]])
 
 
 @pytest.mark.parametrize("M", [[], [[]], [[0, 1]], [[0, 1], [1]], [[0], [1]]],
@@ -225,6 +230,16 @@ def test_cli_pairs_recursive_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "Moebius condition (2)" in err and "identity decomposable" in err
+
+
+def test_cli_star_without_a_star_operation_exits_3(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "w.txt"
+    p.write_text("a 1\n")
+    monkeypatch.setitem(cli.ALGEBRAS, "boolean",
+                        lambda: dataclasses.replace(make_boolean(), star=None))
+    assert main(["star", "--model", "words", "--algebra", "boolean",
+                 "--weights", str(p)]) == 3
+    assert capsys.readouterr() == ("", "pathtool: boolean: no star operation\n")
 
 
 def test_cli_words_star(tmp_path, capsys):

@@ -188,6 +188,7 @@ def test_star_induction_reports_vacuous_counts(boolean):
     assert law.status == "pass"
     assert law.checked == 8          # exhaustive over triples
     assert 0 < law.vacuous < law.checked
+    assert "PASS\tka.induct-left\t-\tboolean\t- vacuous=2\t8" in rep.to_text().splitlines()
 
 
 def test_boolean_is_also_conway(boolean):
@@ -257,6 +258,7 @@ def test_table_format_refusal_messages():
         head + "mul:\nx x\none: y\n": "table mul: expected 2 rows, got 1",
         "carrier: x y\nadd:\ny y\ny y\n" + tables: "add table has no additive unit",
         head + "mul1:\nx x\nx y\none1: y\n": "multiplication tables must be numbered 0..n-1",
+        head + "one: y\n": "missing multiplication table",
     }
     for text, message in refusals.items():
         with pytest.raises(TableFormatError, match=f"^{re.escape(message)}$"):
