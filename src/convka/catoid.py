@@ -9,13 +9,13 @@ catoid set it to True.
 
 Models are immutable after construction.  A model states its compose, faces
 and elements; ``Catoid`` derives everything else from them on first use, as
-cached properties (``derived``): ids, faces, the decomposition, row, chain
-and length memos, the Moebius report, the kernel and whether rows run by
-right id.
+cached properties (``derived``): ids, faces, the decomposition, row and
+length memos, the unfolded oracle's table of splits, the Moebius report, the
+kernel and whether rows run by right id.
 These are pure functions of the model, so concurrent readers are safe.
 Lengths, the Moebius conditions on decompositions, convolution and the star
-engine read id rows (``Catoid.rows``), the unfolded oracle id chains
-(``Catoid.chains``); elsewhere only the oracles call ``decompose2``.
+engine read id rows (``Catoid.rows``), the unfolded oracle its own splits
+(``Catoid.splits``); elsewhere only the oracles call ``decompose2``.
 Lengths and the star engine run their generator frames through ``settle``.
 """
 
@@ -103,7 +103,7 @@ class Catoid:
     ``_build_elements`` and ``sort_key``; it may override ``decompose2``
     with a closed form (equivalence with the generic inversion is a test),
     and ``rows`` with one that decodes to it.  This class derives the rest
-    on first use and keeps it: ids, faces, rows, chains, lengths, the
+    on first use and keeps it: ids, faces, rows, splits, lengths, the
     Moebius report, the kernel and the row orientation ``rows_by_right``,
     so a model calls no initialiser of it.
     """
@@ -143,10 +143,7 @@ class Catoid:
                 table[index[w]].append((y, z))
         return table
 
-    # per-id memos of ``rows`` and ``chains``, per-(x, n) of ``decompose_n``
-    _rows = derived(lambda self: {})
-    _chains = derived(lambda self: {})
-    _dn = derived(lambda self: {})
+    _rows = derived(lambda self: {})  # the per-id memo of ``rows``
     _lengths = derived(lambda self: [0 if e else None for e in self.faces()[2]])
     _moebius_report = derived(lambda self: check_moebius(self))
     _kernel = derived(lambda self: Kernel(self))
@@ -188,28 +185,19 @@ class Catoid:
             row = self._rows[i] = [index[y] for y, _ in pairs], [index[z] for _, z in pairs]
         return row
 
-    def chains(self, i) -> list:
-        """``decompose_n`` of element i for n = 1, 2, ... up to the first empty
-        list, each chain as (source id of its first factor, ((factor id, its
-        target id), ...)); empty exactly for identities.  The list would be
-        endless on a non-Moebius model, which ``require_moebius`` refuses
-        first, or one that absorbs on the left, where a chain of more than
-        |U| factors (its prefix products repeat) raises.  Memoised; the
-        chains read neither ``rows`` nor ``faces()``."""
-        out = self._chains.get(i)
-        if out is None:
-            self.require_moebius()
-            U, index, out = self.elements(), self.index(), []
-            for n in range(1, len(U) + 2):
-                parts = self.decompose_n(U[i], n)
-                if not parts:
-                    break
-                out += [(index[self.source(p[0])], tuple((index[y], index[self.target(y)])
-                                                         for y in p)) for p in parts]
-            else:
-                raise self.violation("unbounded decomposition chains", i)
-            self._chains[i] = out
-        return out
+    @derived
+    def splits(self) -> list:
+        """Per id: its source id, its target id and the (left id, right id)
+        pairs of ``decompose2`` with no identity factor.  A chain through an
+        identity ends nowhere: an identity is no last factor, and a Moebius
+        catoid does not split it further.  The unfolded oracle's one input,
+        built from ``decompose2`` and the faces, not from ``rows`` or
+        ``faces()``, so that the oracle shares no input with the star engine."""
+        index, unit = self.index(), self.is_identity
+        return [(index[self.source(x)], index[self.target(x)],
+                 [(index[y], index[z]) for y, z in self.decompose2(x)
+                  if not unit(y) and not unit(z)])
+                for x in self.elements()]
 
     def is_identity(self, x) -> bool:
         return self.source(x) == x
@@ -229,32 +217,6 @@ class Catoid:
         oracles the catoid layer reads decompositions only through ``rows``.
         """
         return self._d2[self.index()[x]]
-
-    def decompose_n(self, x, n: int) -> list:
-        """The n-fold non-identity decompositions of x, one entry per chain.
-
-        A tuple appears once for each chain of intermediate products that
-        composes it to x, so a multi-valued catoid can list it more than once;
-        convolution powers count one term per chain.  For functional catoids
-        every tuple appears once.  Sorted stably by the factors' sort keys.
-        """
-        key = (x, n)
-        if key in self._dn:
-            return self._dn[key]
-        if n == 0:
-            out = [()] if self.is_identity(x) else []
-        elif n == 1:
-            out = [] if self.is_identity(x) else [(x,)]
-        else:
-            found = []
-            for y, z in self.decompose2(x):
-                if self.is_identity(y):
-                    continue
-                for rest in self.decompose_n(z, n - 1):
-                    found.append((y,) + rest)
-            out = sorted(found, key=lambda t: tuple(self.sort_key(p) for p in t))
-        self._dn[key] = out
-        return out
 
     def length(self, x) -> int:
         """Maximal degree of decomposition into non-identity factors, by

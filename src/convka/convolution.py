@@ -246,29 +246,39 @@ def star_unfolded(f) -> WeightFunction:
 
     Each decomposition x in x1...xi contributes
     f(s(x1))* . f(x1) . f(t(x1))* . f(x2) . ... . f(xi) . f(t(xi))*,
-    using that consecutive factors chain targets to sources.  The sum runs
-    i = 1, 2, ... up to the first i without one: in a Moebius catoid they
-    exist exactly for 1 <= i <= length(x), since merging two adjacent
-    non-identity factors gives a non-identity.  The chains are read as ids
-    from ``Catoid.chains``, built from ``decompose_n`` and kept per model, so
-    the oracle never reads ``Catoid.rows``, the star engine's input.
+    using that consecutive factors chain targets to sources, and is counted
+    once per chain of intermediate products x in x1.z1, z1 in x2.z2, ...
+    In a Moebius catoid such chains exist exactly for 1 <= i <= length(x),
+    since merging two adjacent non-identity factors gives a non-identity.
+    The chains are walked depth-first on an explicit stack of (rest of the
+    chain, term so far, factors so far) over ``Catoid.splits``, so the
+    oracle never reads ``Catoid.rows``, the star engine's input; a finished
+    chain adds its term and nothing else is kept.  Each term is multiplied
+    left to right as written above; only the order of the sum follows the
+    walk, and addition commutes in every semiring.  A chain of more than
+    |U| factors repeats a rest, which only a model that absorbs on the left
+    allows: it raises.
     """
     C, K = f.catoid, f.algebra
     if not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    add, mul, star, at = K.add, K.mul, K.star, f.at
+    add, mul, star, at, splits = K.add, K.mul, K.star, f.at, C.splits
+    longest = len(splits)
 
     def rule(i):
-        chains = C.chains(i)
-        if not chains:  # an identity
+        s, _, _ = splits[i]
+        if s == i:  # an identity
             return star(at(i))
-        acc = K.zero
-        for s, factors in chains:
-            term = star(at(s))
-            for p, t in factors:
-                term = mul(mul(term, at(p)), star(at(t)))
-            acc = add(acc, term)
+        acc, stack = K.zero, [(i, star(at(s)), 1)]
+        while stack:
+            x, term, n = stack.pop()
+            if n > longest:
+                raise C.violation("unbounded decomposition chains", i)
+            _, t, steps = splits[x]
+            acc = add(acc, mul(mul(term, at(x)), star(at(t))))  # the chain ends at x
+            for y, z in steps:  # or goes on through x in y.z
+                stack.append((z, mul(mul(term, at(y)), star(at(splits[y][1]))), n + 1))
         return acc
 
     return WeightFunction(C, K, rule=rule)

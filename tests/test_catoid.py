@@ -21,6 +21,7 @@ from convka.catoid import (
 )
 from convka.convolution import from_pairs, star_recursive, star_unfolded
 from convka.report import fmt_value
+from chains import chains, decompose_n
 
 
 def word_splits(w):
@@ -66,12 +67,13 @@ def test_interval_decompose2_midpoints():
 
 
 def test_decompose_n(words4):
-    assert words4.decompose_n("", 0) == [()]
-    assert words4.decompose_n("abc", 3) == [("a", "b", "c")]
-    assert words4.decompose_n("ab", 3) == []
+    # the tests' chain enumeration from decompose2 cuts words into parts
+    assert decompose_n(words4, "", 0) == [()]
+    assert decompose_n(words4, "abc", 3) == [("a", "b", "c")]
+    assert decompose_n(words4, "ab", 3) == []
     for w in words4.elements():
         for n in range(5):
-            assert words4.decompose_n(w, n) == sorted(splits_into_parts(w, n))
+            assert decompose_n(words4, w, n) == sorted(splits_into_parts(w, n))
 
 
 def test_length(words4, example_intervals):
@@ -130,7 +132,7 @@ def test_length_of_long_word_needs_no_recursion(unary1200):
 
 def length_oracle(C, x):
     """Oracle: the most non-identity factors in a chain decomposition of x."""
-    return max(n for n in range(len(C.elements()) + 1) if C.decompose_n(x, n))
+    return max(map(len, chains(C, x)), default=0)
 
 
 LENGTH_MODELS = (

@@ -43,6 +43,7 @@ from convka.values import (
     make_nat_inf_conway,
 )
 from relations import make_relations
+from chains import chain_sum, chains
 
 
 def brute_convolution(C, K, f, g, x):
@@ -468,73 +469,52 @@ def test_star_of_a_sparse_function_reads_no_weight_past_its_last_nonzero():
     assert max(h._vals.read) == C.index()["b"]
 
 
-def unfolded_chains(C, x):
-    """Oracle: ``decompose_n(x, n)`` for n = 1, 2, ... up to the first empty list."""
-    out = []
-    for n in itertools.count(1):
-        parts = C.decompose_n(x, n)
-        if not parts:
-            return out
-        out += parts
+def assert_unfolded_matches_chain_sum(f):
+    C, star = f.catoid, star_unfolded(f)
+    for x in C.elements():
+        assert star(x) == chain_sum(f, x), (C.name, f.algebra.name, C.format_element(x))
 
 
-def decoded_chains(C, i):
-    """``C.chains(i)`` decoded to factor tuples; each source and target id
-    must name the face of its factor."""
-    E, out = C.elements(), []
-    for s, factors in C.chains(i):
-        assert E[s] == C.source(E[factors[0][0]]), C.name
-        assert all(E[t] == C.target(E[p]) for p, t in factors), C.name
-        out.append(tuple(E[p] for p, _ in factors))
-    return out
-
-
-def assert_chains_decode_to_decompose_n(C):
-    for i, x in enumerate(C.elements()):
-        assert decoded_chains(C, i) == unfolded_chains(C, x), (C.name, C.format_element(x))
-        assert (C.chains(i) == []) == C.is_identity(x)
-        assert C.chains(i) is C.chains(i)
-
-
-def test_chains_decode_to_decompose_n():
-    # the pair groupoid is not Moebius: its identities have chains of every length
+def test_unfolded_star_matches_chain_sum(rng):
+    # natinf counts every chain, and relations multiply in order; the pair
+    # groupoid is not Moebius: its identities have chains of every length
     for C in CONVOLUTION_MODELS[:-1] + (models.free_monoid("a", 6),
                                         models.shuffle_catoid("a", 3),
                                         *models.pasting_square_2category().dims):
         assert C.moebius_report().clean, C.name
-        assert_chains_decode_to_decompose_n(C)
-    # on shuffle a tuple appears once per chain: a.b.a reaches aba as a
-    # followed by ab and as a followed by ba
+        for K in (make_nat_inf_conway(), RELATIONS):
+            assert_unfolded_matches_chain_sum(random_function(C, K, rng))
+    # on shuffle a tuple counts once per chain: a.a.b and a.b.a each reach
+    # aba twice, through ab and through ba, and b.a.a once, through aa
     C = models.shuffle_catoid("ab", 3)
-    twice = Counter(decoded_chains(C, C.index()["aba"]))
-    assert sorted(p for p, k in twice.items() if k > 1) == [("a", "a", "b"), ("a", "b", "a")]
+    letters = Counter(p for p in chains(C, "aba") if all(len(w) == 1 for w in p))
+    assert letters == {("a", "a", "b"): 2, ("a", "b", "a"): 2, ("b", "a", "a"): 1}
+    assert star_unfolded(from_pairs(C, make_nat_inf_conway(), {"a": 1, "b": 1}))("aba") == 5
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_catoids())
-def test_chains_decode_to_decompose_n_on_random_catoids(C):
-    assert_chains_decode_to_decompose_n(C)
+@given(random_catoids(), st.sampled_from((make_nat_inf_conway(), RELATIONS)), st.data())
+def test_unfolded_star_matches_chain_sum_on_random_catoids(C, K, data):
+    assert_unfolded_matches_chain_sum(drawn_function(data, C, K))
 
 
-def test_chains_refuse_a_non_moebius_model():
+def test_unfolded_star_refuses_a_non_moebius_model(natinf):
     # a pair groupoid's elements decompose into chains of every length, so
-    # listing them would never end: chains refuses at once instead
+    # walking them would never end: the unfolded star refuses at once instead
     C = models.pair_groupoid(["a", "b", "c"])
 
     def stop(signum, frame):
-        raise AssertionError("chains did not refuse within a second")
+        raise AssertionError("star_unfolded did not refuse within a second")
 
     old = signal.signal(signal.SIGALRM, stop)
     signal.setitimer(signal.ITIMER_REAL, 1)
     try:
-        for x in (("a", "a"), ("a", "b")):
-            with pytest.raises(MoebiusViolation,
-                               match=r"^pairs\(a,b,c\): model fails Moebius condition \(2\)"):
-                C.chains(C.index()[x])
+        with pytest.raises(MoebiusViolation,
+                           match=r"^pairs\(a,b,c\): model fails Moebius condition \(2\)"):
+            star_unfolded(from_pairs(C, natinf, {("a", "b"): 1}))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    assert C._chains == {}
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -81,6 +82,16 @@ def test_power_join_edge_cases(words3):
     assert functions_equal(conv_powers_sum(zero_function(words3, B)), unit)
     assert functions_equal(conv_powers_sum(unit), unit)
     assert functions_equal(star_recursive(zero_function(words3, B)), unit)
+
+
+def test_power_join_star_is_checked_against_the_recursive_star():
+    # a star that maps every weight to 0 leaves the recursive star 0 at eps,
+    # where the join of the powers of f holds f^0(eps) = 1
+    Q = three_chain_quantale()
+    rep = verify_quantale_star(models.free_monoid("ab", 2), replace(Q, star=lambda a: Q.zero),
+                               random.Random(1), samples=6)
+    assert "FAIL\tquantale.power-join-eq\twords(ab,2)\ttable*\t(0,eps,1,0)\t42" in \
+        rep.to_text().splitlines()
 
 
 def test_power_join_needs_finite_quantale(words3):
@@ -176,6 +187,16 @@ def test_unfolded_star_does_not_shrink_with_a_faulty_rows(monkeypatch):
     rep = check_kleene_convolution(models.free_monoid("ab", 4), make_min_plus(),
                                    random.Random("7:kleene:words"), 25)
     assert rep.law("conv.star-triple-agree").status == FAIL
+
+
+def test_star_induction_conclusion_is_checked():
+    # a min-plus copy whose star is constantly -1: for g = f* . h the
+    # antecedent f . g <= g still holds, but f* . g <= g fails, on each side
+    K = replace(make_min_plus(), star=lambda a: -1)
+    lines = check_kleene_convolution(models.free_monoid("ab", 2), K, random.Random(1),
+                                     6).to_text().splitlines()
+    for side in ("left", "right"):
+        assert f"FAIL\tconv.star-induct-{side}\twords(ab,2)\tminplus\t(0)\t6" in lines
 
 
 def test_campaign_all_is_clean():

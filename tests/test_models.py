@@ -224,7 +224,7 @@ def test_corrupted_interchange_detected():
 
 
 def test_models_are_freed_by_reference_counting():
-    """A model's rows and chains memos, kernel and the weight functions over it form no
+    """A model's rows memo, oracle splits, kernel and the weight functions over it form no
     reference cycle, so dropping the model frees it with the collector off."""
 
     def exercise(C):
@@ -234,7 +234,7 @@ def test_models_are_freed_by_reference_counting():
         for g in (star_recursive(f), star_dual(f), convolve(f, f)):
             for x in C.elements():
                 g(x)
-        unfolded = star_unfolded(f)  # its chains grow exponentially with length
+        unfolded = star_unfolded(f)  # it walks exponentially many chains in length
         for x in C.elements()[:12]:
             unfolded(x)
         return weakref.ref(C), weakref.ref(C.kernel())
