@@ -407,12 +407,13 @@ def _le(A, x, y):
 
 
 def _law_runner(rep, pool, rng, samples):
-    """The one law runner of a check: ``law(name, arity, pred, given)`` runs
-    ``pred`` over every tuple of the pool (rng None) or over ``samples`` random
-    tuples, but an arity-0 law once.  ``pred`` returns None or the detail of a
-    violation; tuples failing the antecedent ``given`` count as vacuous."""
+    """The law runner of ``check_value_axioms`` and ``convolution.check_kat``:
+    ``law(name, arity, *preds, given)`` reports one line of ``len(preds)`` instances
+    per tuple of the pool (rng None), of ``samples`` random tuples, or once if the
+    arity is 0.  A predicate returns None or a violation's detail, recorded after
+    the tuple; tuples failing the antecedent ``given`` count as vacuous."""
 
-    def law(name, arity, pred, given=None):
+    def law(name, arity, *preds, given=None):
         if rng is None:
             tuples = itertools.product(pool, repeat=arity)
         else:
@@ -420,11 +421,13 @@ def _law_runner(rep, pool, rng, samples):
                       for _ in range(samples if arity else 1))
         bad, count, vacuous = [], 0, 0
         for t in tuples:
-            count += 1
+            count += len(preds)
             if given is not None and not given(*t):
-                vacuous += 1
-            elif (detail := pred(*t)) is not None:
-                bad.append(t + (detail,))
+                vacuous += len(preds)
+                continue
+            for pred in preds:
+                if (detail := pred(*t)) is not None:
+                    bad.append(t + (detail,))
         rep.add(name, bad, checked=count, vacuous=vacuous)
 
     return law

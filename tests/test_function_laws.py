@@ -10,6 +10,7 @@ which sorts sets, so the lines do not depend on string hashing.
 Regenerate with ``PYTHONPATH=src python tests/test_function_laws.py``.
 """
 
+import operator
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from relations import IDENTITY, make_relations
 
 from convka import models
 from convka.catoid import TableCatoid, check_catoid_axioms
-from convka.convolution import check_conway
+from convka.convolution import check_conway, check_kat
 from convka.higher import NCatoid, NConvolution, check_interchange, check_n_axioms, \
     check_n_catoid
 from convka.lab import appendix_b_model, check_kleene_convolution, negative_control_dioid
@@ -69,6 +70,28 @@ def non_closed_faces():
     return NCatoid("non-closed", (dim0, dim1))
 
 
+def dom_as_itself():
+    """Relations whose dimension-0 dom keeps the relation itself, so D-_0(f)
+    need not lie below its own square in dimension 1, and whose dimension-0
+    product lets 0 act as a left unit, so a term with a zero left factor adds
+    its right factor."""
+    R = make_relations()
+    return relations_nd(2, dom=lambda r: r, mul=lambda r, s: R.mul(r, s) if r else s)
+
+
+def wrong_booleans():
+    """(label, algebra) for boolean copies that break the tests' Boolean
+    algebra.  mul-xor, mul-or and one-zero fail every kat line that an
+    algebra can fail; add-and, add-left and mul-left fail the predicates
+    they leave passing, such as commutativity and the bounds of the addition,
+    so that each predicate that an algebra can fail has a witness here."""
+    B = make_boolean()
+    for label, ops in (("mul-xor", {"mul": operator.xor}), ("mul-or", {"mul": operator.or_}),
+                       ("one-zero", {"one": 0}), ("add-and", {"add": operator.and_}),
+                       ("add-left", {"add": lambda a, b: a}), ("mul-left", {"mul": lambda a, b: a})):
+        yield label, replace(B, name=f"boolean-{label}", **ops)
+
+
 def function_law_reports():
     """(case, report) for each pinned checker run, each with its own seeded rng."""
     R = make_relations()
@@ -100,6 +123,17 @@ def function_law_reports():
     yield "modal-bracket", check_modal(words3, make_boolean(), "bracket", rng(1), samples=6)
     yield "modal-control", check_modal(models.path_catoid(models.two_edge_path_graph(), 4),
                                        negative_control_dioid(), "hat", rng(1), samples=6)
+    guarded = models.guarded_string_catoid(["t0", "t1"], ["p", "q"], 2)
+    for label, K in wrong_booleans():
+        yield f"kat-{label}", check_kat(guarded, K, rng(1), samples=6)
+    for label, broken in (("dom-identity", {"dom": lambda r: IDENTITY}),  # D(0) != 0
+                          ("cod-itself", {"cod": lambda r: r}),  # no subidentity
+                          ("dom-forgets-full",  # not additive: dom(a + b) != dom(a) + dom(b)
+                           {"dom": lambda r: 0 if r == 15 else R.dom(r)})):
+        K = replace(R, name=f"relations2-{label}", **broken)
+        yield "modal-hat", check_modal(diamond, K, "hat", rng(1), samples=6)
+    yield "nconv-dom-as-itself", check_n_axioms(NConvolution(square, dom_as_itself()), rng(1),
+                                                samples=6)
 
 
 def function_law_lines():

@@ -17,8 +17,8 @@ from convka.lab import (
 )
 from convka.cli import main
 from convka.report import FAIL, INFO, PASS, XFAIL, Report
-from convka.values import CapabilityError, check_value_axioms, make_boolean, \
-    make_min_plus
+from convka.values import CapabilityError, check_value_axioms, load_finite_algebra, \
+    make_boolean, make_min_plus
 
 
 def test_verify_independence_confirms_claimed_witnesses():
@@ -44,6 +44,20 @@ def test_verify_independence_reports_deviations_as_diffs():
     for which in (1, 2):
         match = rep.law(f"independence.model{which}.pattern-match")
         assert match.status == INFO and "unexpected" in match.note
+
+
+def test_verify_independence_reports_a_claimed_failure_that_passes(monkeypatch):
+    # model 2 also claims a law its tables satisfy: its confirmation fails,
+    # and a diff line says that the law passes
+    claimed = dict(lab._CLAIMED[2], failing={"nsr.closure-cod[0<1]", "sr.add-comm[0]"})
+    monkeypatch.setitem(lab._CLAIMED, 2, claimed)
+    rep = verify_independence()
+    diff = rep.law("independence.model2.diff.sr.add-comm[0]")
+    assert (diff.status, diff.witnesses, diff.note) == \
+        (INFO, [], "deviation: passes but claimed failing (table kept as printed)")
+    match = rep.law("independence.model2.pattern-match")
+    assert match.note == "1 unexpected failures, 1 unexpected passes"
+    assert not rep.clean
 
 
 def test_tables_never_repaired():
@@ -92,6 +106,17 @@ def test_power_join_star_is_checked_against_the_recursive_star():
                                random.Random(1), samples=6)
     assert "FAIL\tquantale.power-join-eq\twords(ab,2)\ttable*\t(0,eps,1,0)\t42" in \
         rep.to_text().splitlines()
+
+
+def test_power_decomposition_is_checked():
+    # 1 is a unit on the right only (1.T = 1): where f(x) = T, the term
+    # f^0(s(x)).f(x).f^0(t(x)) of the decomposition of f^1(x) reads 1
+    Q = load_finite_algebra("carrier: 0 1 T\norder: 0 < 1 < T\n"
+                            "mul:\n0 0 0\n0 1 1\n0 T T\none: 1\n").with_quantale_star()
+    rep = verify_quantale_star(models.free_monoid("a", 3), Q, random.Random(1), samples=6)
+    assert "FAIL\tquantale.power-decomposition\twords(a,3)\ttable*\t(1,1,a,1,T)\t36" in \
+        rep.to_text().splitlines()
+    assert len(rep.law("quantale.power-decomposition").witnesses) == 14
 
 
 def test_power_join_needs_finite_quantale(words3):
