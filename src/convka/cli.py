@@ -145,6 +145,9 @@ def _matrix_rows(labels, M):
 
 
 def cmd_star(args) -> int:
+    if args.star == "matrix" and args.model != "graph":
+        _err("--star matrix needs --model graph")
+        return 2
     K = ALGEBRAS[args.algebra]()
     try:
         C, f, graph = _build_model_and_weights(args, K)
@@ -155,9 +158,6 @@ def cmd_star(args) -> int:
     forms = {"recursive": star_recursive, "dual": star_dual, "unfolded": star_unfolded}
     try:
         if args.star == "matrix":
-            if args.model != "graph":
-                _err("--star matrix needs --model graph")
-                return 2
             labels, E = edge_weight_matrix(graph, K)
             fs, M = None, matrix_star(K, E)
             rows = list(_matrix_rows(labels, M))

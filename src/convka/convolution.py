@@ -417,7 +417,7 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
 
     in_bracket = [P for P in subsets if is_in_bracket(chi[P])]  # in the order of subsets
     trivial = in_bracket == [frozenset(), frozenset(ids)]
-    bad = [] if trivial else [tuple(sorted(map(str, P)) for P in in_bracket)]
+    bad = [] if trivial else [tuple(sorted(map(C.format_element, P)) for P in in_bracket)]
     rep.add("kat.bracket-tests-trivial", bad, checked=len(subsets), note="K[C] tests = {0, id0}")
     return rep
 

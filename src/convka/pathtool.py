@@ -15,6 +15,7 @@ by tests and by --check-oracles.
 from __future__ import annotations
 
 import operator
+import re
 from functools import reduce
 
 from .catoid import Catoid
@@ -175,16 +176,22 @@ def _lines(text):
             yield lineno, line
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_weight_token(tok: str):
-    """An integer, ``inf`` or ``-inf``; ``validate_weight`` checks the carrier."""
+    """An integer of ASCII digits with an optional sign, ``inf`` or ``-inf``;
+    ``validate_weight`` checks the carrier."""
     if tok == "inf":
         return INF
     if tok == "-inf":
         return NEG_INF
     try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"bad weight token {tok!r}")
+        if _INTEGER.fullmatch(tok):  # int() alone also reads 1_0 and non-ASCII digits
+            return int(tok)
+    except ValueError:  # past int()'s limit on digits
+        pass
+    raise ParseError(f"bad weight token {tok!r}")
 
 
 def validate_weight(K: ValueAlgebra, w):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -47,17 +48,34 @@ def test_verify_independence_reports_deviations_as_diffs():
 
 
 def test_verify_independence_reports_a_claimed_failure_that_passes(monkeypatch):
-    # model 2 also claims a law its tables satisfy: its confirmation fails,
-    # and a diff line says that the law passes
-    claimed = dict(lab._CLAIMED[2], failing={"nsr.closure-cod[0<1]", "sr.add-comm[0]"})
-    monkeypatch.setitem(lab._CLAIMED, 2, claimed)
+    # model 2 also claims a law its tables satisfy: that law's confirmation
+    # fails with no witness, and a diff line says that the law passes
+    failing, witness = lab._CLAIMED[2]
+    monkeypatch.setitem(lab._CLAIMED, 2, ({*failing, "sr.add-comm[0]"}, witness))
     rep = verify_independence()
+    confirms = [e for e in rep.entries if e.law.startswith("independence.model2.confirm-")]
+    assert [(e.law, e.status, e.witnesses) for e in confirms] == [
+        ("independence.model2.confirm-closure-cod", PASS, [witness]),
+        ("independence.model2.confirm-add-comm", FAIL, []),
+    ]
     diff = rep.law("independence.model2.diff.sr.add-comm[0]")
     assert (diff.status, diff.witnesses, diff.note) == \
         (INFO, [], "deviation: passes but claimed failing (table kept as printed)")
     match = rep.law("independence.model2.pattern-match")
     assert match.note == "1 unexpected failures, 1 unexpected passes"
     assert not rep.clean
+
+
+def test_verify_independence_needs_the_claimed_witness_itself(monkeypatch):
+    # the law fails, and its checker reports the values (1_1, b), but never
+    # (b, 1_1): a claim with the values swapped is not confirmed
+    failing, (x, y, (d, v)) = lab._CLAIMED[2]
+    monkeypatch.setitem(lab._CLAIMED, 2, (failing, (x, y, (v, d))))
+    rep = verify_independence()
+    confirm = rep.law("independence.model2.confirm-closure-cod")
+    assert (confirm.status, confirm.witnesses, confirm.note) == (FAIL, [], "d_1 value b vs 1_1")
+    assert rep.law("independence.model1.confirm-closure-cod").status == PASS
+    assert rep.failed_laws() == {"independence.model2.confirm-closure-cod"}
 
 
 def test_tables_never_repaired():
@@ -235,9 +253,16 @@ def test_every_campaign_line_fails_exactly_when_it_has_witnesses(seed):
     # confirmed independence failure passes while showing its witness
     rep = run_campaign("all", seed, 25)
     lines = [e for e in rep.entries if e.status not in (XFAIL, INFO)
-             and not (e.law.startswith("independence.") and ".confirm-closure-" in e.law)]
+             and not (e.law.startswith("independence.") and ".confirm-" in e.law)]
     assert len(lines) > 250
     assert [e.law for e in lines if (e.status == FAIL) != bool(e.witnesses)] == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_campaign_line_repeats_its_name(seed):
+    # law, model and algebra name a line; two lines of one name read as one
+    keys = Counter((e.law, e.model, e.algebra) for e in run_campaign("all", seed, 25).entries)
+    assert [k for k, n in keys.items() if n > 1] == []
 
 
 def test_report_text_format():

@@ -3,6 +3,7 @@ import functools
 import io
 import os
 import random
+import signal
 import subprocess
 import sys
 import warnings
@@ -24,12 +25,13 @@ from convka.pathtool import (
     matrix_star,
     parse_graph,
     parse_poset,
+    parse_weight_token,
     parse_weights,
     validate_weight,
     warshall_closure,
 )
-from convka.values import (CapabilityError, INF, make_boolean, make_max_plus, make_min_plus,
-                           make_nat_inf_conway)
+from convka.values import (CapabilityError, INF, NEG_INF, make_boolean, make_max_plus,
+                           make_min_plus, make_nat_inf_conway)
 from relations import make_relations
 
 
@@ -150,6 +152,18 @@ def test_parse_graph_reads_weight_tokens_like_the_other_parsers():
     assert parse_graph("a b x inf\n").edges == (("x", "a", "b", INF),)
     with pytest.raises(ParseError, match="line 1: bad weight token '1.5'"):
         parse_graph("a b x 1.5\n")
+    with pytest.raises(ParseError, match=r"^line 1: bad weight token '1_0'$"):
+        parse_graph("a b x 1_0\n")
+
+
+@pytest.mark.parametrize("tok", ["1_0", "\u0663", "1 ", "1" * 5000])
+def test_parse_weight_token_reads_only_ascii_integers(tok):
+    # int() reads 1_0 as 10, the Arabic-Indic digit three as 3 and "1 " as 1,
+    # and past 4300 digits it raises a ValueError of its own
+    with pytest.raises(ParseError, match=r"^bad weight token "):
+        parse_weight_token(tok)
+    assert [parse_weight_token(t) for t in ("7", "+7", "-7", "007", "inf", "-inf")] == \
+        [7, 7, -7, 7, INF, NEG_INF]
 
 
 def test_parse_poset():
@@ -515,12 +529,23 @@ def test_cli_poset_rejects_self_cover(tmp_path, capsys):
 
 
 def test_cli_matrix_requires_graph(tmp_path, capsys):
+    # the usage error comes before the model: words up to length 40 over two
+    # letters would be 2^41 elements
     p = tmp_path / "w.txt"
-    p.write_text("a 1\n")
-    code = main(["star", "--model", "words", "--algebra", "boolean",
-                 "--star", "matrix", "--weights", str(p)])
-    assert code == 2
-    assert "matrix" in capsys.readouterr().err
+    p.write_text("a 1\nb 2\n")
+
+    def stop(signum, frame):
+        raise AssertionError("the usage error took more than a second")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        code = main(["star", "--model", "words", "--algebra", "boolean", "--star", "matrix",
+                     "--max-length", "40", "--weights", str(p)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, capsys.readouterr()) == (2, ("", "pathtool: --star matrix needs --model graph\n"))
 
 
 @pytest.mark.parametrize("model,text,extra,message", [
