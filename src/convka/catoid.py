@@ -9,9 +9,9 @@ catoid set it to True.
 
 Models are immutable after construction.  A model states its compose, faces
 and elements; ``Catoid`` derives everything else from them on first use, as
-cached properties (``derived``): ids, faces, the decomposition, row and
-length memos, the unfolded oracle's table of splits, the Moebius report, the
-kernel and whether rows run by right id.
+cached properties (``derived``): ids, faces, the decomposition, row, row
+pair and length memos, the unfolded oracle's table of splits, the Moebius
+report, the kernel and whether rows run by right id.
 These are pure functions of the model, so concurrent readers are safe.
 Lengths, the Moebius conditions on decompositions, convolution and the star
 engine read id rows (``Catoid.rows``), the unfolded oracle its own splits
@@ -184,6 +184,11 @@ class Catoid:
             pairs, index = self.decompose2(self.elements()[i]), self.index()
             row = self._rows[i] = [index[y] for y, _ in pairs], [index[z] for _, z in pairs]
         return row
+
+    @derived
+    def row_pairs(self) -> list:
+        """Per id, its ``rows`` as (left, right) id tuples, built by the first whole convolution."""
+        return [list(zip(*self.rows(i))) for i in range(len(self.elements()))]
 
     @derived
     def splits(self) -> list:

@@ -28,7 +28,7 @@ from .pathtool import (
     matrix_star,
     parse_graph,
     parse_poset,
-    parse_weight_token,
+    parse_weight_token,  # unused here; bench/tracing.py wraps each cli.parse_* by name
     parse_weights,
     validate_weight,
     warshall_closure,
@@ -95,26 +95,26 @@ def _build_model_and_weights(args, K):
         return C, f, graph
 
     if args.model == "poset":
-        spec, weight_toks = parse_poset(text)
+        spec, weights = parse_poset(text)
         C = models.interval_catoid(spec)
         table = {}
-        for (a, b), tok in weight_toks.items():
+        for (a, b), w in weights.items():
             if (a, b) not in C:
                 raise ParseError(f"interval {a},{b} not in the interval set")
-            table[(a, b)] = validate_weight(K, parse_weight_token(tok))
+            table[(a, b)] = validate_weight(K, w)
         f = from_pairs(C, K, table)
         return C, f, None
 
-    weight_toks = parse_weights(text)
+    weights = parse_weights(text)
     if args.model in ("words", "shuffle"):
-        letters = sorted({ch for tok in weight_toks if tok != "eps" for ch in tok})
+        letters = sorted({ch for tok in weights if tok != "eps" for ch in tok})
         if not letters:
             raise ParseError("cannot infer an alphabet from the weight file")
         ctor = models.free_monoid if args.model == "words" else models.shuffle_catoid
         C = ctor(letters, max_len)
     elif args.model == "guarded":
         tests, actions = set(), set()
-        for tok in weight_toks:
+        for tok in weights:
             parts = tok.split(".")
             tests.update(parts[0::2])
             actions.update(parts[1::2])
@@ -124,17 +124,17 @@ def _build_model_and_weights(args, K):
             actions = {"act"}
         C = models.guarded_string_catoid(tests, actions, max_len)
     else:  # pairs; argparse's choices admit no other model
-        points = {p for tok in weight_toks for p in tok.split(",")}
+        points = {p for tok in weights for p in tok.split(",")}
         if not points:
             raise ParseError("cannot infer a point set from the weight file")
         C = models.pair_groupoid(points)
 
     table = {}
-    for tok, wtok in weight_toks.items():
+    for tok, w in weights.items():
         x = _decode_element(args.model, tok)
         if x not in C:
             raise ParseError(f"element {tok!r} is outside the model universe")
-        table[x] = validate_weight(K, parse_weight_token(wtok))
+        table[x] = validate_weight(K, w)
     return C, from_pairs(C, K, table), None
 
 

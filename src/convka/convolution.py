@@ -12,8 +12,8 @@ yields the ids of the star values it lacks, and ``catoid.settle`` advances
 the top frame of a stack, so frames never nest and element length is not
 bounded by Python's recursion limit.  Terms with f-factor 0 are skipped only
 when the algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve
-skips them under the same condition.  When in addition f is given by its values, with
-no rule, as every function built from weights is, the engine finds f's last
+skips them under the same condition.  When in addition f has no rule, as every
+function built from weights or read whole has not, the engine finds f's last
 nonzero id once per star and reads only the factors below it: the prefix of
 ``Catoid.rows`` in the left and path forms, whose left ids never decrease,
 and in the dual form the suffix of the row where the model's rows run by
@@ -28,9 +28,12 @@ star_unfolded, the direct sum over all n-fold non-identity decompositions,
 stays separate as the trusted oracle and sums every term.
 
 Weight functions memoise their values in lists indexed by element id, safe
-to share between readers since the rules are pure.  Convolve, the engine and
-the comparisons run on ids and ``Catoid.rows``, reading a factor's list
-directly and calling ``at`` only on a miss; ``f(x)`` looks x's id up.
+to share between readers since the rules are pure.  Convolve and the engine
+run on ids and ``Catoid.rows``, reading a factor's list directly and calling
+``at`` only on a miss; ``f(x)`` looks x's id up.  ``values()`` fills every
+missing value in one pass over ids by the point rule's steps: a convolution
+over ``Catoid.row_pairs`` and its filled inputs, a sum by one ``map``, a star
+in id order.  Whole comparisons, the hat and ``support`` read it.
 """
 
 from __future__ import annotations
@@ -51,14 +54,19 @@ class WeightFunction:
     The value at id i is ``rule(i)``, or ``vals[i]`` where ``vals`` is given;
     ``vals`` is kept, not copied.  Values are kept by element id, where None
     marks one not yet computed; ``at(i)`` reads and fills the value at id i.
+    ``values()`` reads them all: ``fill(vals)``, by default the rule in id
+    order, sets every missing value, and then the rule and fill go.  A fill
+    gives the rule's values and must not hold its function, which would
+    then wait for the cycle collector.
     """
 
-    __slots__ = ("catoid", "algebra", "_rule", "_vals", "_index")
+    __slots__ = ("catoid", "algebra", "_rule", "_vals", "_index", "_fill")
 
-    def __init__(self, catoid: Catoid, algebra: ValueAlgebra, *, rule=None, vals=None):
+    def __init__(self, catoid: Catoid, algebra: ValueAlgebra, *, rule=None, vals=None,
+                 fill=None):
         if rule is None and vals is None:
             raise TypeError("WeightFunction needs a rule on ids or a values list")
-        self.catoid, self.algebra, self._rule = catoid, algebra, rule
+        self.catoid, self.algebra, self._rule, self._fill = catoid, algebra, rule, fill
         self._index = catoid.index()
         self._vals = [None] * len(self._index) if vals is None else vals
 
@@ -71,15 +79,26 @@ class WeightFunction:
     def __call__(self, x):
         return self.at(self._index[x])
 
+    def values(self) -> list:
+        """Every value by id, the missing ones filled in one pass; not a copy."""
+        vals = self._vals
+        if self._rule is not None and self._fill is not None:
+            self._fill(vals)
+        elif self._rule is not None:  # at(i) runs the rule at each missing id, in id order
+            vals[:] = map(self.at, range(len(vals)))
+        self._rule = self._fill = None  # without a rule, every value is known
+        return vals
+
     def over(self, catoid: Catoid, algebra: ValueAlgebra) -> "WeightFunction":
         """The same map read over another catoid and algebra on the same
         elements, in the same order, and weights, such as one dimension of an
-        n-catoid; the view shares this function's rule and values."""
-        return WeightFunction(catoid, algebra, rule=self._rule, vals=self._vals)
+        n-catoid; the view shares this function's rule, fill and values."""
+        return WeightFunction(catoid, algebra, rule=self._rule, vals=self._vals,
+                              fill=self._fill)
 
     def support(self) -> list:
-        at, zero = self.at, self.algebra.zero
-        return [x for i, x in enumerate(self.catoid.elements()) if at(i) != zero]
+        zero = self.algebra.zero
+        return [x for x, v in zip(self.catoid.elements(), self.values()) if v != zero]
 
     def __repr__(self):
         return f"<WeightFunction {self.catoid.name} -> {self.algebra.name}>"
@@ -119,7 +138,11 @@ def conv_add(f, g) -> WeightFunction:
     """Pointwise sum."""
     _check_same(f, g)
     add, f_at, g_at = f.algebra.add, f.at, g.at
-    return WeightFunction(f.catoid, f.algebra, rule=lambda i: add(f_at(i), g_at(i)))
+
+    def fill(vals):
+        vals[:] = map(add, f.values(), g.values())
+
+    return WeightFunction(f.catoid, f.algebra, rule=lambda i: add(f_at(i), g_at(i)), fill=fill)
 
 
 def convolve(f, g) -> WeightFunction:
@@ -147,7 +170,22 @@ def convolve(f, g) -> WeightFunction:
                 break
         return acc
 
-    return WeightFunction(C, K, rule=rule)
+    def fill(vals):  # the rule's sum at each missing id, over whole inputs
+        fv, gv = f.values(), g.values()
+        for x, terms in enumerate(C.row_pairs):
+            if vals[x] is not None:
+                continue
+            acc = zero
+            for y, z in terms:
+                u = fv[y]
+                if skip_zero and u == zero:
+                    continue
+                acc = add(acc, mul(u, gv[z]))
+                if acc == top:
+                    break
+            vals[x] = acc
+
+    return WeightFunction(C, K, rule=rule, fill=fill)
 
 
 def _star_engine(f, side: str) -> WeightFunction:
@@ -298,23 +336,19 @@ def star_path(f) -> WeightFunction:
     return _star_engine(f, "path")
 
 
-def _ids(f, universe):
-    """The ids of ``universe``, by default all of f's catoid."""
-    return range(len(f._vals)) if universe is None else map(f._index.__getitem__, universe)
-
-
 def functions_equal(f, g, universe=None) -> bool:
     return first_difference(f, g, universe) is None
 
 
 def function_leq(f, g) -> bool:
-    f_at, g_at, leq = f.at, g.at, f.algebra.leq
-    return all(leq(f_at(i), g_at(i)) for i in range(len(f._vals)))
+    return all(map(f.algebra.leq, f.values(), g.values()))
 
 
 def first_difference(f, g, universe=None):
+    if universe is None and f.values() == g.values():  # the whole lists, compared at once
+        return None
     f_at, g_at = f.at, g.at
-    for i in _ids(f, universe):
+    for i in range(len(f._vals)) if universe is None else map(f._index.__getitem__, universe):
         if f_at(i) != g_at(i):
             return (f.catoid.elements()[i], f_at(i), g_at(i))
     return None

@@ -205,8 +205,8 @@ def _interchange_failure(bundle, i, j, rng):
     f, g, h, k = (bundle.random_function(rng) for _ in range(4))
     lhs = bundle.mul(i, bundle.mul(j, f, g), bundle.mul(j, h, k))
     rhs = bundle.mul(j, bundle.mul(i, f, h), bundle.mul(i, g, k))
-    return next(((x, lhs(x), rhs(x)) for x in bundle.nc.elements()
-                 if not lhs.algebra.leq(lhs(x), rhs(x))), None)
+    return next(((x, a, b) for x, a, b in zip(bundle.nc.elements(), lhs.values(), rhs.values())
+                 if not lhs.algebra.leq(a, b)), None)
 
 
 def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
@@ -288,8 +288,8 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
         bad = []
         vj = bundle.views[j]
         for k, df in enumerate(lifts[i]["dom"]):
-            for x in U:
-                if not leq(df(x), vj.mul(df(x), df(x))):
+            for x, w in zip(U, df.values()):
+                if not leq(w, vj.mul(w, w)):
                     bad.append((k, nc.dims[0].format_element(x)))
                     break
         rep.add(f"nconv.dom-idem-leq[{i}<{j}]", bad,
@@ -298,12 +298,12 @@ def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
     for i in range(nc.n):
         bad = []
         Ci = nc.dims[i]
-        vi = bundle.views[i]
+        vi, src = bundle.views[i], Ci.faces()[0]
         for k, (a, b) in enumerate(pairs):
             df, g = lifts[i]["dom"][a], fs[b]
-            lhs = bundle.mul(i, df, g)
-            for x in U:
-                if lhs(x) != vi.mul(df(Ci.source(x)), g(x)):
+            lhs, dv = bundle.mul(i, df, g).values(), df.values()
+            for x, s, v, w in zip(U, src, lhs, g.values()):
+                if v != vi.mul(dv[s], w):
                     bad.append((k, Ci.format_element(x)))
                     break
         rep.add(f"nconv.dom-product[{i}]", bad, checked=len(pairs),

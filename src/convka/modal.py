@@ -49,9 +49,9 @@ def _hat(f, take_source: bool) -> WeightFunction:
     _refuse_hat(C, K)
     src, tgt, _ = C.faces()
     anchor, lift = (src, K.dom) if take_source else (tgt, K.cod)
-    vals, at = [K.zero] * len(anchor), f.at
-    for y, e in enumerate(anchor):
-        vals[e] = K.add(vals[e], lift(at(y)))
+    vals = [K.zero] * len(anchor)
+    for w, e in zip(f.values(), anchor):
+        vals[e] = K.add(vals[e], lift(w))
     return WeightFunction(C, K, vals=vals)
 
 

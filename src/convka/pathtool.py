@@ -207,6 +207,14 @@ def validate_weight(K: ValueAlgebra, w):
     return w
 
 
+def _line_weight(lineno, tok):
+    """``parse_weight_token`` of a token on line ``lineno``, whose refusal names the line."""
+    try:
+        return parse_weight_token(tok)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def parse_graph(text: str):
     """Graph file: optional ``vertex v`` lines; edges ``src dst name weight``."""
     vertices = []
@@ -226,10 +234,7 @@ def parse_graph(text: str):
         if name in names:
             raise ParseError(f"line {lineno}: duplicate edge {name}")
         names.add(name)
-        try:
-            w = parse_weight_token(wtok)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}")
+        w = _line_weight(lineno, wtok)
         for v in (src, dst):
             if v not in vertices:
                 vertices.append(v)
@@ -255,7 +260,7 @@ def parse_poset(text: str):
                 if v not in vertices:
                     vertices.append(v)
         elif len(parts) == 3:
-            weights[(parts[0], parts[1])] = parts[2]
+            weights[(parts[0], parts[1])] = _line_weight(lineno, parts[2])
         elif len(parts) == 1:
             if parts[0] not in vertices:
                 vertices.append(parts[0])
@@ -280,5 +285,5 @@ def parse_weights(text: str):
         key = parts[0]
         if key in out:
             raise ParseError(f"line {lineno}: duplicate element {key}")
-        out[key] = parts[1]
+        out[key] = _line_weight(lineno, parts[1])
     return out

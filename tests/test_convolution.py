@@ -1,4 +1,5 @@
 import itertools
+import random
 import signal
 import sys
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convka import models
-from convka.catoid import MoebiusViolation
+from convka.catoid import MoebiusViolation, TableCatoid
 from convka.cli import main
 from convka.convolution import (
     WeightFunction,
@@ -16,6 +17,7 @@ from convka.convolution import (
     check_kat,
     conv_add,
     convolve,
+    first_difference,
     from_pairs,
     function_leq,
     functions_equal,
@@ -33,11 +35,13 @@ from convka.convolution import (
     zero_function,
 )
 from convka.convolution import test_complement as complement_of
+from convka.higher import NConvolution
 from convka.values import (
     CapabilityError,
     INF,
     ValueAlgebra,
     make_boolean,
+    make_boolean_nd,
     make_max_plus,
     make_min_plus,
     make_nat_inf_conway,
@@ -316,6 +320,93 @@ def skewed_algebra():
     return ValueAlgebra(name="skew3", add=max, mul=lambda a, b: (2 * a + b) % 3,
                         zero=0, one=1, star={0: 1, 1: 2, 2: 2}.__getitem__,
                         carrier=(0, 1, 2))
+
+
+def logged_algebra(K, log):
+    """K whose add, mul and star append (name, arguments) to ``log`` before
+    they run; the log starts after the algebra's own decisions over its pool."""
+
+    def logged(name, op):
+        def run(*args):
+            log.append((name, *args))
+            return op(*args)
+        return run
+
+    L = replace(K, **{name: logged(name, getattr(K, name)) for name in ("add", "mul", "star")})
+    L.zero_absorbs, L.add_top, L.idempotent_add
+    log.clear()
+    return L
+
+
+# each whole function read from drawn weights f, g and a K[C] function b
+FILLED = {
+    "convolve": lambda f, g, b: convolve(f, g),
+    "conv_add": lambda f, g, b: conv_add(f, g),
+    "star_recursive": lambda f, g, b: star_recursive(f),
+    "star_dual": lambda f, g, b: star_dual(f),
+    "star_path": lambda f, g, b: star_path(b),
+    "star_unfolded": lambda f, g, b: star_unfolded(f),
+    "view": lambda f, g, b: convolve(g, f).over(f.catoid, f.algebra),
+}
+
+
+def reference_difference(f, g):
+    return next(((x, f(x), g(x)) for x in f.catoid.elements() if f(x) != g(x)), None)
+
+
+# a fill must run the point rule's operations in the same order: the same
+# pairs in row order, zero skip, additive-top stop and product order
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(SMALL_MODELS), random_catoids()),
+       st.sampled_from(STOCK_ALGEBRAS + (RELATIONS, skewed_algebra())), st.data())
+def test_values_fill_as_the_point_rules_do(C, K, data):
+    log = []
+    L = logged_algebra(K, log)
+    f, g, b = drawn_function(data, C, L), drawn_function(data, C, L), \
+        drawn_function(data, C, L, bracket=True)
+    n = len(C.elements())
+    for name, build in FILLED.items():
+        point, whole = build(f, g, b), build(f, g, b)
+        log.clear()
+        expected = [point.at(i) for i in range(n)]
+        point_ops = log[:]
+        log.clear()
+        assert whole.values() == expected, (name, C.name, K.name)
+        assert log == point_ops, (name, C.name, K.name)
+        assert whole.values() is whole._vals and None not in whole._vals
+        part = build(f, g, b)  # a fill keeps the values point queries left
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            part.at(i)
+        assert part.values() == expected, (name, C.name, K.name)
+
+    def compared():  # fresh pairs, so that the references read their own copies
+        return [(convolve(f, g), convolve(g, f)), (star_recursive(f), star_dual(f)),
+                (conv_add(f, g), conv_add(g, f)), (f, g), (convolve(f, f), f),
+                (FILLED["view"](f, g, b), convolve(f, g))]
+
+    for (u, v), (u2, v2) in zip(compared(), compared()):
+        assert first_difference(u, v) == reference_difference(u2, v2)
+        assert functions_equal(u, v) == (reference_difference(u2, v2) is None)
+        if K.idempotent_add:
+            assert function_leq(u, v) == all(L.leq(u2(x), v2(x)) for x in C.elements())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("shuffle-concat", "square")), st.integers(0, 10 ** 6))
+def test_values_of_an_n_convolution_view(kind, seed):
+    nc = (models.shuffle_concat_2catoid("ab", 3) if kind == "shuffle-concat"
+          else models.pasting_square_2category())
+    bundle = NConvolution(nc, make_boolean_nd(2))
+    rng = random.Random(seed)
+    f, g = bundle.random_function(rng), bundle.random_function(rng)
+    n = len(nc.elements())
+    for i, j in itertools.product(range(2), repeat=2):
+        for build in (lambda: bundle.mul(i, f, g), lambda: bundle.add(f, g),
+                      lambda: bundle.star(i, f)):
+            h, fresh = build(), build()
+            view = bundle._over(j, h)
+            assert view.values() == [fresh.at(k) for k in range(n)]
+            assert h._vals is view._vals and None not in h._vals
 
 
 def unskipped_star(f, side):
@@ -619,6 +710,31 @@ def test_unary_stars_read_closed_form_rows():
     C.decompose2 = refuse
     assert star_recursive(f)("a" * 800) == star_dual(f)("a" * 800) == 266 * 5 + 2 * 2
     assert C._rows == {}
+
+
+def test_point_queries_build_no_pair_table():
+    # the point mix of the library session: its one-letter rows stay closed
+    # forms, and only a whole convolution builds the model's pair table
+    C = models.free_monoid("a", 1000)
+    C.require_moebius()
+    f = from_pairs(C, make_min_plus(), {"a": 2, "aaa": 5})
+    a = "a" * 300
+    assert (star_recursive(f)(a), star_dual(f)(a), convolve(f, f)(a)) == (500, 500, INF)
+    assert "row_pairs" not in vars(C) and C._rows == {}
+    convolve(f, f).values()
+    assert len(C.row_pairs[300]) == 301
+
+
+def test_whole_reads_of_a_cycling_star_raise_at_its_cycle(boolean):
+    # the left-absorbing table of test_catoid: the star's fill settles ids in
+    # id order and meets the cycle at x, as a point query does
+    U = ["e", "w", "x"]
+    C = TableCatoid("leftabs", U, {("w", "x"): ["x"]}, dict.fromkeys(U, "e"),
+                    dict.fromkeys(U, "e"))
+    f = from_pairs(C, boolean, {"w": 1, "x": 1})
+    for compare in (functions_equal, first_difference, function_leq):
+        with pytest.raises(MoebiusViolation, match=r"^leftabs: star recursion cycles at x$"):
+            compare(star_recursive(f), f)
 
 
 def test_star_requires_moebius(boolean, rng):

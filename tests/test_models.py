@@ -7,8 +7,8 @@ import pytest
 
 from convka import models
 from convka.catoid import check_catoid_axioms, check_moebius
-from convka.convolution import convolve, random_function, star_dual, star_recursive, \
-    star_unfolded
+from convka.convolution import conv_add, convolve, random_function, star_dual, star_path, \
+    star_recursive, star_unfolded
 from convka.higher import check_n_catoid
 from convka.values import make_min_plus
 
@@ -224,19 +224,26 @@ def test_corrupted_interchange_detected():
 
 
 def test_models_are_freed_by_reference_counting():
-    """A model's rows memo, oracle splits, kernel and the weight functions over it form no
-    reference cycle, so dropping the model frees it with the collector off."""
+    """A model's rows memo, pair table, oracle splits, kernel and the weight functions over
+    it, read point by point or whole, form no reference cycle, so dropping the model frees
+    it with the collector off."""
 
     def exercise(C):
         check_catoid_axioms(C)
         C.require_moebius()
-        f = random_function(C, make_min_plus(), random.Random(3))
+        K, rng = make_min_plus(), random.Random(3)
+        f, b = random_function(C, K, rng), random_function(C, K, rng, bracket=True)
         for g in (star_recursive(f), star_dual(f), convolve(f, f)):
             for x in C.elements():
                 g(x)
+        for g in (star_recursive(f), star_dual(f), star_path(b), convolve(f, f),
+                  conv_add(f, f), convolve(f, f).over(C, K)):
+            g.values()
         unfolded = star_unfolded(f)  # it walks exponentially many chains in length
         for x in C.elements()[:12]:
             unfolded(x)
+        if len(C.elements()) <= 40:
+            star_unfolded(f).values()
         return weakref.ref(C), weakref.ref(C.kernel())
 
     was_enabled = gc.isenabled()

@@ -169,7 +169,7 @@ def test_parse_weight_token_reads_only_ascii_integers(tok):
 def test_parse_poset():
     spec, weights = parse_poset("a < b\nb < c\na c 7\n")
     assert ("a", "b") in spec.covers
-    assert weights[("a", "c")] == "7"
+    assert weights[("a", "c")] == 7
     with pytest.raises(ParseError, match="cyclic"):
         parse_poset("a < b\nb < a\n")
     with pytest.raises(ParseError, match="duplicate"):
@@ -177,12 +177,22 @@ def test_parse_poset():
 
 
 def test_parse_weights():
-    w = parse_weights("eps 0\nab 4\n")
-    assert w == {"eps": "0", "ab": "4"}
+    w = parse_weights("eps 0\nab 4\nb inf\n")
+    assert w == {"eps": 0, "ab": 4, "b": INF}
     with pytest.raises(ParseError, match="duplicate"):
         parse_weights("a 1\na 2\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_weights("a\n")
+
+
+@pytest.mark.parametrize("model, text", [("words", "a 1\nb 1_0\n"),
+                                         ("poset", "a < b\na b 1_0\n")])
+def test_cli_names_the_line_of_a_bad_weight_token(model, text, tmp_path, capsys):
+    # each parser reads a weight on its own line, as parse_graph does
+    p = tmp_path / "weights.txt"
+    p.write_text(text)
+    assert main(["star", "--model", model, "--algebra", "minplus", "--weights", str(p)]) == 2
+    assert capsys.readouterr() == ("", "pathtool: line 2: bad weight token '1_0'\n")
 
 
 def test_validate_weight():
