@@ -9,9 +9,9 @@ catoid set it to True.
 
 Models are immutable after construction.  A model states its compose, faces
 and elements; ``Catoid`` derives everything else from them on first use, as
-cached properties (``derived``): ids, faces, the decomposition, row, row
-pair and length memos, the unfolded oracle's table of splits, the Moebius
-report, the kernel and whether rows run by right id.
+cached properties (``derived``): ids, faces, identity ids, the
+decomposition, row, row pair and length memos, the unfolded oracle's table
+of splits, the Moebius report, the kernel and whether rows run by right id.
 These are pure functions of the model, so concurrent readers are safe.
 Lengths, the Moebius conditions on decompositions, convolution and the star
 engine read id rows (``Catoid.rows``), the unfolded oracle its own splits
@@ -103,9 +103,9 @@ class Catoid:
     ``_build_elements`` and ``sort_key``; it may override ``decompose2``
     with a closed form (equivalence with the generic inversion is a test),
     and ``rows`` with one that decodes to it.  This class derives the rest
-    on first use and keeps it: ids, faces, rows, splits, lengths, the
-    Moebius report, the kernel and the row orientation ``rows_by_right``,
-    so a model calls no initialiser of it.
+    on first use and keeps it: ids, faces, identity ids, rows, splits,
+    lengths, the Moebius report, the kernel and the row orientation
+    ``rows_by_right``, so a model calls no initialiser of it.
     """
 
     name = "catoid"
@@ -145,6 +145,7 @@ class Catoid:
 
     _rows = derived(lambda self: {})  # the per-id memo of ``rows``
     _lengths = derived(lambda self: [0 if e else None for e in self.faces()[2]])
+    identity_ids = derived(lambda self: [i for i, e in enumerate(self.faces()[2]) if e])
     _moebius_report = derived(lambda self: check_moebius(self))
     _kernel = derived(lambda self: Kernel(self))
 
@@ -209,7 +210,7 @@ class Catoid:
 
     def identities(self) -> list:
         """The identities in element order."""
-        return list(itertools.compress(self.elements(), self.faces()[2]))
+        return list(map(self.elements().__getitem__, self.identity_ids))
 
     def decompose2(self, x) -> list:
         """All ordered pairs (y, z) with x in y . z, sorted by the factors' sort keys.

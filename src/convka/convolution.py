@@ -7,15 +7,17 @@ One engine computes the recursive star in three forms:
   star_dual        the mirrored sum of f*(y).f(z), z != t(x), ending in f(t(x))*
   star_path        the specialisation to K[C] (identities mapped to 1)
 
-It evaluates on demand: each element reached gets a generator frame, which
-yields the ids of the star values it lacks, and ``catoid.settle`` advances
-the top frame of a stack, so frames never nest and element length is not
-bounded by Python's recursion limit.  Terms with f-factor 0 are skipped only
-when the algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a); convolve
-skips them under the same condition.  When in addition f has no rule, as every
-function built from weights or read whole has not, the engine finds f's last
-nonzero id once per star and reads only the factors below it: the prefix of
-``Catoid.rows`` in the left and path forms, whose left ids never decrease,
+It reads f whole by ``values()`` and sets the star at each identity, f(e)* or
+1 in K[C], when the star is built, so a star of a derived function (a
+convolution or a sum) fills that function even for one point query.  It
+evaluates the rest on demand: each element reached gets a generator frame,
+which yields the ids of the star values it lacks, and ``catoid.settle``
+advances the top frame of a stack, so frames never nest and element length is
+not bounded by Python's recursion limit.  Terms with f-factor 0 are skipped
+only when the algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a);
+convolve skips them under the same condition, and the engine then finds f's
+last nonzero id once per star and reads only the factors below it: the prefix
+of ``Catoid.rows`` in the left and path forms, whose left ids never decrease,
 and in the dual form the suffix of the row where the model's rows run by
 right id (``Catoid.rows_by_right``, read off the rows once per model), else
 the row's pairs with right id below it.
@@ -27,13 +29,13 @@ frames of the remaining terms.  A cycle in the decomposition structure
 star_unfolded, the direct sum over all n-fold non-identity decompositions,
 stays separate as the trusted oracle and sums every term.
 
-Weight functions memoise their values in lists indexed by element id, safe
-to share between readers since the rules are pure.  Convolve and the engine
-run on ids and ``Catoid.rows``, reading a factor's list directly and calling
-``at`` only on a miss; ``f(x)`` looks x's id up.  ``values()`` fills every
-missing value in one pass over ids by the point rule's steps: a convolution
-over ``Catoid.row_pairs`` and its filled inputs, a sum by one ``map``, a star
-in id order.  Whole comparisons, the hat and ``support`` read it.
+Weight functions memoise their values in lists indexed by element id, safe to
+share between readers since the rules are pure.  ``f(x)`` looks x's id up.
+``values()`` fills every missing value in one pass over ids by the point
+rule's steps: a convolution over ``Catoid.row_pairs`` and its filled inputs,
+a sum by one ``map``, a star in id order.  Every reader of a whole function
+reads it; only convolve's point rule reads a factor's list directly, calling
+``at`` on a miss.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ from .values import SIDES, CapabilityError, ValueAlgebra, _law_runner, power_joi
 class WeightFunction:
     """A total, memoised map from catoid elements to weights.
 
-    The value at id i is ``rule(i)``, or ``vals[i]`` where ``vals`` is given;
-    ``vals`` is kept, not copied.  Values are kept by element id, where None
-    marks one not yet computed; ``at(i)`` reads and fills the value at id i.
-    ``values()`` reads them all: ``fill(vals)``, by default the rule in id
-    order, sets every missing value, and then the rule and fill go.  A fill
-    gives the rule's values and must not hold its function, which would
-    then wait for the cycle collector.
+    The value at id i is ``rule(i)``, or ``vals[i]`` where ``vals``, one entry
+    per element, is given; it is kept, not copied.  None marks a value not yet
+    computed; ``at(i)`` reads and fills the value at id i.  ``values()`` reads
+    them all: ``fill(vals)``, by default the rule in id order, sets every
+    missing value, and then the rule and fill go.  A fill gives the rule's
+    values and must not hold its function, which would then wait for the cycle
+    collector.  A star or a view built on it reads it whole, filling it.
     """
 
     __slots__ = ("catoid", "algebra", "_rule", "_vals", "_index", "_fill")
@@ -69,6 +71,8 @@ class WeightFunction:
         self.catoid, self.algebra, self._rule, self._fill = catoid, algebra, rule, fill
         self._index = catoid.index()
         self._vals = [None] * len(self._index) if vals is None else vals
+        if len(self._vals) != len(self._index):
+            raise ValueError(f"{catoid.name}: {len(vals)} values for {len(self._index)} elements")
 
     def at(self, i):
         v = self._vals[i]
@@ -92,9 +96,8 @@ class WeightFunction:
     def over(self, catoid: Catoid, algebra: ValueAlgebra) -> "WeightFunction":
         """The same map read over another catoid and algebra on the same
         elements, in the same order, and weights, such as one dimension of an
-        n-catoid; the view shares this function's rule, fill and values."""
-        return WeightFunction(catoid, algebra, rule=self._rule, vals=self._vals,
-                              fill=self._fill)
+        n-catoid; this function is filled, and the view shares its values."""
+        return WeightFunction(catoid, algebra, vals=self.values())
 
     def support(self) -> list:
         zero = self.algebra.zero
@@ -191,19 +194,18 @@ def convolve(f, g) -> WeightFunction:
 def _star_engine(f, side: str) -> WeightFunction:
     """f* by the left ("left"), dual ("right") or K[C] ("path") recursion.
 
-    Demand-driven and iterative on ids: each element reached without a value
-    gets a generator frame, which walks its row in order, yields the id of
-    any non-identity star value it still lacks and stores its value once the
-    sum is done; the generator's own state is its place in the row, so no
-    term list or resume index is kept.  ``rule`` hands the frames to
-    ``catoid.settle``, so frames never nest.  The boundary star f(s(x))* or
-    f(t(x))* is read from the star's own value at that identity.  The dual
-    recursion reads each row with its two sides exchanged.  Where zero
-    absorbs and f has no rule, a frame reads only the factors below ``cut``,
-    one past f's last nonzero id: one bisection finds them, but for a filter
-    in the dual form where rows do not run by right id, which the dual star
-    reads once from ``C.rows_by_right``.  A frame whose sum reaches the
-    additive top is finished at once.
+    Reads f once by ``values()``, which fills a convolution or a sum even for
+    one point query, and sets the star's identity values, f(e)* or 1, first.
+    Each other element reached without a value gets a generator frame, which
+    walks its row in order, yields the id of any star value it still lacks and
+    stores its value once the sum is done; the generator's own state is its
+    place in the row, so no term list or resume index is kept.  ``rule`` hands
+    the frames to ``catoid.settle``, so frames never nest.  The dual recursion
+    reads each row with its two sides exchanged.  Where zero absorbs, a frame
+    reads only the factors below ``cut``, one past f's last nonzero id: one
+    bisection finds them, but for a filter in the dual form where rows do not
+    run by right id, which the dual star reads once from ``C.rows_by_right``.
+    A frame whose sum reaches the additive top is finished at once.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -213,19 +215,17 @@ def _star_engine(f, side: str) -> WeightFunction:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
     add, mul, zero, top, rows = K.add, K.mul, K.zero, K.add_top, C.rows
-    src, tgt, is_identity = C.faces()
-    left, keep_zero, fv, f_at = side != "right", not K.zero_absorbs, f._vals, f.at
+    src, tgt, _ = C.faces()
+    left, skip_zero, fv = side != "right", K.zero_absorbs, f.values()
     by_right = not left and C.rows_by_right
     base = src if left else tgt
     cut = len(fv)  # one past f's last nonzero id: every f-factor from cut on is 0
-    if not keep_zero and f._rule is None:  # without a rule every value is given
+    if skip_zero:
         cut -= len(list(itertools.takewhile(functools.partial(operator.eq, zero),
                                             reversed(fv))))
-
-    def at(i):  # the star's value at id i; a frame fills it for a non-identity
-        if vals[i] is None:
-            vals[i] = K.one if side == "path" else K.star(f_at(i))
-        return vals[i]
+    vals = [None] * len(fv)
+    for e in C.identity_ids:
+        vals[e] = K.one if side == "path" else K.star(fv[e])
 
     def frame(x):
         b = base[x]
@@ -239,34 +239,26 @@ def _star_engine(f, side: str) -> WeightFunction:
             terms = ((y, z) for y, z in zip(rights, lefts) if y < cut)
         acc = zero
         for y, need in terms:
-            if y == b:
+            w = fv[y]
+            if y == b or skip_zero and w == zero:  # the boundary term, or one adding 0
                 continue
-            w = f_at(y) if fv[y] is None else fv[y]
-            if w == zero and not keep_zero:  # where zero absorbs, the term would add 0
-                continue
+            if vals[need] is None:
+                yield need  # rule fills vals[need] before it resumes this frame
             v = vals[need]
-            if v is None:
-                if not is_identity[need]:
-                    yield need  # rule fills vals[need] before it resumes this frame
-                v = at(need)
             acc = add(acc, mul(w, v) if left else mul(v, w))
             if acc == top:  # the remaining terms would add nothing
                 break
         if side != "path":  # the boundary star f(s(x))* or f(t(x))*
-            acc = mul(at(b), acc) if left else mul(acc, at(b))
+            acc = mul(vals[b], acc) if left else mul(acc, vals[b])
         vals[x] = acc
 
     cycle = functools.partial(C.violation, "star recursion cycles")
 
     def rule(x):
-        if is_identity[x]:
-            return at(x)
         settle(frame, x, cycle)
         return vals[x]
 
-    wf = WeightFunction(C, K, rule=rule)
-    vals = wf._vals
-    return wf
+    return WeightFunction(C, K, rule=rule, vals=vals)
 
 
 def star_recursive(f) -> WeightFunction:
@@ -301,7 +293,7 @@ def star_unfolded(f) -> WeightFunction:
     if not K.has_star:
         raise CapabilityError(f"{K.name}: no star operation")
     C.require_moebius()
-    add, mul, star, at, splits = K.add, K.mul, K.star, f.at, C.splits
+    add, mul, star, at, splits = K.add, K.mul, K.star, f.values().__getitem__, C.splits
     longest = len(splits)
 
     def rule(i):
@@ -324,11 +316,10 @@ def star_unfolded(f) -> WeightFunction:
 
 def is_in_bracket(f) -> bool:
     """Membership in K[C]: the zero map, or every identity mapped to 1."""
-    at, K, is_identity = f.at, f.algebra, f.catoid.faces()[2]
-    ids = range(len(is_identity))
-    if all(at(i) == K.one for i in itertools.compress(ids, is_identity)):
+    vals, K = f.values(), f.algebra
+    if all(vals[e] == K.one for e in f.catoid.identity_ids):
         return True
-    return all(at(i) == K.zero for i in ids)
+    return all(v == K.zero for v in vals)
 
 
 def star_path(f) -> WeightFunction:
@@ -347,11 +338,9 @@ def function_leq(f, g) -> bool:
 def first_difference(f, g, universe=None):
     if universe is None and f.values() == g.values():  # the whole lists, compared at once
         return None
-    f_at, g_at = f.at, g.at
-    for i in range(len(f._vals)) if universe is None else map(f._index.__getitem__, universe):
-        if f_at(i) != g_at(i):
-            return (f.catoid.elements()[i], f_at(i), g_at(i))
-    return None
+    index, f_at, g_at = f.catoid.index(), f.at, g.at
+    pairs = index.items() if universe is None else ((x, index[x]) for x in universe)
+    return next(((x, f_at(i), g_at(i)) for x, i in pairs if f_at(i) != g_at(i)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +349,9 @@ def first_difference(f, g, universe=None):
 
 def is_test(p) -> bool:
     """p is chi_P for some subset P of the identities."""
-    at, K = p.at, p.algebra
-    return all(at(i) in (K.zero, K.one) if e else at(i) == K.zero
-               for i, e in enumerate(p.catoid.faces()[2]))
+    K = p.algebra
+    return all(v in (K.zero, K.one) if e else v == K.zero
+               for v, e in zip(p.values(), p.catoid.faces()[2]))
 
 
 def test_complement(p) -> WeightFunction:
@@ -392,7 +381,7 @@ def set_compose(C: Catoid, A, B) -> frozenset:
     return frozenset(out)
 
 
-def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
+def check_kat(C: Catoid, K: ValueAlgebra, rng, samples) -> Report:
     """Kleene-algebra-with-tests structure of the subidentity indicators.
 
     The tests form a Boolean algebra (Kozen, "Kleene algebra with tests", 1997),
@@ -456,7 +445,7 @@ def check_kat(C: Catoid, K: ValueAlgebra, rng, samples=25) -> Report:
     return rep
 
 
-def check_conway(C: Catoid, S: ValueAlgebra, rng, samples=100) -> Report:
+def check_conway(C: Catoid, S: ValueAlgebra, rng, samples) -> Report:
     """The four Conway identities, pointwise over sampled function pairs."""
     rep = Report(model=C.name, algebra=S.name)
     unit = id0(C, S)

@@ -209,7 +209,7 @@ def _interchange_failure(bundle, i, j, rng):
                  if not lhs.algebra.leq(a, b)), None)
 
 
-def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
+def check_interchange(bundle: NConvolution, rng, samples) -> Report:
     """Interchange inequality of dimensions 0 and 1 on function quadruples, plus id0 <= id1."""
     nc, alg = bundle.nc, bundle.alg
     rep = Report(model=nc.name, algebra=alg.name)
@@ -226,7 +226,7 @@ def check_interchange(bundle: NConvolution, rng, samples=100) -> Report:
     return rep
 
 
-def check_n_axioms(bundle: NConvolution, rng, samples=25) -> Report:
+def check_n_axioms(bundle: NConvolution, rng, samples) -> Report:
     """Per-dimension modal axioms plus all cross-dimension laws, pointwise.
 
     Covers lax functoriality of D-/D+, interchange, face absorption, the two

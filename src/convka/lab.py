@@ -217,7 +217,7 @@ def conv_powers_sum(f):
                       len(K.carrier) * len(C.elements()) + 1)
 
 
-def verify_quantale_star(C: Catoid, Q: ValueAlgebra, rng, samples=50) -> Report:
+def verify_quantale_star(C: Catoid, Q: ValueAlgebra, rng, samples) -> Report:
     """Power-join star versus the recursive star, pointwise, for sampled f.
 
     Also spot-checks the power decomposition: for n <= 4 and non-identities x,

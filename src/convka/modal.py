@@ -68,10 +68,8 @@ def bracket(f) -> WeightFunction:
     """Closed-form domain and codomain on K[C]: id0 unless f is the zero map."""
     if not is_in_bracket(f):
         raise CapabilityError("bracket needs a weight function in K[C]")
-    C, K, at = f.catoid, f.algebra, f.at
-    # stops at the first nonzero value, where f.support() would evaluate all
-    nonzero = any(at(i) != K.zero for i in range(len(C.elements())))
-    return id0(C, K) if nonzero else zero_function(C, K)
+    C, K = f.catoid, f.algebra
+    return id0(C, K) if any(v != K.zero for v in f.values()) else zero_function(C, K)
 
 
 def modal_laws(fs, pairs, mul, add, dom, cod, unit):
@@ -117,7 +115,7 @@ def modal_laws(fs, pairs, mul, add, dom, cod, unit):
     return lifts, laws
 
 
-def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples=30) -> Report:
+def check_modal(C: Catoid, K: ValueAlgebra, variant: str, rng, samples) -> Report:
     """All modal axioms, pointwise, for sampled functions.
 
     variant "hat" lifts the value algebra's dom/cod by finite-valency sums,

@@ -615,7 +615,7 @@ def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
     return rep
 
 
-def make_boolean_nd(n: int = 2) -> NValueAlgebra:
+def make_boolean_nd(n: int) -> NValueAlgebra:
     """Boolean n-dimensional Kleene algebra: every dimension is the boolean KA."""
     B = make_boolean()
     dim = DimOps(mul=B.mul, one=B.one, dom=B.dom, cod=B.cod, star=B.star)

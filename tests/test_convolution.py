@@ -134,6 +134,12 @@ def test_weight_function_needs_a_rule_on_ids_or_values(words3, boolean):
             WeightFunction(words3, boolean, *args)
     with pytest.raises(TypeError, match="needs a rule on ids or a values list"):
         WeightFunction(words3, boolean)
+    # two values over the seven words of length at most 2 would compare equal to
+    # any other such list and read ab as missing, so the list's length is checked
+    for vals in ([0, 1], [0] * 8):
+        message = rf"^words\(ab,2\): {len(vals)} values for 7 elements$"
+        with pytest.raises(ValueError, match=message):
+            WeightFunction(models.free_monoid("ab", 2), boolean, vals=vals)
 
 
 def test_from_pairs_refuses_elements_outside_the_universe(natinf):
@@ -163,6 +169,28 @@ def test_star_on_identities(words3, minplus, rng):
     assert star_recursive(f)("") == minplus.star(f(""))
     assert star_dual(f)("") == minplus.star(f(""))
     assert star_unfolded(f)("") == minplus.star(f(""))
+    # each engine star sets its identity values, f(e)* or 1 in K[C], when it
+    # is built, and leaves every other value to the first query that needs it
+    C = models.path_catoid(models.diamond_dag(), 3)
+    g, b = random_function(C, minplus, rng), random_function(C, minplus, rng, bracket=True)
+    for star, h, at_identity in ((star_recursive, g, minplus.star), (star_dual, g, minplus.star),
+                                 (star_path, b, lambda w: minplus.one)):
+        expected = [at_identity(w) if e else None for w, e in zip(h.values(), C.faces()[2])]
+        assert star(h)._vals == expected and None in expected, star.__name__
+
+
+def test_a_star_of_a_derived_function_fills_it_when_built(words3, minplus, rng):
+    # the engine reads its input whole, so a product or a sum is filled, and
+    # keeps neither rule nor fill, before the star answers any query
+    f, g = random_function(words3, minplus, rng), random_function(words3, minplus, rng)
+    b = random_function(words3, minplus, rng, bracket=True)
+    for star, build in ((star_recursive, lambda: convolve(f, g)),
+                        (star_dual, lambda: conv_add(f, g)), (star_path, lambda: convolve(b, b)),
+                        (star_unfolded, lambda: convolve(f, g))):
+        h, fresh = build(), build()
+        star(h)
+        assert h._rule is None and h._fill is None, star.__name__
+        assert h._vals == [fresh.at(i) for i in range(len(words3.elements()))], star.__name__
 
 
 def test_star_two_edge_path(minplus):
@@ -404,9 +432,10 @@ def test_values_of_an_n_convolution_view(kind, seed):
         for build in (lambda: bundle.mul(i, f, g), lambda: bundle.add(f, g),
                       lambda: bundle.star(i, f)):
             h, fresh = build(), build()
-            view = bundle._over(j, h)
-            assert view.values() == [fresh.at(k) for k in range(n)]
+            view = bundle._over(j, h)  # fills h and shares only its list
             assert h._vals is view._vals and None not in h._vals
+            assert view._rule is None and view._fill is None and h._rule is None
+            assert view.values() == [fresh.at(k) for k in range(n)]
 
 
 def unskipped_star(f, side):

@@ -175,4 +175,4 @@ def test_check_modal_rejects_nonlocal_models(boolean, rng):
 
 def test_check_modal_variant_validation(words3, boolean, rng):
     with pytest.raises(ValueError):
-        check_modal(words3, boolean, "nonsense", rng)
+        check_modal(words3, boolean, "nonsense", rng, samples=2)
