@@ -460,7 +460,7 @@ def check_catoid_axioms(C: Catoid) -> Report:
                      ("props.member-st", member)):
         rep.add(law, bad, checked=n ** 2)
 
-    ids = [x for x in range(n) if C.is_identity(E[x])]
+    ids = C.identity_ids
     bad = [(E[e], E[f], decode(P[e][f])) for e, f in itertools.product(ids, repeat=2)
            if P[e][f] != (1 << e if e == f else 0)]
     rep.add("catoid.orth-idem", bad, checked=len(ids) ** 2)

@@ -8,12 +8,12 @@ One engine computes the recursive star in three forms:
   star_path        the specialisation to K[C] (identities mapped to 1)
 
 It reads f whole by ``values()`` and sets the star at each identity, f(e)* or
-1 in K[C], when the star is built, so a star of a derived function (a
-convolution or a sum) fills that function even for one point query.  It
-evaluates the rest on demand: each element reached gets a generator frame,
-which yields the ids of the star values it lacks, and ``catoid.settle``
-advances the top frame of a stack, so frames never nest and element length is
-not bounded by Python's recursion limit.  Terms with f-factor 0 are skipped
+1 in K[C], when the star is built, so a star of a convolution fills the
+convolution even for one point query.  It evaluates the rest on demand: each
+element reached gets a generator frame, which yields the ids of the star
+values it lacks, and ``catoid.settle`` advances the top frame of a stack, so
+frames never nest and element length is not bounded by Python's recursion
+limit.  Terms with f-factor 0 are skipped
 only when the algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a);
 convolve skips them under the same condition, and the engine then finds f's
 last nonzero id once per star and reads only the factors below it: the prefix
@@ -31,11 +31,11 @@ stays separate as the trusted oracle and sums every term.
 
 Weight functions memoise their values in lists indexed by element id, safe to
 share between readers since the rules are pure.  ``f(x)`` looks x's id up.
-``values()`` fills every missing value in one pass over ids by the point
-rule's steps: a convolution over ``Catoid.row_pairs`` and its filled inputs,
-a sum by one ``map``, a star in id order.  Every reader of a whole function
-reads it; only convolve's point rule reads a factor's list directly, calling
-``at`` on a miss.
+Every function built from others, a sum, a convolution, a star or a view,
+reads them whole by ``values()`` when it is built; a sum is then a filled
+list.  ``values()`` fills the rest in one pass over ids by the point rule's
+steps: a convolution sums every row of ``Catoid.row_pairs`` by the one sum
+body its point rule runs on one row, a star runs its rule in id order.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ class WeightFunction:
     The value at id i is ``rule(i)``, or ``vals[i]`` where ``vals``, one entry
     per element, is given; it is kept, not copied.  None marks a value not yet
     computed; ``at(i)`` reads and fills the value at id i.  ``values()`` reads
-    them all: ``fill(vals)``, by default the rule in id order, sets every
-    missing value, and then the rule and fill go.  A fill gives the rule's
-    values and must not hold its function, which would then wait for the cycle
-    collector.  A star or a view built on it reads it whole, filling it.
+    them all: ``fill(vals)``, by default the rule at each missing id in id
+    order, sets every value, and then the rule and fill go.  A fill gives the
+    rule's values and must not hold its function, which would then wait for
+    the cycle collector.  Every function built on it, a sum, a convolution, a
+    star or a view, reads it whole when built, filling it.
     """
 
     __slots__ = ("catoid", "algebra", "_rule", "_vals", "_index", "_fill")
@@ -138,64 +139,47 @@ def _check_same(f, g):
 
 
 def conv_add(f, g) -> WeightFunction:
-    """Pointwise sum."""
+    """Pointwise sum, read whole from both inputs when built."""
     _check_same(f, g)
-    add, f_at, g_at = f.algebra.add, f.at, g.at
-
-    def fill(vals):
-        vals[:] = map(add, f.values(), g.values())
-
-    return WeightFunction(f.catoid, f.algebra, rule=lambda i: add(f_at(i), g_at(i)), fill=fill)
+    return WeightFunction(f.catoid, f.algebra,
+                          vals=list(map(f.algebra.add, f.values(), g.values())))
 
 
 def convolve(f, g) -> WeightFunction:
     """(f*g)(x) = sum of f(y).g(z) over the 2-decompositions of x.
 
-    When the algebra's zero is absorbing, a term with f(y) = 0 is skipped
-    without evaluating g(z); the sum stops once it reaches the additive top.
+    Reads f and g whole when built.  A point query sums x's row, and
+    ``values()`` sums every row of ``Catoid.row_pairs``, by one sum body:
+    when the algebra's zero is absorbing, a term with f(y) = 0 is skipped
+    without reading g(z); the sum stops once it reaches the additive top.
     """
     _check_same(f, g)
     C, K = f.catoid, f.algebra
     add, mul, zero, top, rows = K.add, K.mul, K.zero, K.add_top, C.rows
-    skip_zero, fv, f_at, gv, g_at = K.zero_absorbs, f._vals, f.at, g._vals, g.at
+    skip_zero, fv, gv = K.zero_absorbs, f.values(), g.values()
 
-    def rule(x):
+    def total(terms):  # the sum over (y, z) id pairs in row order
         acc = zero
-        for y, z in zip(*rows(x)):
+        for y, z in terms:
             u = fv[y]
-            if u is None:
-                u = f_at(y)
             if skip_zero and u == zero:  # a skipped term would add 0
                 continue
-            v = gv[z]
-            acc = add(acc, mul(u, g_at(z) if v is None else v))
+            acc = add(acc, mul(u, gv[z]))
             if acc == top:  # the remaining terms would add nothing
                 break
         return acc
 
-    def fill(vals):  # the rule's sum at each missing id, over whole inputs
-        fv, gv = f.values(), g.values()
-        for x, terms in enumerate(C.row_pairs):
-            if vals[x] is not None:
-                continue
-            acc = zero
-            for y, z in terms:
-                u = fv[y]
-                if skip_zero and u == zero:
-                    continue
-                acc = add(acc, mul(u, gv[z]))
-                if acc == top:
-                    break
-            vals[x] = acc
+    def fill(vals):
+        vals[:] = map(total, C.row_pairs)
 
-    return WeightFunction(C, K, rule=rule, fill=fill)
+    return WeightFunction(C, K, rule=lambda x: total(zip(*rows(x))), fill=fill)
 
 
 def _star_engine(f, side: str) -> WeightFunction:
     """f* by the left ("left"), dual ("right") or K[C] ("path") recursion.
 
-    Reads f once by ``values()``, which fills a convolution or a sum even for
-    one point query, and sets the star's identity values, f(e)* or 1, first.
+    Reads f once by ``values()``, which fills a convolution even for one point
+    query, and sets the star's identity values, f(e)* or 1, first.
     Each other element reached without a value gets a generator frame, which
     walks its row in order, yields the id of any star value it still lacks and
     stores its value once the sum is done; the generator's own state is its
@@ -327,15 +311,28 @@ def star_path(f) -> WeightFunction:
     return _star_engine(f, "path")
 
 
+def _check_elements(f, g):
+    if f.catoid is not g.catoid and f.catoid.elements() != g.catoid.elements():
+        raise CapabilityError(f"element mismatch: {f.catoid.name} vs {g.catoid.name}")
+
+
 def functions_equal(f, g, universe=None) -> bool:
+    """f = g at every element, read whole, or at those of ``universe``, read point by point."""
     return first_difference(f, g, universe) is None
 
 
 def function_leq(f, g) -> bool:
+    """f <= g at every element, both read whole."""
+    _check_elements(f, g)
     return all(map(f.algebra.leq, f.values(), g.values()))
 
 
 def first_difference(f, g, universe=None):
+    """The first (x, f(x), g(x)) with f(x) != g(x), or None: over every
+    element, read whole, or over the elements of ``universe`` in its order,
+    read point by point.  f and g live over one list of elements, such as
+    two dimensions of an n-catoid."""
+    _check_elements(f, g)
     if universe is None and f.values() == g.values():  # the whole lists, compared at once
         return None
     index, f_at, g_at = f.catoid.index(), f.at, g.at

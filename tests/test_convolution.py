@@ -106,17 +106,47 @@ def test_indicator_convolution_is_set_composition(words3, boolean, rng):
             assert prod(x) == (1 if x in words3.compose(y, z) else 0)
 
 
+def assert_refused_unread(f, g, message):
+    # each operation refuses before it reads an input: a star keeps its rule
+    for op in (conv_add, convolve):
+        with pytest.raises(CapabilityError) as err:
+            op(f, g)
+        assert str(err.value) == message, op.__name__
+        assert f._rule is not None and g._rule is not None, op.__name__
+
+
 def test_algebra_mismatch_rejected(words3, boolean, minplus):
-    with pytest.raises(CapabilityError, match="mismatch"):
-        conv_add(zero_function(words3, boolean), zero_function(words3, minplus))
+    assert_refused_unread(star_recursive(zero_function(words3, boolean)),
+                          star_recursive(zero_function(words3, minplus)),
+                          "algebra mismatch: boolean vs minplus")
 
 
 def test_convolution_refuses_functions_over_two_catoids(boolean):
     # two models with the same elements are still two catoids
-    f, g = (zero_function(models.free_monoid("ab", 2), boolean) for _ in range(2))
-    with pytest.raises(CapabilityError) as err:
-        convolve(f, g)
-    assert str(err.value) == "weight functions live over different catoids"
+    f, g = (star_recursive(zero_function(models.free_monoid("ab", 2), boolean))
+            for _ in range(2))
+    assert_refused_unread(f, g, "weight functions live over different catoids")
+
+
+def test_comparisons_refuse_functions_over_other_elements(boolean):
+    # zip stopped at the shorter list, so a zero map over the words of length
+    # at most 3 compared equal to one over length 4 that weighs abab
+    f = zero_function(models.free_monoid("ab", 3), boolean)
+    g = from_pairs(models.free_monoid("ab", 4), boolean, {"abab": 1})
+    for compare, args, names in ((functions_equal, (f, g), "words(ab,3) vs words(ab,4)"),
+                                 (functions_equal, (f, g, ["a"]), "words(ab,3) vs words(ab,4)"),
+                                 (first_difference, (f, g), "words(ab,3) vs words(ab,4)"),
+                                 (function_leq, (g, f), "words(ab,4) vs words(ab,3)")):
+        with pytest.raises(CapabilityError) as err:
+            compare(*args)
+        assert str(err.value) == f"element mismatch: {names}", compare.__name__
+    # two models on one list of elements compare, as two dimensions of an n-catoid do
+    h = from_pairs(models.free_monoid("ab", 3), boolean, {"abb": 1})
+    assert first_difference(f, h) == ("abb", 0, 1) and function_leq(f, h)
+    nc = models.pasting_square_2category()
+    units = [id0(d, boolean) for d in nc.dims]
+    assert units[0].catoid is not units[1].catoid
+    assert function_leq(units[0], units[0].over(nc.dims[1], boolean))
 
 
 def test_unfolded_star_refuses_an_algebra_without_star(words3):
@@ -191,6 +221,22 @@ def test_a_star_of_a_derived_function_fills_it_when_built(words3, minplus, rng):
         star(h)
         assert h._rule is None and h._fill is None, star.__name__
         assert h._vals == [fresh.at(i) for i in range(len(words3.elements()))], star.__name__
+
+
+def test_sums_and_products_of_a_star_fill_it_when_built(words3, minplus, rng):
+    # convolve and conv_add read both inputs whole, so a star on either side
+    # is filled, and keeps neither rule nor fill, before any query; a sum is
+    # a filled list with no rule
+    f, g = random_function(words3, minplus, rng), random_function(words3, minplus, rng)
+    expected = star_recursive(f).values()
+    for op, star_first in itertools.product((convolve, conv_add), (True, False)):
+        s = star_recursive(f)
+        h = op(s, g) if star_first else op(g, s)
+        assert s._rule is None and s._fill is None and s._vals == expected, op.__name__
+        assert (h._rule is None) == (op is conv_add), op.__name__
+    total = conv_add(f, g)
+    assert total._rule is None and total._fill is None
+    assert total._vals == list(map(minplus.add, f.values(), g.values()))
 
 
 def test_star_two_edge_path(minplus):
@@ -366,7 +412,8 @@ def logged_algebra(K, log):
     return L
 
 
-# each whole function read from drawn weights f, g and a K[C] function b
+# each whole function read from drawn weights f, g and a K[C] function b;
+# conv_add and view compute when built, so they compare values only
 FILLED = {
     "convolve": lambda f, g, b: convolve(f, g),
     "conv_add": lambda f, g, b: conv_add(f, g),
@@ -642,8 +689,6 @@ def test_unfolded_star_refuses_a_non_moebius_model(natinf):
        st.sampled_from(STOCK_ALGEBRAS + (RELATIONS, skewed_algebra())), st.data())
 def test_convolution_matches_unskipped_sum(C, K, data):
     f, g = drawn_function(data, C, K), drawn_function(data, C, K)
-    for x in data.draw(st.lists(st.sampled_from(C.elements()), max_size=6)):
-        f(x), g(x)  # some factors are memo hits, the rest are computed on demand
     prod, total = convolve(f, g), conv_add(f, g)
     for x in C.elements():
         expected = K.zero
@@ -663,16 +708,13 @@ def test_additive_tops():
 
 
 def test_sums_stop_at_the_additive_top(words3, boolean):
-    seen = []
-
-    def rule(i):
-        seen.append(words3.elements()[i])
-        return 1
-
-    ones = from_pairs(words3, boolean, {x: 1 for x in words3.elements()})
-    g = WeightFunction(words3, boolean, rule=rule)
-    # (eps, ab) comes first and already gives 1, so g is read once
-    assert convolve(ones, g)("ab") == 1 and seen == ["ab"]
+    log = []
+    L = logged_algebra(boolean, log)
+    ones = from_pairs(words3, L, {x: 1 for x in words3.elements()})
+    # (eps, ab) comes first and already gives 1, so one product settles ab
+    # and the sum adds it to 0 once
+    assert convolve(ones, ones)("ab") == 1
+    assert log == [("mul", 1, 1), ("add", 0, 1)]
     # the dual star of aba sums star(eps).1, star(a).1 and star(ab).1; the
     # first term settles it, so no frame opens for a or ab
     star = star_dual(ones)
