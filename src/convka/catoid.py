@@ -151,11 +151,11 @@ class Catoid:
 
     @derived
     def rows_by_right(self) -> bool:
-        """Whether every row runs by right id from the largest down, so that
-        the pairs whose right id lies below a bound form a suffix; read off
-        the rows once per model."""
-        return all(all(map(operator.gt, r, r[1:]))
-                   for _, r in map(self.rows, range(len(self.elements()))))
+        """Whether every row of x runs by right id down from x itself, so that
+        read from its end it holds x's pair (s(x), x) last; read off the rows
+        once per model."""
+        return all(r[0] == i and all(map(operator.gt, r, r[1:]))
+                   for i, (_, r) in enumerate(map(self.rows, range(len(self.elements())))))
 
     def elements(self) -> list:
         """The universe in sort-key order; an element listed twice is refused."""

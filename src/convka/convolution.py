@@ -13,19 +13,14 @@ convolution even for one point query.  It evaluates the rest on demand: each
 element reached gets a generator frame, which yields the ids of the star
 values it lacks, and ``catoid.settle`` advances the top frame of a stack, so
 frames never nest and element length is not bounded by Python's recursion
-limit.  Terms with f-factor 0 are skipped
-only when the algebra's zero is absorbing (0.a = a.0 = 0, a + 0 = a);
-convolve skips them under the same condition, and the engine then finds f's
-last nonzero id once per star and reads only the factors below it: the prefix
-of ``Catoid.rows`` in the left and path forms, whose left ids never decrease,
-and in the dual form the suffix of the row where the model's rows run by
-right id (``Catoid.rows_by_right``, read off the rows once per model), else
-the row's pairs with right id below it.
-The terms past it have f-factor 0, so the cut is exact.  Dually, a sum that
-reaches the algebra's additive top (``ValueAlgebra.add_top``) stops there,
-since no further term can change it; the engine then never opens the star
-frames of the remaining terms.  A cycle in the decomposition structure
-(non-Moebius model) raises MoebiusViolation.
+limit.  Terms with f-factor 0 are skipped only when the algebra's zero is
+absorbing (0.a = a.0 = 0, a + 0 = a), as in convolve; the engine then finds
+f's last nonzero id once per star, and each frame walks its row of
+``Catoid.rows`` from the end where the f-factor ids are low and stops at the
+first id past it: every term from there on has f-factor 0.  A sum that
+reaches the additive top (``ValueAlgebra.add_top``) stops too, and opens no
+star frame for the terms left, which cannot change it.  A cycle in the
+decomposition structure (non-Moebius model) raises MoebiusViolation.
 star_unfolded, the direct sum over all n-fold non-identity decompositions,
 stays separate as the trusted oracle and sums every term.
 
@@ -43,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from bisect import bisect_left, bisect_right
 
 from .catoid import Catoid, settle
 from .report import Report
@@ -181,15 +175,17 @@ def _star_engine(f, side: str) -> WeightFunction:
     Reads f once by ``values()``, which fills a convolution even for one point
     query, and sets the star's identity values, f(e)* or 1, first.
     Each other element reached without a value gets a generator frame, which
-    walks its row in order, yields the id of any star value it still lacks and
+    walks its row, yields the id of any star value it still lacks and
     stores its value once the sum is done; the generator's own state is its
     place in the row, so no term list or resume index is kept.  ``rule`` hands
     the frames to ``catoid.settle``, so frames never nest.  The dual recursion
     reads each row with its two sides exchanged.  Where zero absorbs, a frame
-    reads only the factors below ``cut``, one past f's last nonzero id: one
-    bisection finds them, but for a filter in the dual form where rows do not
-    run by right id, which the dual star reads once from ``C.rows_by_right``.
-    A frame whose sum reaches the additive top is finished at once.
+    stops at the first f-factor id at or past ``cut``, one past f's last
+    nonzero id, with no search or slice: the left and path forms read the row
+    from its start; the dual adds x's own pair (s(x), x) first, whose star
+    factor is an identity value, then reads the row from its end where each row
+    of x runs down by right id from x (``C.rows_by_right``), else filters it.
+    A frame ends at the additive top, even at the dual's first term.
     """
     C, K = f.catoid, f.algebra
     if side == "path":
@@ -203,10 +199,10 @@ def _star_engine(f, side: str) -> WeightFunction:
     left, skip_zero, fv = side != "right", K.zero_absorbs, f.values()
     by_right = not left and C.rows_by_right
     base = src if left else tgt
-    cut = len(fv)  # one past f's last nonzero id: every f-factor from cut on is 0
-    if skip_zero:
-        cut -= len(list(itertools.takewhile(functools.partial(operator.eq, zero),
-                                            reversed(fv))))
+    cut, tail = len(fv), fv.copy()  # cut: one past f's last nonzero id; f's list is read by id
+    for w in (64, 8, 1) if skip_zero else ():  # drop trailing zeros by blocks, widest first
+        while tail[cut - w:cut].count(zero) == w:  # a block reaching past id 0 is short
+            cut -= w
     vals = [None] * len(fv)
     for e in C.identity_ids:
         vals[e] = K.one if side == "path" else K.star(fv[e])
@@ -214,15 +210,19 @@ def _star_engine(f, side: str) -> WeightFunction:
     def frame(x):
         b = base[x]
         lefts, rights = rows(x)
-        if left:  # left ids never decrease: the factors below cut are a prefix
-            terms = zip(lefts[:bisect_left(lefts, cut)], rights)
-        elif by_right:  # right ids fall: the factors below cut are a suffix
-            k = bisect_right(rights, -cut, key=operator.neg)
-            terms = zip(rights[k:], lefts[k:])
+        acc, stop = zero, cut
+        if left:  # left ids never decrease: the factors below cut come first
+            terms = zip(lefts, rights)
+        elif by_right:  # x's own pair (s(x), x), the row's first, comes first
+            if x < cut and not (skip_zero and fv[x] == zero):
+                acc = mul(vals[src[x]], fv[x])
+            stop = x if x < cut else cut  # then the row from its end, where right ids rise
+            terms = () if acc == top else zip(reversed(rights), reversed(lefts))
         else:
             terms = ((y, z) for y, z in zip(rights, lefts) if y < cut)
-        acc = zero
         for y, need in terms:
+            if y >= stop:  # every term from here on adds 0, or x's own pair came first
+                break
             w = fv[y]
             if y == b or skip_zero and w == zero:  # the boundary term, or one adding 0
                 continue

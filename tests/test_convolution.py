@@ -573,12 +573,13 @@ ORDER_MODELS = CONVOLUTION_MODELS + (models.shuffle_catoid("ab", 4), models.free
 
 def assert_rows_in_order(C):
     """The orders the star's bound reads: a row's left ids never decrease,
-    and where the model sets ``rows_by_right`` its right ids strictly fall."""
+    and where the model sets ``rows_by_right`` the right ids of x's row
+    strictly fall from x itself."""
     for i in range(len(C.elements())):
         lefts, rights = map(list, C.rows(i))
         assert lefts == sorted(lefts), (C.name, C.format_element(C.elements()[i]))
         if C.rows_by_right:
-            assert all(u > v for u, v in zip(rights, rights[1:])), \
+            assert rights[0] == i and all(u > v for u, v in zip(rights, rights[1:])), \
                 (C.name, C.format_element(C.elements()[i]))
 
 
@@ -634,6 +635,73 @@ def test_star_of_a_sparse_function_reads_no_weight_past_its_last_nonzero():
     for x in C.elements():
         assert s(x) == oracle(x), C.format_element(x)
     assert max(h._vals.read) == C.index()["b"]
+
+
+class CountedSide:
+    """One side of a row, whose iterators from either end count each id they draw."""
+
+    def __init__(self, ids, key, draws):
+        self.ids, self.key, self.draws = ids, key, draws
+
+    def _count(self, ids):
+        for i in ids:
+            self.draws[self.key] += 1
+            yield i
+
+    def __iter__(self):
+        return self._count(self.ids)
+
+    def __reversed__(self):
+        return self._count(reversed(self.ids))
+
+
+def test_no_star_frame_draws_a_row_pair_past_its_cut():
+    # only eps, a and aaa (ids 0, 1, 3) weigh anything but 0, so the cut is
+    # id 4: the frame of a^k draws its pairs whose f-factor lies below 4 and
+    # the one at 4 that stops it, never the rest of its k + 1 pairs
+    C, K = models.free_monoid("a", 300), make_min_plus()
+    C.require_moebius(), C.rows_by_right  # read the rows before they are counted
+    f = from_pairs(C, K, {"a": 2, "aaa": 5})
+    g = from_pairs(C, K, {"": K.one, "a": 2, "aaa": 5})
+    draws, rows = Counter(), C.rows
+    C.rows = lambda x: tuple(CountedSide(ids, (x, side), draws)
+                             for side, ids in enumerate(rows(x)))
+    for star, h in ((star_recursive, f), (star_dual, f), (star_path, g)):
+        draws.clear()
+        assert star(h)("a" * 300) == 500, star.__name__
+        pairs = {x: max(draws[x, 0], draws[x, 1]) for x, _ in draws}
+        assert pairs == {k: min(k + 1, 5) for k in range(1, 301)}, star.__name__
+
+
+def prefix_function(data, C, K, bracket=False):
+    """Zero-heavy weights drawn on a drawn prefix of ids and zero past it, so
+    that the star's cut falls anywhere in the universe; identities weigh 1 in
+    K[C]."""
+    n, weight = len(C.elements()), st.one_of(st.just(K.zero), st.sampled_from(K.pool()))
+    end = data.draw(st.integers(0, n))
+    vals = [data.draw(weight) if i < end else K.zero for i in range(n)]
+    if bracket:
+        for e in C.identity_ids:
+            vals[e] = K.one
+    return WeightFunction(C, K, vals=vals)
+
+
+# intervals and two-letter shuffles do not run by right id, so their dual
+# star filters its rows; the other models read them from both ends
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(SMALL_MODELS + (models.shuffle_catoid("ab", 3),)),
+                 random_catoids()),
+       st.sampled_from(STOCK_ALGEBRAS + (RELATIONS,)), st.data())
+def test_star_forms_agree_on_weights_with_a_zero_tail(C, K, data):
+    f = prefix_function(data, C, K)
+    left, right, oracle = star_recursive(f), star_dual(f), star_unfolded(f)
+    for x in C.elements():
+        assert left(x) == right(x) == oracle(x), (C.name, K.name, C.format_element(x))
+    g = prefix_function(data, C, K, bracket=True)
+    path = star_path(g)
+    oracle = star_unfolded(g.over(C, replace(K, star=lambda a: K.one)))
+    for x in C.elements():
+        assert path(x) == oracle(x), (C.name, K.name, C.format_element(x))
 
 
 def assert_unfolded_matches_chain_sum(f):
