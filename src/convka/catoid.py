@@ -10,12 +10,13 @@ catoid set it to True.
 Models are immutable after construction.  A model states its compose, faces
 and elements; ``Catoid`` derives everything else from them on first use, as
 cached properties (``derived``): ids, faces, identity ids, the
-decomposition, row, row pair and length memos, the unfolded oracle's table
-of splits, the Moebius report, the kernel and whether rows run by right id.
-These are pure functions of the model, so concurrent readers are safe.
-Lengths, the Moebius conditions on decompositions, convolution and the star
-engine read id rows (``Catoid.rows``), the unfolded oracle its own splits
-(``Catoid.splits``); elsewhere only the oracles call ``decompose2``.
+decomposition, row, mirrored row, row pair and length memos, the unfolded
+oracle's table of splits, the Moebius report and the kernel.  These are
+pure functions of the model, so concurrent readers are safe.  Lengths, the
+Moebius conditions on decompositions, convolution and the star engine read
+id rows (``Catoid.rows``; the dual star their mirror, ``Catoid.dual_rows``),
+the unfolded oracle its own splits (``Catoid.splits``); elsewhere only the
+oracles call ``decompose2``.
 Lengths and the star engine run their generator frames through ``settle``.
 """
 
@@ -102,10 +103,10 @@ class Catoid:
     """Base contract: a model defines ``compose``, ``source``, ``target``,
     ``_build_elements`` and ``sort_key``; it may override ``decompose2``
     with a closed form (equivalence with the generic inversion is a test),
-    and ``rows`` with one that decodes to it.  This class derives the rest
-    on first use and keeps it: ids, faces, identity ids, rows, splits,
-    lengths, the Moebius report, the kernel and the row orientation
-    ``rows_by_right``, so a model calls no initialiser of it.
+    and ``rows`` or ``dual_rows`` with one that decodes to it.  This class
+    derives the rest on first use and keeps it: ids, faces, identity ids,
+    rows, mirrored rows, splits, lengths, the Moebius report and the kernel,
+    so a model calls no initialiser of it.
     """
 
     name = "catoid"
@@ -144,18 +145,11 @@ class Catoid:
         return table
 
     _rows = derived(lambda self: {})  # the per-id memo of ``rows``
+    _dual_rows = derived(lambda self: {})  # the per-id memo of ``dual_rows``
     _lengths = derived(lambda self: [0 if e else None for e in self.faces()[2]])
     identity_ids = derived(lambda self: [i for i, e in enumerate(self.faces()[2]) if e])
     _moebius_report = derived(lambda self: check_moebius(self))
     _kernel = derived(lambda self: Kernel(self))
-
-    @derived
-    def rows_by_right(self) -> bool:
-        """Whether every row of x runs by right id down from x itself, so that
-        read from its end it holds x's pair (s(x), x) last; read off the rows
-        once per model."""
-        return all(r[0] == i and all(map(operator.gt, r, r[1:]))
-                   for i, (_, r) in enumerate(map(self.rows, range(len(self.elements())))))
 
     def elements(self) -> list:
         """The universe in sort-key order; an element listed twice is refused."""
@@ -184,6 +178,18 @@ class Catoid:
         if row is None:
             pairs, index = self.decompose2(self.elements()[i]), self.index()
             row = self._rows[i] = [index[y] for y, _ in pairs], [index[z] for _, z in pairs]
+        return row
+
+    def dual_rows(self, i) -> tuple:
+        """``rows(i)`` mirrored, as (right ids, left ids) sorted by right id,
+        so that the pairs whose right id lies below a bound form a prefix;
+        memoised per instance as two tuples, which fit their ids exactly.  A
+        row whose right ids fall, as on words, paths and guarded strings, is
+        reversed by the sort in one pass."""
+        row = self._dual_rows.get(i)
+        if row is None:
+            lefts, rights = self.rows(i)
+            row = self._dual_rows[i] = tuple(zip(*sorted(zip(rights, lefts))))
         return row
 
     @derived

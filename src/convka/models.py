@@ -109,8 +109,7 @@ class GraphSpec:
 
 class FreeMonoid(Catoid):
     """Words up to max_len over single-character letters under concatenation;
-    single identity eps.  A word's suffixes shrink as its prefixes grow, so
-    each row runs by right id from the largest down."""
+    single identity eps."""
 
     def __init__(self, alphabet, max_len: int):
         if not alphabet or max_len < 1:
@@ -153,6 +152,13 @@ class FreeMonoid(Catoid):
             return range(i + 1), range(i, -1, -1)
         return Catoid.rows(self, i)
 
+    def dual_rows(self, i):
+        """Over one letter, which commutes, the row is its own mirror and
+        keeps no memo; over more letters ``Catoid.dual_rows``."""
+        if len(self.alphabet) == 1:
+            return self.rows(i)
+        return Catoid.dual_rows(self, i)
+
 
 def _interleavings(u, v):
     """Distinct shuffles of u and v, via position subsets for u's letters."""
@@ -174,8 +180,8 @@ def _interleavings(u, v):
 
 class ShuffleCatoid(FreeMonoid):
     """Words under the shuffle multioperation, not functional over two or more
-    letters; over one letter it is concatenation, so the words' ``rows``
-    serve and run by right id.  Over more letters they do not."""
+    letters; over one letter it is concatenation, so the words' closed-form
+    rows serve."""
 
     def __init__(self, alphabet, max_len):
         super().__init__(alphabet, max_len)
@@ -264,7 +270,7 @@ class PathCatoid(Catoid):
 
     Elements are (source vertex, edge-name tuple) with at most max_len >= 1
     edges.  Complete exactly when the graph is acyclic and the bound covers
-    its longest path.  A row's right factors shrink, so its right ids fall.
+    its longest path.
     """
 
     def __init__(self, graph: GraphSpec, max_len: int):
@@ -339,7 +345,7 @@ class GuardedStringCatoid(Catoid):
     """Alternating test/action tuples t0 a1 t1 ... ak tk; identities are (t,).
 
     max_len >= 1 bounds the number of actions; different boundary tests do
-    not compose.  A row's right factors shrink, so its right ids fall.
+    not compose.
     """
 
     def __init__(self, tests, actions, max_len: int):

@@ -76,8 +76,8 @@ class ValueAlgebra(_SharedAddition):
 
     ``leq`` is only defined when addition is idempotent, via a <= b iff a+b == b.
     ``carrier`` enumerates the full weight set for finite algebras; infinite
-    algebras instead carry ``sample_pool``, the finite pool random checks draw
-    from.
+    algebras instead carry ``sample_pool``, the finite pool that random
+    weight functions draw from and the law checker runs over.
     """
 
     name: str
@@ -406,21 +406,16 @@ def _le(A, x, y):
     return None if A.leq(x, y) else (x, y)
 
 
-def _law_runner(rep, pool, rng, samples):
+def _law_runner(rep, pool):
     """The law runner of ``check_value_axioms`` and ``convolution.check_kat``:
     ``law(name, arity, *preds, given)`` reports one line of ``len(preds)`` instances
-    per tuple of the pool (rng None), of ``samples`` random tuples, or once if the
-    arity is 0.  A predicate returns None or a violation's detail, recorded after
-    the tuple; tuples failing the antecedent ``given`` count as vacuous."""
+    per tuple of the pool, so once if the arity is 0.  A predicate returns None
+    or a violation's detail, recorded after the tuple; tuples failing the
+    antecedent ``given`` count as vacuous."""
 
     def law(name, arity, *preds, given=None):
-        if rng is None:
-            tuples = itertools.product(pool, repeat=arity)
-        else:
-            tuples = (tuple(rng.choice(pool) for _ in range(arity))
-                      for _ in range(samples if arity else 1))
         bad, count, vacuous = [], 0, 0
-        for t in tuples:
+        for t in itertools.product(pool, repeat=arity):
             count += len(preds)
             if given is not None and not given(*t):
                 vacuous += len(preds)
@@ -582,12 +577,10 @@ def _require(A, attr, cls):
         raise CapabilityError(f"{A.name}: class {cls!r} needs {attr}")
 
 
-def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
-    """Verify the named axiom class; exhaustive when the algebra is finite.
-
-    Pass an un-seeded ``rng=None`` to force exhaustive mode (requires a finite
-    carrier); otherwise a random.Random drives bounded sampling.  Violations
-    are all collected, not first-fail.
+def check_value_axioms(A, cls: str) -> Report:
+    """Verify the named axiom class over every tuple of ``A.pool()``: the
+    carrier of a finite algebra, else its sample pool.  Violations are all
+    collected, not first-fail.
     """
     if cls not in _CLASSES:
         raise ValueError(f"unknown axiom class {cls!r}")
@@ -595,8 +588,6 @@ def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
     if multi != isinstance(A, NValueAlgebra):
         kind = "an n-dimensional" if multi else "a one-dimensional"
         raise CapabilityError(f"{A.name}: class {cls!r} needs {kind} algebra")
-    if rng is None and not A.is_finite:
-        raise CapabilityError(f"{A.name}: exhaustive checking needs a finite carrier")
     if cls == "interchange" and A.n != 2:
         raise CapabilityError("interchange class is two-dimensional")
     for attr in needs:  # of every dimension when n-dimensional
@@ -609,7 +600,7 @@ def check_value_axioms(A, cls: str, rng=None, samples: int = 200) -> Report:
         _require(A, "idempotent_add", cls)  # their laws read the order
 
     rep = Report(algebra=A.name)
-    law = _law_runner(rep, A.carrier if rng is None else A.pool(), rng, samples)
+    law = _law_runner(rep, A.pool())
     for group in groups:
         group(law, A)
     return rep

@@ -573,24 +573,26 @@ ORDER_MODELS = CONVOLUTION_MODELS + (models.shuffle_catoid("ab", 4), models.free
 
 def assert_rows_in_order(C):
     """The orders the star's bound reads: a row's left ids never decrease,
-    and where the model sets ``rows_by_right`` the right ids of x's row
-    strictly fall from x itself."""
-    for i in range(len(C.elements())):
-        lefts, rights = map(list, C.rows(i))
-        assert lefts == sorted(lefts), (C.name, C.format_element(C.elements()[i]))
-        if C.rows_by_right:
-            assert rights[0] == i and all(u > v for u, v in zip(rights, rights[1:])), \
-                (C.name, C.format_element(C.elements()[i]))
+    and its mirror ``dual_rows`` decodes to the same pairs with their sides
+    exchanged, (z, y) for each (y, z) of ``decompose2``, with right ids that
+    never decrease."""
+    index = C.index()
+    for i, x in enumerate(C.elements()):
+        lefts, _ = map(list, C.rows(i))
+        assert lefts == sorted(lefts), (C.name, C.format_element(x))
+        mirrored = list(zip(*C.dual_rows(i)))
+        assert sorted(mirrored) == sorted((index[z], index[y]) for y, z in C.decompose2(x)), \
+            (C.name, C.format_element(x))
+        rights = [z for z, _ in mirrored]
+        assert rights == sorted(rights), (C.name, C.format_element(x))
 
 
 def test_rows_keep_the_orders_the_star_bound_reads():
-    by_right = [C.name for C in ORDER_MODELS if C.rows_by_right]
-    assert by_right == ["words(ab,3)", "guarded(2t,1a,2)", "paths(4v)", "words(a,9)",
-                        "shuffle(a,4)"]
     for C in ORDER_MODELS:
         assert_rows_in_order(C)
-    # one-letter rows are a closed form, kept nowhere
-    assert [C._rows for C in ORDER_MODELS if getattr(C, "alphabet", ()) == ("a",)] == [{}, {}]
+    # one-letter rows and their mirrors are a closed form, kept nowhere
+    assert [(C._rows, C._dual_rows) for C in ORDER_MODELS
+            if getattr(C, "alphabet", ()) == ("a",)] == [({}, {}), ({}, {})]
 
 
 @settings(max_examples=60, deadline=None)
@@ -638,21 +640,15 @@ def test_star_of_a_sparse_function_reads_no_weight_past_its_last_nonzero():
 
 
 class CountedSide:
-    """One side of a row, whose iterators from either end count each id they draw."""
+    """One side of a row, whose iterator counts each id it draws."""
 
     def __init__(self, ids, key, draws):
         self.ids, self.key, self.draws = ids, key, draws
 
-    def _count(self, ids):
-        for i in ids:
+    def __iter__(self):
+        for i in self.ids:
             self.draws[self.key] += 1
             yield i
-
-    def __iter__(self):
-        return self._count(self.ids)
-
-    def __reversed__(self):
-        return self._count(reversed(self.ids))
 
 
 def test_no_star_frame_draws_a_row_pair_past_its_cut():
@@ -660,15 +656,20 @@ def test_no_star_frame_draws_a_row_pair_past_its_cut():
     # id 4: the frame of a^k draws its pairs whose f-factor lies below 4 and
     # the one at 4 that stops it, never the rest of its k + 1 pairs
     C, K = models.free_monoid("a", 300), make_min_plus()
-    C.require_moebius(), C.rows_by_right  # read the rows before they are counted
+    C.require_moebius()  # read the rows before they are counted
     f = from_pairs(C, K, {"a": 2, "aaa": 5})
     g = from_pairs(C, K, {"": K.one, "a": 2, "aaa": 5})
-    draws, rows = Counter(), C.rows
-    C.rows = lambda x: tuple(CountedSide(ids, (x, side), draws)
-                             for side, ids in enumerate(rows(x)))
-    for star, h in ((star_recursive, f), (star_dual, f), (star_path, g)):
+    draws = Counter()
+    # the left and path forms read rows, the dual their mirrors, which one
+    # letter reads off rows: each form counts only the rows it reads itself
+    for star, h, name in ((star_recursive, f, "rows"), (star_dual, f, "dual_rows"),
+                          (star_path, g, "rows")):
+        read = getattr(C, name)
+        setattr(C, name, lambda x: tuple(CountedSide(ids, (x, side), draws)
+                                         for side, ids in enumerate(read(x))))
         draws.clear()
         assert star(h)("a" * 300) == 500, star.__name__
+        delattr(C, name)  # the model's own method again
         pairs = {x: max(draws[x, 0], draws[x, 1]) for x, _ in draws}
         assert pairs == {k: min(k + 1, 5) for k in range(1, 301)}, star.__name__
 
@@ -686,8 +687,8 @@ def prefix_function(data, C, K, bracket=False):
     return WeightFunction(C, K, vals=vals)
 
 
-# intervals and two-letter shuffles do not run by right id, so their dual
-# star filters its rows; the other models read them from both ends
+# the cut falls anywhere in rows and in their mirrors, whose order the sort
+# sets on intervals and two-letter shuffles and reverses on the other models
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.sampled_from(SMALL_MODELS + (models.shuffle_catoid("ab", 3),)),
                  random_catoids()),
@@ -783,12 +784,13 @@ def test_sums_stop_at_the_additive_top(words3, boolean):
     # and the sum adds it to 0 once
     assert convolve(ones, ones)("ab") == 1
     assert log == [("mul", 1, 1), ("add", 0, 1)]
-    # the dual star of aba sums star(eps).1, star(a).1 and star(ab).1; the
-    # first term settles it, so no frame opens for a or ab
+    # the dual star of aba reads its mirrored row by right id: star(ab).1
+    # comes first and opens the frame of ab, whose first term star(a).1 opens
+    # that of a; each frame ends at its first term, which gives 1
     star = star_dual(ones)
     assert star("aba") == 1
     filled = {x for x, v in zip(words3.elements(), star._vals) if v is not None}
-    assert filled == {"", "aba"}
+    assert filled == {"", "a", "ab", "aba"}
 
 
 def test_star_on_long_unary_word(unary1200):
@@ -862,6 +864,18 @@ def test_point_queries_build_no_pair_table():
     assert "row_pairs" not in vars(C) and C._rows == {}
     convolve(f, f).values()
     assert len(C.row_pairs[300]) == 301
+
+
+def test_a_dual_point_query_mirrors_only_the_rows_of_its_frames():
+    # the dual star mirrors a row when a frame opens on it, so one point
+    # query keeps the mirrors of the ids it filled, identities aside, and of
+    # no other id of the model
+    C, K = models.free_monoid("ab", 10), make_min_plus()
+    star = star_dual(from_pairs(C, K, {"a": 2, "b": 3, "ab": 1, "ba": 4}))
+    assert star("abbabaabab") == 9
+    filled = {i for i, v in enumerate(star._vals) if v is not None}
+    assert set(C._dual_rows) == filled - set(C.identity_ids)
+    assert len(C._dual_rows) == 10 < len(C.elements())
 
 
 def test_whole_reads_of_a_cycling_star_raise_at_its_cycle(boolean):
