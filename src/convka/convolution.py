@@ -198,9 +198,9 @@ def _star_engine(f, side: str) -> WeightFunction:
     add, mul, zero, top = K.add, K.mul, K.zero, K.add_top
     left, skip_zero, fv = side != "right", K.zero_absorbs, f.values()
     rows, base = (C.rows, C.faces()[0]) if left else (C.dual_rows, C.faces()[1])
-    cut, tail = len(fv), fv.copy()  # cut: one past f's last nonzero id; f's list is read by id
-    for w in (64, 8, 1) if skip_zero else ():  # drop trailing zeros by blocks, widest first
-        while tail[cut - w:cut].count(zero) == w:  # a block reaching past id 0 is short
+    cut = len(fv)  # one past f's last nonzero id
+    for w in (64, 8, 1) if skip_zero else ():  # count trailing zeros by blocks, widest first
+        while fv[cut - w:cut].count(zero) == w:  # a block reaching past id 0 is short
             cut -= w
     vals = [None] * len(fv)
     for e in C.identity_ids:
@@ -214,9 +214,10 @@ def _star_engine(f, side: str) -> WeightFunction:
             w = fv[y]
             if y == b or skip_zero and w == zero:  # the boundary term, or one adding 0
                 continue
-            if vals[need] is None:
-                yield need  # rule fills vals[need] before it resumes this frame
             v = vals[need]
+            if v is None:
+                yield need  # rule fills vals[need] before it resumes this frame
+                v = vals[need]
             acc = add(acc, mul(w, v) if left else mul(v, w))
             if acc == top:  # the remaining terms would add nothing
                 break

@@ -20,7 +20,7 @@ from functools import reduce
 
 from .catoid import Catoid
 from .models import GraphSpec, PosetSpec
-from .values import INF, NEG_INF, CapabilityError, ValueAlgebra, power_join
+from .values import INF, NEG_INF, CapabilityError, ValueAlgebra, plus, power_join
 
 
 def matrix_star(K: ValueAlgebra, M: list) -> list:
@@ -109,16 +109,12 @@ def warshall_closure(M: list) -> list:
 def floyd_warshall(M: list) -> list:
     """All-pairs shortest paths with zero diagonal, over exact min-plus weights."""
     n = len(M)
-
-    def add(a, b):
-        return INF if a is INF or b is INF else a + b
-
     dist = [[0 if i == j else M[i][j] for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                via = add(dist[i][k], dist[k][j])
-                if via is not INF and (dist[i][j] is INF or via < dist[i][j]):
+                via = plus(dist[i][k], dist[k][j])
+                if via < dist[i][j]:
                     dist[i][j] = via
     return dist
 
@@ -198,9 +194,9 @@ def validate_weight(K: ValueAlgebra, w):
     """Reject weights outside the algebra's carrier domain."""
     ok = {
         "boolean": lambda: w in (0, 1),
-        "minplus": lambda: w is INF or (isinstance(w, int) and w >= 0),
-        "maxplus": lambda: w is NEG_INF or (isinstance(w, int) and w <= 0),
-        "natinf": lambda: w is INF or (isinstance(w, int) and w >= 0),
+        "minplus": lambda: w == INF or (isinstance(w, int) and w >= 0),
+        "maxplus": lambda: w == NEG_INF or (isinstance(w, int) and w <= 0),
+        "natinf": lambda: w == INF or (isinstance(w, int) and w >= 0),
     }.get(K.name, lambda: True)
     if not ok():
         raise ParseError(f"weight {w!r} is outside the {K.name} carrier")

@@ -1,8 +1,19 @@
 """Value algebras: semirings through Kleene/Conway/modal/n-dimensional variants.
 
 Carriers are exact: booleans and finite tables use small ints or interned
-strings, tropical carriers use Python ints plus distinguished infinity
-tokens.  No floats anywhere, so every law check is an exact equality.
+strings, the tropical and natinf carriers Python ints plus the IEEE
+infinities ``INF`` and ``NEG_INF``.  The only floats are these two, which
+compare exactly, and every finite weight stays an int: on their own
+carriers the stock operations add, multiply and compare ints and
+infinities, and none of them makes nan (natinf tests 0 before it
+multiplies, so 0.inf = 0) or raises: Python meets a float with an int by
+converting the int, which fails for an int too large for a float, so
+``plus`` and natinf's multiplication return the infinity there, as IEEE
+arithmetic does for any finite operand.  So every law check is an exact
+equality.  A computed infinity is a fresh float, so compare weights with
+``==``, never ``is``.  A library caller who puts -inf into min-plus or
+natinf, or inf into max-plus, leaves the carrier and gets IEEE arithmetic,
+where inf + -inf is nan; the CLI refuses such weights.
 
 All algebra objects are immutable after construction and safe to share.
 """
@@ -10,6 +21,7 @@ All algebra objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, replace
@@ -27,18 +39,18 @@ class TableFormatError(Exception):
     """Malformed finite-algebra table text."""
 
 
-class _Infinity:
-    """An infinity token, compared by identity and printed as its text."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __repr__(self):
-        return self.text
+INF = math.inf
+NEG_INF = -math.inf
 
 
-INF = _Infinity("inf")
-NEG_INF = _Infinity("-inf")
+def plus(a, b):
+    """a + b over ints and the infinities.  Python adds an int to a float by
+    converting the int, which raises for an int too large for a float; an
+    infinity absorbs such an int as it absorbs any finite one."""
+    try:
+        return a + b
+    except OverflowError:  # a huge int met an infinity: return the infinity
+        return b if isinstance(a, int) else a
 
 
 class _SharedAddition:
@@ -192,40 +204,31 @@ def make_boolean() -> ValueAlgebra:
     )
 
 
-def _tropical(name, better, zero, pool, **modal) -> ValueAlgebra:
-    """The tropical Kleene algebra over integers with ``zero`` adjoined: add
-    keeps a if ``better(a, b)``, else b, and has ``zero`` as its unit, mul is
-    + and ``zero`` absorbs it, one is 0 and the star is constant 0.  A
-    comparison operator costs less than two-argument min or max."""
-
-    def add(a, b):
-        if a is zero:
-            return b
-        if b is zero:
-            return a
-        return a if better(a, b) else b
-
-    def mul(a, b):
-        if a is zero or b is zero:
-            return zero
-        return a + b
-
-    return ValueAlgebra(name=name, add=add, mul=mul, zero=zero, one=0, star=lambda a: 0,
-                        sample_pool=pool, **modal)
+def _tropical(name, add, zero, pool, **modal) -> ValueAlgebra:
+    """The tropical Kleene algebra over integers with ``zero``, an infinity,
+    adjoined: ``add`` returns one of its operands, the lesser (min-plus) or
+    greater (max-plus), so ``zero`` is its unit; mul is ``plus``, which
+    ``zero`` absorbs on the carrier; one is 0 and the star is constant 0.  A
+    comparison in a conditional expression costs less than two-argument min
+    or max, and neither operation tests for an infinity."""
+    return ValueAlgebra(name=name, add=add, mul=plus, zero=zero, one=0,
+                        star=lambda a: 0, sample_pool=pool, **modal)
 
 
 def make_min_plus() -> ValueAlgebra:
     """Min-plus Kleene algebra on the non-negative integers with inf adjoined."""
 
     def dom(a):
-        return INF if a is INF else 0
+        return INF if a == INF else 0
 
-    return _tropical("minplus", operator.lt, INF, tuple(range(10)) + (INF,), dom=dom, cod=dom)
+    return _tropical("minplus", lambda a, b: b if b < a else a, INF,
+                     tuple(range(10)) + (INF,), dom=dom, cod=dom)
 
 
 def make_max_plus() -> ValueAlgebra:
     """Max-plus Kleene algebra on the non-positive integers with -inf adjoined."""
-    return _tropical("maxplus", operator.gt, NEG_INF, tuple(range(-9, 1)) + (NEG_INF,))
+    return _tropical("maxplus", lambda a, b: b if b > a else a, NEG_INF,
+                     tuple(range(-9, 1)) + (NEG_INF,))
 
 
 def make_nat_inf_conway() -> ValueAlgebra:
@@ -234,24 +237,20 @@ def make_nat_inf_conway() -> ValueAlgebra:
     Addition is not idempotent (2+2=4); this is the stock Conway semiring.
     """
 
-    def add(a, b):
-        if a is INF or b is INF:
-            return INF
-        return a + b
-
-    def mul(a, b):
+    def mul(a, b):  # 0 first, so 0.inf = 0
         if a == 0 or b == 0:
             return 0
-        if a is INF or b is INF:
-            return INF
-        return a * b
+        try:
+            return a * b
+        except OverflowError:  # a huge int met an infinity, as in plus
+            return INF if (a > 0) == (b > 0) else NEG_INF
 
     def star(a):
         return 1 if a == 0 else INF
 
     return ValueAlgebra(
         name="natinf",
-        add=add,
+        add=plus,
         mul=mul,
         zero=0,
         one=1,

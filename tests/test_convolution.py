@@ -48,6 +48,7 @@ from convka.values import (
 )
 from relations import make_relations
 from chains import chain_sum, chains
+from weights import exact
 
 
 def brute_convolution(C, K, f, g, x):
@@ -388,6 +389,40 @@ def test_star_sides_agree_with_oracle(C, K, data):
         assert path(x) == plain(x) == oracle(x), (C.name, K.name, C.format_element(x))
 
 
+# Every finite weight stays an int and the only floats are the infinities,
+# so every comparison of weights is exact.  Natinf identities weigh 1 or
+# more here, so their stars are inf and meet the drawn zero factors.  f also
+# draws a weight past the float range, which the infinities must absorb.
+@settings(max_examples=100, deadline=None)
+@given(random_catoids(), st.sampled_from(STOCK_ALGEBRAS), st.data())
+def test_stock_star_and_convolution_values_are_ints_or_infinities(C, K, data):
+    big = {"minplus": (10**400,), "maxplus": (-10**400,), "natinf": (10**400,)}
+    pool = K.pool() + big.get(K.name, ())
+    weight = st.one_of(st.just(K.zero), st.sampled_from(pool))
+    nonzero = st.sampled_from([a for a in pool if a != K.zero])
+    f = from_pairs(C, K, {x: data.draw(nonzero if K.name == "natinf" and C.is_identity(x)
+                                       else weight) for x in C.elements()})
+    g = drawn_function(data, C, K)
+    fs = star_recursive(f)
+    for h in (fs, star_dual(f), star_unfolded(f), convolve(f, g), conv_add(f, g),
+              convolve(f, fs), convolve(fs, f)):
+        bad = [v for v in h.values() if not exact(v)]
+        assert not bad, (C.name, K.name, h, bad)
+
+
+def test_natinf_counts_past_the_float_range_meet_inf():
+    # f(a) = 2**64 makes f*(a^k) = 2**(64k), past the float range from k = 16
+    # on, where Python cannot convert an int to add it to or multiply it by a
+    # float; f(a^20) = inf meets such counts in sums and in products
+    C, K = models.free_monoid("a", 40), make_nat_inf_conway()
+    f = from_pairs(C, K, {"a": 2**64, "a" * 20: INF})
+    want = [2 ** (64 * k) if k < 20 else INF for k in range(41)]
+    for star in (star_recursive, star_dual):
+        s = star(f)
+        assert [s("a" * k) for k in range(41)] == want, star.__name__
+        assert all(map(exact, s.values())), star.__name__
+
+
 def skewed_algebra():
     """Three weights under max whose zero is not absorbing (0.1 = 1) and whose
     product does not commute (0.1 = 1, 1.0 = 2)."""
@@ -602,14 +637,18 @@ def test_rows_keep_their_orders_on_random_catoids(C):
 
 
 class ReadLog(list):
-    """A values list that records every id read through ``__getitem__``."""
+    """A values list that records every id read through ``__getitem__``,
+    a slice as the ids it covers."""
 
     def __init__(self, values):
         super().__init__(values)
         self.read = set()
 
     def __getitem__(self, i):
-        self.read.add(i)
+        if isinstance(i, slice):
+            self.read.update(range(*i.indices(len(self))))
+        else:
+            self.read.add(i)
         return super().__getitem__(i)
 
 

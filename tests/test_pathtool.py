@@ -55,6 +55,14 @@ def test_matrix_star_two_edge_minplus():
     assert S == floyd_warshall(M)
 
 
+def test_an_int_past_the_float_range_meets_a_missing_edge():
+    # Python adds an int to a float by converting the int, which fails for
+    # 10**400; the missing edge 1 -> 0 weighs inf and absorbs it
+    big = 10**400
+    M = [[INF, big], [INF, INF]]
+    assert floyd_warshall(M) == matrix_star(make_min_plus(), M) == [[0, big], [INF, 0]]
+
+
 def test_matrix_star_vs_warshall_random():
     rng = random.Random(42)
     B = make_boolean()
@@ -156,10 +164,13 @@ def test_parse_graph_reads_weight_tokens_like_the_other_parsers():
         parse_graph("a b x 1_0\n")
 
 
-@pytest.mark.parametrize("tok", ["1_0", "\u0663", "1 ", "1" * 5000])
+@pytest.mark.parametrize("tok", ["1_0", "\u0663", "1 ", "1" * 5000, "nan", "NaN", "infinity",
+                                 "Infinity", "+inf", "INF", "1e3", "1.0", "-0.0"])
 def test_parse_weight_token_reads_only_ascii_integers(tok):
     # int() reads 1_0 as 10, the Arabic-Indic digit three as 3 and "1 " as 1,
-    # and past 4300 digits it raises a ValueError of its own
+    # and past 4300 digits it raises a ValueError of its own; float() reads
+    # every other spelling here, but the only floats a weight may be are inf
+    # and -inf, spelt so
     with pytest.raises(ParseError, match=r"^bad weight token "):
         parse_weight_token(tok)
     assert [parse_weight_token(t) for t in ("7", "+7", "-7", "007", "inf", "-inf")] == \
@@ -200,7 +211,7 @@ def test_validate_weight():
         validate_weight(make_boolean(), 5)
     with pytest.raises(ParseError, match="carrier"):
         validate_weight(make_min_plus(), -3)
-    assert validate_weight(make_min_plus(), INF) is INF
+    assert validate_weight(make_min_plus(), INF) == INF
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +296,28 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                  "--weights", str(p)])
     assert code == 2
     assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra, tok", [("minplus", "-inf"), ("natinf", "-inf"),
+                                          ("maxplus", "inf"), ("boolean", "inf")])
+def test_cli_refuses_an_infinity_outside_the_carrier(algebra, tok, tmp_path, capsys):
+    # inside the library such a weight would meet the other infinity in IEEE
+    # arithmetic, where inf + -inf is nan
+    p = tmp_path / "weights.txt"
+    p.write_text(f"a {tok}\n")
+    assert main(["star", "--model", "words", "--algebra", algebra, "--weights", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"pathtool: weight {tok} is outside the {algebra} carrier\n")
+
+
+def test_cli_star_adds_an_int_past_the_float_range_to_inf(tmp_path, capsys):
+    # f*(ba) = f(b) + f*(a) = 10**400 + inf, and every star form agrees
+    big = 10**400
+    p = tmp_path / "weights.txt"
+    p.write_text(f"a inf\nb {big}\n")
+    assert main(["star", "--model", "words", "--max-length", "2", "--algebra", "minplus",
+                 "--weights", str(p), "--check-oracles"]) == 0
+    assert capsys.readouterr() == (
+        f"eps\t0\na\tinf\nb\t{big}\naa\tinf\nab\tinf\nba\tinf\nbb\t{2 * big}\n", "")
 
 
 def test_cli_bad_weight_domain_exit_2(tmp_path, capsys):
