@@ -38,7 +38,6 @@ from .values import (
     INF,
     NEG_INF,
     CapabilityError,
-    DimOps,
     NValueAlgebra,
     ValueAlgebra,
     check_value_axioms,
@@ -57,8 +56,8 @@ __all__ = [
     "WeightFunction", "conv_add", "convolve", "from_pairs", "functions_equal",
     "id0", "indicator", "is_in_bracket", "star_dual", "star_path",
     "star_recursive", "star_unfolded", "test_complement", "zero_function",
-    "Report", "INF", "NEG_INF", "CapabilityError", "DimOps",
-    "NValueAlgebra", "ValueAlgebra", "check_value_axioms", "load_finite_algebra",
-    "make_boolean", "make_boolean_nd", "make_max_plus", "make_min_plus",
-    "make_nat_inf_conway", "quantale_star",
+    "Report", "INF", "NEG_INF", "CapabilityError", "NValueAlgebra",
+    "ValueAlgebra", "check_value_axioms", "load_finite_algebra", "make_boolean",
+    "make_boolean_nd", "make_max_plus", "make_min_plus", "make_nat_inf_conway",
+    "quantale_star",
 ]

@@ -83,7 +83,7 @@ def _build_model_and_weights(args, K):
         if args.star == "matrix" and not args.check_oracles:
             return None, None, graph
         bound = max_len
-        if graph.is_acyclic():
+        if graph.is_acyclic() and max_len >= 1:  # below 1 the path catoid refuses it
             bound = max(bound, graph.longest_path_len())
         C = models.path_catoid(graph, bound)
         table = {}
@@ -173,8 +173,13 @@ def cmd_star(args) -> int:
         _err(str(exc))
         return 3
 
-    for label, w in rows:
-        print(f"{label}\t{w}")
+    limit = sys.get_int_max_str_digits()  # lifted to print exact values, for this loop only
+    sys.set_int_max_str_digits(0)
+    try:
+        for label, w in rows:
+            print(f"{label}\t{w}")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

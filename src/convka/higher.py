@@ -5,8 +5,10 @@ face maps, lax functoriality inclusions, interchange, absorption of lower
 faces by higher ones, and the two closure equations on higher faces of
 lower products.
 
-The valency-based operators D-_i / D+_i are ``modal``'s hat lifting applied
-per dimension; they need local, complete models.
+Over dimension i, convolution reads the catoid ``nc.dims[i]`` and the value
+algebra ``alg.dims[i]``.  The valency-based operators D-_i / D+_i are
+``modal``'s hat lifting applied per dimension; they need local, complete
+models.
 """
 
 from __future__ import annotations
@@ -161,10 +163,9 @@ class NConvolution:
             d.require_moebius()
         self.nc = nc
         self.alg = alg
-        self.views = tuple(alg.view(i) for i in range(alg.n))
 
     def _over(self, i, f):
-        return f.over(self.nc.dims[i], self.views[i])
+        return f.over(self.nc.dims[i], self.alg.dims[i])
 
     def _lift(self, hat, i, f):
         """hat of f over dimension i; a refusal of the hat names the dimension."""
@@ -174,7 +175,7 @@ class NConvolution:
             raise CapabilityError(f"dimension {i}: {exc}") from None
 
     def id_(self, i):
-        return id0(self.nc.dims[i], self.views[i])
+        return id0(self.nc.dims[i], self.alg.dims[i])
 
     def add(self, f, g):
         return conv_add(self._over(0, f), self._over(0, g))
@@ -192,10 +193,10 @@ class NConvolution:
         return self._lift(cod_hat, i, f)
 
     def zero(self):
-        return zero_function(self.nc.dims[0], self.views[0])
+        return zero_function(self.nc.dims[0], self.alg.dims[0])
 
     def random_function(self, rng):
-        return random_function(self.nc.dims[0], self.views[0], rng)
+        return random_function(self.nc.dims[0], self.alg.dims[0], rng)
 
 
 def _interchange_failure(bundle, i, j, rng):
@@ -286,10 +287,10 @@ def check_n_axioms(bundle: NConvolution, rng, samples) -> Report:
         rep.add(f"nconv.closure[{i}<{j}]", bad, checked=len(pairs))
 
         bad = []
-        vj = bundle.views[j]
+        mj = alg.dims[j].mul
         for k, df in enumerate(lifts[i]["dom"]):
             for x, w in zip(U, df.values()):
-                if not leq(w, vj.mul(w, w)):
+                if not leq(w, mj(w, w)):
                     bad.append((k, nc.dims[0].format_element(x)))
                     break
         rep.add(f"nconv.dom-idem-leq[{i}<{j}]", bad,
@@ -298,18 +299,18 @@ def check_n_axioms(bundle: NConvolution, rng, samples) -> Report:
     for i in range(nc.n):
         bad = []
         Ci = nc.dims[i]
-        vi, src = bundle.views[i], Ci.faces()[0]
+        mi, src = alg.dims[i].mul, Ci.faces()[0]
         for k, (a, b) in enumerate(pairs):
             df, g = lifts[i]["dom"][a], fs[b]
             lhs, dv = bundle.mul(i, df, g).values(), df.values()
             for x, s, v, w in zip(U, src, lhs, g.values()):
-                if v != vi.mul(dv[s], w):
+                if v != mi(dv[s], w):
                     bad.append((k, Ci.format_element(x)))
                     break
         rep.add(f"nconv.dom-product[{i}]", bad, checked=len(pairs),
                 note="(D-(f)*g)(x) = D-(f)(s(x)).g(x)")
 
-    if all(v.has_star for v in bundle.views):
+    if all(d.has_star for d in alg.dims):
         for i, j in itertools.combinations(range(nc.n), 2):
             bad = []
             for k, (a, b) in enumerate(pairs):

@@ -142,44 +142,28 @@ class ValueAlgebra(_SharedAddition):
 
 
 @dataclass(frozen=True)
-class DimOps:
-    """Per-dimension operations of an n-dimensional value algebra."""
-
-    mul: Callable[[Any, Any], Any]
-    one: Any
-    dom: Optional[Callable[[Any], Any]] = None
-    cod: Optional[Callable[[Any], Any]] = None
-    star: Optional[Callable[[Any], Any]] = None
-
-
-@dataclass(frozen=True)
 class NValueAlgebra(_SharedAddition):
-    """Shared additive structure plus one multiplicative/modal bundle per dimension."""
+    """One value algebra per dimension over one shared addition: ``dims[i]``
+    is dimension i, named ``name[i]``, given this algebra's add, zero, carrier
+    and sample pool when it is built, so that a ``dataclasses.replace`` copy
+    with another addition adds with it in every dimension."""
 
     name: str
     add: Callable[[Any, Any], Any]
     zero: Any
-    dims: tuple[DimOps, ...]
+    dims: tuple[ValueAlgebra, ...]
     carrier: Optional[tuple] = None
     sample_pool: Optional[tuple] = None
+
+    def __post_init__(self):
+        shared = dict(add=self.add, zero=self.zero, carrier=self.carrier,
+                      sample_pool=self.sample_pool)
+        object.__setattr__(self, "dims", tuple(replace(d, name=f"{self.name}[{i}]", **shared)
+                                               for i, d in enumerate(self.dims)))
 
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    def view(self, i: int) -> ValueAlgebra:
-        """Dimension i as an ordinary value algebra over the shared addition;
-        the same object on every call, so its derived properties such as
-        ``idempotent_add`` are decided once per dimension."""
-        return self._views[i]
-
-    @cached_property
-    def _views(self) -> tuple:
-        return tuple(ValueAlgebra(name=f"{self.name}[{i}]", add=self.add, mul=d.mul,
-                                  zero=self.zero, one=d.one, star=d.star, dom=d.dom,
-                                  cod=d.cod, carrier=self.carrier,
-                                  sample_pool=self.sample_pool)
-                     for i, d in enumerate(self.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +282,7 @@ def load_finite_algebra(text: str):
             rows.append(line.split())
 
     # a table keeps its rows; every other block reads them as one row of tokens
-    carrier = sum(blocks.get("carrier", []), [])
+    carrier = tuple(sum(blocks.get("carrier", []), []))
     if not carrier:
         raise TableFormatError("missing carrier")
     if len(set(carrier)) != len(carrier):
@@ -362,10 +346,12 @@ def load_finite_algebra(text: str):
         unit = sum(blocks.get("one" + d, []), [])
         if len(unit) != 1 or unit[0] not in carrier:
             raise TableFormatError(f"unit one{k}: expected one carrier element, got {unit}")
-        dims.append(DimOps(mul=ops["mul" + k], one=unit[0], dom=ops.get("dom" + d),
-                           cod=ops.get("cod" + d), star=ops.get("star" + d)))
-    A = NValueAlgebra(name="table", add=add, zero=zero, dims=tuple(dims), carrier=tuple(carrier))
-    return replace(A.view(0), name="table") if muls[0][0] < 0 else A
+        dims.append(ValueAlgebra(name="table", add=add, mul=ops["mul" + k], zero=zero,
+                                 one=unit[0], star=ops.get("star" + d), dom=ops.get("dom" + d),
+                                 cod=ops.get("cod" + d), carrier=carrier))
+    if muls[0][0] < 0:  # a lone mul: the one dimension is the algebra
+        return dims[0]
+    return NValueAlgebra(name="table", add=add, zero=zero, dims=tuple(dims), carrier=carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -511,21 +497,20 @@ def _interchange(A, mi, mj):
 
 def _interchange_laws(law, A):
     """Two dioids (Kleene when both have stars), interchange and 1_0 <= 1_1."""
-    views = [A.view(0), A.view(1)]
-    for i, v in enumerate(views):
-        _dioid_laws(law, v, f"[{i}]")
-    if all(v.has_star for v in views):
-        for i, v in enumerate(views):
-            _kleene_laws(law, v, f"[{i}]")
+    for i, d in enumerate(A.dims):
+        _dioid_laws(law, d, f"[{i}]")
+    if all(d.has_star for d in A.dims):
+        for i, d in enumerate(A.dims):
+            _kleene_laws(law, d, f"[{i}]")
     law("ic.interchange", 4, _interchange(A, A.dims[0].mul, A.dims[1].mul))
     law("ic.unit-leq", 0, lambda: _le(A, A.dims[0].one, A.dims[1].one))
 
 
 def _n_laws(law, A):
     """The laws linking the dimensions of an n-semiring."""
-    for i in range(A.n):
-        _dioid_laws(law, A.view(i), f"[{i}]")
-        _modal_laws(law, A.view(i), f"[{i}]")
+    for i, d in enumerate(A.dims):
+        _dioid_laws(law, d, f"[{i}]")
+        _modal_laws(law, d, f"[{i}]")
     for i, j in itertools.permutations(range(A.n), 2):
         mj = A.dims[j].mul
         for _, f, _ in SIDES:
@@ -544,8 +529,8 @@ def _n_laws(law, A):
 
 def _n_kleene_laws(law, A):
     """The star laws an n-Kleene algebra adds to its n-semiring."""
-    for i in range(A.n):
-        _kleene_laws(law, A.view(i), f"[{i}]")
+    for i, d in enumerate(A.dims):
+        _kleene_laws(law, d, f"[{i}]")
     for i, j in itertools.combinations(range(A.n), 2):
         sj = A.dims[j].star
         for _, f, mirror in SIDES:
@@ -592,8 +577,8 @@ def check_value_axioms(A, cls: str) -> Report:
     for attr in needs:  # of every dimension when n-dimensional
         if not multi:
             _require(A, attr, cls)
-        for i in range(A.n if multi else 0):
-            if not getattr(A.view(i), attr):
+        for i, d in enumerate(A.dims if multi else ()):
+            if not getattr(d, attr):
                 raise CapabilityError(f"{A.name}: dimension {i} lacks {_LACKS[attr]}")
     if ordered:
         _require(A, "idempotent_add", cls)  # their laws read the order
@@ -608,6 +593,5 @@ def check_value_axioms(A, cls: str) -> Report:
 def make_boolean_nd(n: int) -> NValueAlgebra:
     """Boolean n-dimensional Kleene algebra: every dimension is the boolean KA."""
     B = make_boolean()
-    dim = DimOps(mul=B.mul, one=B.one, dom=B.dom, cod=B.cod, star=B.star)
-    return NValueAlgebra(name=f"boolean{n}d", add=B.add, zero=B.zero, dims=(dim,) * n,
+    return NValueAlgebra(name=f"boolean{n}d", add=B.add, zero=B.zero, dims=(B,) * n,
                          carrier=B.carrier)

@@ -25,7 +25,7 @@ from convka.higher import NCatoid, NConvolution, check_interchange, check_n_axio
 from convka.lab import appendix_b_model, check_kleene_convolution, negative_control_dioid
 from convka.modal import check_modal
 from convka.report import fmt_value
-from convka.values import DimOps, NValueAlgebra, make_boolean, make_boolean_nd
+from convka.values import NValueAlgebra, make_boolean, make_boolean_nd
 
 FUNCTION_LAW_PIN = Path(__file__).parent / "data" / "function_laws.txt"
 
@@ -35,8 +35,7 @@ def relations_nd(n, **dim0):
     operations of dimension 0.  Relational composition does not commute, so
     the interchange law fails."""
     R = make_relations()
-    dim = DimOps(mul=R.mul, one=R.one, dom=R.dom, cod=R.cod, star=R.star)
-    dims = (replace(dim, **dim0),) + (dim,) * (n - 1)
+    dims = (replace(R, **dim0),) + (R,) * (n - 1)
     return NValueAlgebra(name="relations2d" if not dim0 else "relations2d-broken",
                          add=R.add, zero=R.zero, dims=dims, carrier=R.carrier)
 

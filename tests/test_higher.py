@@ -16,7 +16,7 @@ from convka.higher import (
 )
 from convka.lab import appendix_b_model
 from convka.report import fmt_value
-from convka.values import CapabilityError, DimOps, NValueAlgebra, make_boolean, \
+from convka.values import CapabilityError, NValueAlgebra, ValueAlgebra, make_boolean, \
     make_boolean_nd
 
 
@@ -44,9 +44,13 @@ def test_interchange_convolution_boolean(bool2, rng):
     assert rep.clean, rep.failed_laws()
 
 
-def test_bundle_reads_the_algebras_views(bool2):
+def test_bundle_reads_the_algebras_dimensions(bool2, rng):
+    # dimension i's units and products are over the algebra's own dims[i]
     bundle = NConvolution(models.shuffle_concat_2catoid("ab", 2), bool2)
-    assert [bundle.views[i] is bool2.view(i) for i in range(2)] == [True, True]
+    f = bundle.random_function(rng)
+    assert [bundle.id_(i).algebra is bool2.dims[i] for i in range(2)] == [True, True]
+    assert [bundle.mul(i, f, f).algebra is bool2.dims[i] for i in range(2)] == [True, True]
+    assert bundle.zero().algebra is bool2.dims[0]
 
 
 def test_interchange_units_coincide(bool2):
@@ -59,8 +63,7 @@ def test_interchange_units_coincide(bool2):
 
 def test_unit_inequality_enforced(rng):
     # a two-dimensional algebra with one0 > one1 must be rejected
-    dims = (DimOps(mul=min, one=1, star=lambda a: 1),
-            DimOps(mul=min, one=0, star=lambda a: 1))
+    dims = tuple(ValueAlgebra("dim", max, min, 0, one, star=lambda a: 1) for one in (1, 0))
     bad = NValueAlgebra("bad2d", add=max, zero=0, dims=dims, carrier=(0, 1))
     tc = models.shuffle_concat_2catoid("ab", 3)
     with pytest.raises(CapabilityError, match="one0 <= one1"):
@@ -69,7 +72,7 @@ def test_unit_inequality_enforced(rng):
 
 def test_unit_order_checked_for_every_dimension_pair():
     # one0 <= one1 and one0 <= one2 hold, one1 <= one2 does not
-    dims = tuple(DimOps(mul=min, one=one, star=lambda a: 1) for one in (0, 1, 0))
+    dims = tuple(ValueAlgebra("dim", max, min, 0, one, star=lambda a: 1) for one in (0, 1, 0))
     bad = NValueAlgebra("bad3d", add=max, zero=0, dims=dims, carrier=(0, 1))
     words = models.shuffle_concat_2catoid("ab", 3)
     nc = NCatoid("concat-shuffle-concat", (*words.dims, words.dims[0]))
@@ -121,7 +124,7 @@ def test_n_bundle_dom_product_identity(square, bool2, rng):
     bundle = NConvolution(square, bool2)
     for i in range(2):
         C = square.dims[i]
-        v = bundle.views[i]
+        v = bool2.dims[i]
         for _ in range(5):
             f = bundle.random_function(rng)
             g = bundle.random_function(rng)
@@ -163,8 +166,8 @@ def test_n_bundle_refuses_lifts_as_the_hat_does(bool2, rng):
 
 def test_n_bundle_prefixes_hat_errors_with_the_dimension(square, rng):
     # the square is local in both dimensions, so the hat's own check fails
-    dims = tuple(DimOps(mul=min, one=1, star=lambda a: 1) for _ in range(2))
-    plain = NValueAlgebra("plain2d", add=max, zero=0, dims=dims, carrier=(0, 1))
+    dim = ValueAlgebra("dim", max, min, 0, 1, star=lambda a: 1)
+    plain = NValueAlgebra("plain2d", add=max, zero=0, dims=(dim, dim), carrier=(0, 1))
     bundle = NConvolution(square, plain)
     f = bundle.random_function(rng)
     # convolution needs no modal maps

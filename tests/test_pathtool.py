@@ -534,6 +534,35 @@ def test_cli_cyclic_graph_refuses_max_length_below_one(tmp_path, capsys):
         assert capsys.readouterr() == ("", "pathtool: need max_len >= 1\n")
 
 
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_cli_acyclic_graph_refuses_max_length_below_one(max_len, tmp_path, capsys):
+    # the bound is raised to the longest path only from a valid bound
+    p = tmp_path / "graph.txt"
+    p.write_text("a b x 2\nb c y 3\n")
+    assert main(["star", "--model", "graph", "--algebra", "minplus", "--max-length",
+                 max_len, "--weights", str(p)]) == 2
+    assert capsys.readouterr() == ("", "pathtool: need max_len >= 1\n")
+
+
+def test_cli_prints_values_past_the_int_digit_limit(tmp_path, capsys):
+    # (2**64)**300 has 5,780 digits, past Python's default limit of 4,300 on
+    # int-to-str conversion; the limit is lifted for the output only
+    p = tmp_path / "words.txt"
+    p.write_text(f"a {2 ** 64}\n")
+    limit = sys.get_int_max_str_digits()
+    assert main(["star", "--model", "words", "--max-length", "300", "--algebra", "natinf",
+                 "--weights", str(p)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out, err = capsys.readouterr()
+    assert err == ""
+    label, value = out.splitlines()[-1].split("\t")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (label, int(value)) == ("a" * 300, 2 ** 19200)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("max_len", ["0", "-1"])
 def test_cli_guarded_refuses_max_length_below_one(max_len, tmp_path, capsys):
     # a universe of bare tests would leave every action out

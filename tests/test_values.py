@@ -12,7 +12,6 @@ from convka.values import (
     INF,
     NEG_INF,
     CapabilityError,
-    DimOps,
     NValueAlgebra,
     TableFormatError,
     ValueAlgebra,
@@ -159,9 +158,9 @@ def test_order_classes_refuse_non_idempotent_addition(natinf):
 
 def test_idempotent_addition_is_decided_over_the_pool():
     # addition mod 3 on two dimensions: 1 + 1 = 2, so there is no order
-    dim = DimOps(mul=lambda a, b: a * b % 3, one=1)
-    mod3 = NValueAlgebra(name="mod3-2d", add=lambda a, b: (a + b) % 3, zero=0,
-                         dims=(dim, dim), carrier=(0, 1, 2))
+    add = lambda a, b: (a + b) % 3
+    dim = ValueAlgebra("mod3", add=add, mul=lambda a, b: a * b % 3, zero=0, one=1)
+    mod3 = NValueAlgebra(name="mod3-2d", add=add, zero=0, dims=(dim, dim), carrier=(0, 1, 2))
     assert not mod3.idempotent_add
     with pytest.raises(CapabilityError, match="class 'interchange' needs idempotent_add"):
         check_value_axioms(mod3, "interchange")
@@ -384,14 +383,35 @@ def test_boolean_nd_is_n_kleene():
     assert rep.clean, rep.failed_laws()
 
 
-def test_views_are_built_once_per_dimension():
-    # one object per dimension, so its idempotent_add, zero_absorbs and
-    # add_top are decided once however often the view is asked for
+def test_dimensions_share_the_algebras_addition():
+    # each dimension is a value algebra named name[i] over the shared add,
+    # zero, carrier and pool, also in a copy with another addition and other
+    # products, as a tracer that counts the operations makes
     A = make_boolean_nd(3)
-    assert [A.view(i) is A.view(i) for i in range(A.n)] == [True] * 3
-    assert len({id(A.view(i)) for i in range(A.n)}) == 3
-    assert [A.view(i).name for i in range(A.n)] == ["boolean3d[0]", "boolean3d[1]",
-                                                    "boolean3d[2]"]
+    assert [d.name for d in A.dims] == ["boolean3d[0]", "boolean3d[1]", "boolean3d[2]"]
+    add, mul = (lambda a, b: a | b), (lambda a, b: a & b)
+    B = dataclasses.replace(A, add=add, dims=tuple(dataclasses.replace(d, mul=mul)
+                                                   for d in A.dims))
+    assert [d.add is add for d in B.dims] == [True] * 3
+    assert [d.mul is mul for d in B.dims] == [True] * 3
+    assert [d.name for d in B.dims] == ["boolean3d[0]", "boolean3d[1]", "boolean3d[2]"]
+    assert [(d.zero, d.carrier, d.sample_pool) for d in B.dims] == [(0, (0, 1), None)] * 3
+    pooled = NValueAlgebra(name="pooled", add=max, zero=0, dims=A.dims, sample_pool=(0, 1))
+    assert [(d.carrier, d.sample_pool) for d in pooled.dims] == [(None, (0, 1))] * 3
+    assert [d.pool() for d in pooled.dims] == [(0, 1)] * 3
+
+
+@pytest.mark.parametrize("A", [appendix_b_model(1), make_boolean_nd(3)],
+                         ids=["appendix1", "boolean3d"])
+def test_dimension_reads_as_a_modal_dioid(A):
+    # the [i] lines of the n-semiring report are dimension i's modal dioid laws
+    rep = check_value_axioms(A, "n_semiring")
+    for i, d in enumerate(A.dims):
+        tagged = {e.law: e for e in rep.entries if e.law.endswith(f"[{i}]")}
+        own = check_value_axioms(d, "modal").entries
+        assert [e.law + f"[{i}]" for e in own] == list(tagged)
+        assert [(e.status, e.witnesses, e.checked, e.vacuous) for e in own] == [
+            (e.status, e.witnesses, e.checked, e.vacuous) for e in tagged.values()]
 
 
 def test_appendix_model1_failure_pattern_frozen():
